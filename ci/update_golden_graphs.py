@@ -22,6 +22,10 @@ def main() -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
     out_dir = root / "ci" / "golden_graphs"
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Start from an empty directory so a retired pipeline's golden file
+    # does not outlive it.
+    for stale in out_dir.glob("*.json"):
+        stale.unlink()
     proc = subprocess.run(
         [
             "cargo",

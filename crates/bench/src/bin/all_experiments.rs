@@ -17,7 +17,6 @@ fn main() {
     euler_bench::experiments::fig10::run(&cfg);
     euler_bench::experiments::fig11::run(&cfg);
     euler_bench::experiments::ext_bcc::run(&cfg);
-    euler_bench::experiments::forest_sweep::run(&cfg);
     euler_bench::experiments::io_sweep::run(&cfg);
     euler_bench::experiments::mem_sweep::run(&cfg);
     euler_bench::experiments::sanitize_sweep::run(&cfg);

@@ -11,7 +11,6 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig7_8;
 pub mod fig9;
-pub mod forest_sweep;
 pub mod graph_audit;
 pub mod io_sweep;
 pub mod mem_sweep;

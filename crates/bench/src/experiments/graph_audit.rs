@@ -24,10 +24,10 @@ use emg_cli::analyze::{capture_pipeline, run_pipeline, PIPELINES};
 use gpu_sim::{CaptureMode, Device, DeviceConfig};
 use std::time::Duration;
 
-/// The pipeline the overhead section races. The BFS-forest bridge
-/// pipeline is the longest shipped launch sequence, so it gives capture
-/// the most bookkeeping work per wall-clock second.
-const OVERHEAD_PIPELINE: &str = "tv_bridges_bfs";
+/// The pipeline the overhead section races. The TV bridge pipeline is the
+/// longest shipped launch sequence, so it gives capture the most
+/// bookkeeping work per wall-clock second.
+const OVERHEAD_PIPELINE: &str = "tv_bridges_uf";
 
 /// A pinned 4-worker device with capture on or off.
 fn dev(capture: CaptureMode) -> Device {

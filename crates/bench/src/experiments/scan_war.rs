@@ -1,19 +1,13 @@
-//! Scan war: single-pass decoupled lookback vs the two-pass baseline.
+//! Scan war: launch and modeled-traffic pins for the two-pass scan core and
+//! the pipelines built on it.
 //!
-//! Every prefix-sum-shaped primitive dispatches on
-//! [`gpu_sim::DeviceConfig::scan_engine`]; this experiment races the two
-//! cores and pins the traffic claim the lookback design exists for:
-//!
-//! * **bit-identical outputs** — every shape runs on both engines (and on
-//!   a single-worker device) and the results are asserted equal;
-//! * **memory traffic** — the lookback scan reads each element exactly
-//!   once and writes it once (`reads_per_elem = 1`), where the two-pass
-//!   core reads twice (reduce pass + downsweep); asserted exactly, then
-//!   recorded so CI's perf gate can fail a regression host-independently;
-//! * **launch counts** — lookback scans and compactions are one launch,
-//!   the baseline two; whole pipelines (CSR build, TV/hybrid bridges,
-//!   connected components, inlabel LCA) are measured and emitted so CI
-//!   can diff them against the checked-in `ci/launch_baseline.json`.
+//! * **primitive shapes** — scans, a compaction and a segmented scan, each
+//!   cross-checked bit for bit against a single-worker run of the same
+//!   shape; the pure scan's cost is asserted exactly: 2 launches, 2 reads
+//!   and 1 write per element (the reduce pass and the downsweep);
+//! * **pipelines** — CSR build, connected components, TV/hybrid bridges
+//!   and inlabel LCA, whose launch counts and modeled bytes CI diffs
+//!   against the checked-in `ci/launch_baseline.json`.
 //!
 //! Launches and modeled bytes are **host-independent**: the devices pin
 //! `threads = Some(4)` so the simulated grid geometry (and hence every
@@ -23,36 +17,20 @@ use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
 use bridges::cc::connected_components;
 use bridges::{bridges_hybrid, bridges_tv};
-use gpu_sim::{Device, DeviceConfig, MetricsSnapshot, SanitizeMode, ScanEngine};
+use gpu_sim::{Device, DeviceConfig, MetricsSnapshot};
 use graph_core::Csr;
 use graphgen::{ba_graph, random_tree};
 use lca::{GpuInlabelLca, LcaAlgorithm};
 use std::time::Duration;
 
-/// A contender device: grid geometry pinned so launch/byte counts are
-/// host-independent.
-fn dev(engine: ScanEngine) -> Device {
+/// A device with `threads` workers; the pinned grid (4) makes launch/byte
+/// counts host-independent.
+fn dev(threads: usize) -> Device {
     Device::with_config(DeviceConfig {
-        threads: Some(4),
-        scan_engine: engine,
+        threads: Some(threads),
         ..Default::default()
     })
 }
-
-/// Single-worker variant — the degenerate grid where the lookback spin
-/// must never trigger.
-fn dev_width1(engine: ScanEngine) -> Device {
-    Device::with_config(DeviceConfig {
-        threads: Some(1),
-        scan_engine: engine,
-        ..Default::default()
-    })
-}
-
-const ENGINES: [(ScanEngine, &str); 2] = [
-    (ScanEngine::Lookback, "lookback"),
-    (ScanEngine::TwoPass, "two_pass"),
-];
 
 /// Times `iter` on `device` and measures the metrics delta of one
 /// steady-state iteration.
@@ -75,14 +53,12 @@ fn drive<O>(
     (output, samples, delta)
 }
 
-/// Emits one contender row: table, JSONL (with the launch/traffic fields
-/// the CI gate reads), and the per-element ratios.
-#[allow(clippy::too_many_arguments)]
+/// Emits one row: table, JSONL (with the launch/traffic fields the CI
+/// gate reads), and the per-element ratios.
 fn report(
     table: &mut Table,
     section: &str,
     name: &str,
-    engine: &str,
     elements: u64,
     samples: &[Duration],
     delta: &MetricsSnapshot,
@@ -93,7 +69,6 @@ fn report(
     table.row(vec![
         section.to_string(),
         name.to_string(),
-        engine.to_string(),
         elements.to_string(),
         fmt_secs(mean),
         delta.kernel_launches.to_string(),
@@ -102,7 +77,7 @@ fn report(
     ]);
     emit_bench_json_fields(
         "scan_war",
-        &format!("{section}/{name}/{engine}"),
+        &format!("{section}/{name}"),
         mean,
         std,
         samples.len() as u64,
@@ -117,68 +92,33 @@ fn report(
     );
 }
 
-/// One primitive shape × both engines × both pool widths: assert
-/// bit-identical outputs everywhere, record the pinned-width rows.
-fn race_shape<O: PartialEq + std::fmt::Debug>(
+/// One primitive shape on the pinned grid, cross-checked against a
+/// single-worker run; records the pinned-grid row and returns its delta.
+fn pin_shape<O: PartialEq + std::fmt::Debug>(
     table: &mut Table,
     name: &str,
     elements: u64,
     repeats: usize,
     mut iter: impl FnMut(&Device) -> O,
-) -> [MetricsSnapshot; 2] {
-    let mut reference: Option<O> = None;
-    let mut deltas = [MetricsSnapshot::default(); 2];
-    for (slot, (engine, engine_name)) in ENGINES.into_iter().enumerate() {
-        let (out, samples, delta) = drive(&dev(engine), repeats, &mut iter);
-        let (out_w1, _, _) = drive(&dev_width1(engine), 1, &mut iter);
-        assert_eq!(out, out_w1, "{name}/{engine_name}: width-1 output diverged");
-        match &reference {
-            None => reference = Some(out),
-            Some(r) => assert_eq!(
-                r, &out,
-                "{name}: engines must produce bit-identical outputs"
-            ),
-        }
-        report(
-            table,
-            "primitive",
-            name,
-            engine_name,
-            elements,
-            &samples,
-            &delta,
-        );
-        deltas[slot] = delta;
-    }
-    deltas
+) -> MetricsSnapshot {
+    let (out, samples, delta) = drive(&dev(4), repeats, &mut iter);
+    let (out_w1, _, _) = drive(&dev(1), 1, &mut iter);
+    assert_eq!(out, out_w1, "{name}: width-1 output diverged");
+    report(table, "primitive", name, elements, &samples, &delta);
+    delta
 }
 
-/// One pipeline × both engines: assert identical outputs, emit the
-/// launch accounting CI diffs against `ci/launch_baseline.json`.
-fn race_pipeline<O: PartialEq + std::fmt::Debug>(
+/// One pipeline on the pinned grid: records the launch accounting CI
+/// diffs against `ci/launch_baseline.json`.
+fn pin_pipeline<O>(
     table: &mut Table,
     name: &str,
     elements: u64,
     repeats: usize,
-    mut iter: impl FnMut(&Device) -> O,
+    iter: impl FnMut(&Device) -> O,
 ) {
-    let mut reference: Option<O> = None;
-    for (engine, engine_name) in ENGINES {
-        let (out, samples, delta) = drive(&dev(engine), repeats, &mut iter);
-        match &reference {
-            None => reference = Some(out),
-            Some(r) => assert_eq!(r, &out, "{name}: engine outputs diverged"),
-        }
-        report(
-            table,
-            "pipeline",
-            name,
-            engine_name,
-            elements,
-            &samples,
-            &delta,
-        );
-    }
+    let (_, samples, delta) = drive(&dev(4), repeats, iter);
+    report(table, "pipeline", name, elements, &samples, &delta);
 }
 
 /// Runs the war. Scale 64 is the CI smoke configuration the checked-in
@@ -187,9 +127,9 @@ pub fn run(cfg: &Config) {
     let n = cfg.nodes(16_000_000);
     let repeats = cfg.repeats.max(2);
     let mut table = Table::new(
-        "Scan war: decoupled lookback vs two-pass (pinned 4-worker grid)",
+        "Scan war: launches and modeled traffic (pinned 4-worker grid)",
         &[
-            "section", "shape", "engine", "elements", "mean", "launches", "rd/elem", "wr/elem",
+            "section", "shape", "elements", "mean", "launches", "rd/elem", "wr/elem",
         ],
     );
 
@@ -197,27 +137,24 @@ pub fn run(cfg: &Config) {
     let input: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) % 1_000)
         .collect();
-    let deltas = race_shape(
+    let delta = pin_shape(
         &mut table,
         "add_scan_inclusive_u64",
         n as u64,
         repeats,
         |d| d.scan_inclusive(&input, 0u64, |a, b| a.wrapping_add(b)),
     );
-    // The tentpole claim, asserted exactly: 1 launch and 1 read + 1 write
-    // per element for lookback, 2 launches and 2 reads for the baseline.
+    // The two-pass core's cost, asserted exactly: the reduce launch reads
+    // every element, the downsweep launch reads it again and writes it.
     let bytes = 8 * n as u64;
-    assert_eq!(deltas[0].kernel_launches, 1, "lookback scan launches");
-    assert_eq!(deltas[0].bytes_read, bytes, "lookback scan reads");
-    assert_eq!(deltas[0].bytes_written, bytes, "lookback scan writes");
-    assert_eq!(deltas[1].kernel_launches, 2, "two-pass scan launches");
-    assert_eq!(deltas[1].bytes_read, 2 * bytes, "two-pass scan reads");
-    assert_eq!(deltas[1].bytes_written, bytes, "two-pass scan writes");
+    assert_eq!(delta.kernel_launches, 2, "scan launches");
+    assert_eq!(delta.bytes_read, 2 * bytes, "scan reads");
+    assert_eq!(delta.bytes_written, bytes, "scan writes");
 
-    race_shape(&mut table, "exclusive_scan_u32", n as u64, repeats, |d| {
+    pin_shape(&mut table, "exclusive_scan_u32", n as u64, repeats, |d| {
         d.scan_exclusive_with_total(&input, 0u64, |a, b| a.wrapping_add(b))
     });
-    race_shape(&mut table, "compact_half", n as u64, repeats, |d| {
+    pin_shape(&mut table, "compact_half", n as u64, repeats, |d| {
         d.compact_indices(n, |i| i % 2 == 0)
     });
     let seg_offsets: Vec<u32> = (0..=(n / 8) as u32)
@@ -228,59 +165,35 @@ pub fn run(cfg: &Config) {
             Some(n as u32)
         })
         .collect();
-    race_shape(&mut table, "segscan_add_u64", n as u64, repeats, |d| {
+    pin_shape(&mut table, "segscan_add_u64", n as u64, repeats, |d| {
         d.segmented_add_scan_u64(&input, &seg_offsets)
     });
-
-    // Full-sanitizer spot check: the descriptor protocol must be clean
-    // under memcheck + initcheck + racecheck.
-    {
-        let device = Device::with_config(DeviceConfig {
-            threads: Some(4),
-            sanitize: SanitizeMode::Full,
-            sanitize_fatal: false,
-            scan_engine: ScanEngine::Lookback,
-            ..Default::default()
-        });
-        let _ = device.scan_inclusive(&input, 0u64, |a, b| a.wrapping_add(b));
-        let _ = device.compact_indices(n, |i| i % 2 == 0);
-        assert!(
-            device.take_findings().is_empty(),
-            "lookback engine reported sanitizer findings"
-        );
-    }
 
     // ---- pipeline launch accounting ------------------------------------
     let graph = ba_graph(n / 4, 8, 0x5CA7);
     let csr = Csr::from_edge_list(&graph);
-    race_pipeline(
+    pin_pipeline(
         &mut table,
         "csr_build",
         graph.num_edges() as u64,
         repeats,
         |d| Csr::from_edge_list_on(d, &graph),
     );
-    race_pipeline(
+    pin_pipeline(
         &mut table,
         "cc_hooking",
         graph.num_edges() as u64,
         repeats,
-        |d| {
-            // Compare only the deterministic outputs: which edges win the
-            // benign hooking CAS races varies run to run, but the forest
-            // size and the representatives do not.
-            let c = connected_components(d, &graph);
-            (c.representative, c.tree_edges.len(), c.num_components)
-        },
+        |d| connected_components(d, &graph),
     );
-    race_pipeline(
+    pin_pipeline(
         &mut table,
         "tv_bridges",
         graph.num_edges() as u64,
         repeats,
         |d| bridges_tv(d, &graph, &csr).unwrap().bridge_ids(),
     );
-    race_pipeline(
+    pin_pipeline(
         &mut table,
         "hybrid_bridges",
         graph.num_edges() as u64,
@@ -289,7 +202,7 @@ pub fn run(cfg: &Config) {
     );
     let tree = random_tree(n / 4, Some(8), 0x5CA8);
     let queries = graphgen::random_queries(tree.num_nodes(), 1024, 0x5CA9);
-    race_pipeline(
+    pin_pipeline(
         &mut table,
         "lca_inlabel",
         tree.num_nodes() as u64,
@@ -305,10 +218,11 @@ pub fn run(cfg: &Config) {
     table.print();
     let _ = table.write_csv(&cfg.out_dir, "scan_war");
     println!(
-        "expected shape: lookback rows show half the reads and half the\n\
-         launches of two_pass on pure scan shapes, identical outputs\n\
-         everywhere. The pipeline launch counts are deterministic for the\n\
-         pinned 4-worker grid; CI diffs them against ci/launch_baseline.json\n\
+        "expected shape: pure scans launch twice and read each element\n\
+         twice (16.00 rd/elem bytes for u64), and every width-1 output\n\
+         matches.\n\
+         The pipeline launch counts are deterministic for the pinned\n\
+         4-worker grid; CI diffs them against ci/launch_baseline.json\n\
          (regenerate with: EMG_BENCH_JSON=... scan_war --scale 64 and\n\
          ci/update_launch_baseline.py).\n"
     );

@@ -33,10 +33,9 @@ impl ConnectedComponents {
     }
 }
 
-/// Find with path halving over a tracked atomic parent view. Shared with
-/// the edge-sampling builders in [`crate::forest`].
+/// Find with path halving over a tracked atomic parent view.
 #[inline]
-pub(crate) fn find(parent: &AtomicViewU32<'_>, mut v: u32) -> u32 {
+fn find(parent: &AtomicViewU32<'_>, mut v: u32) -> u32 {
     loop {
         let p = parent.load(v as usize);
         if p == v {
@@ -54,16 +53,8 @@ pub(crate) fn find(parent: &AtomicViewU32<'_>, mut v: u32) -> u32 {
 
 /// One hooking attempt for edge `e = {u, v}`: links the larger root under
 /// the smaller and flags `e` as a tree edge when the link wins the CAS.
-/// Shared with the Afforest-style builder in [`crate::forest`], which runs
-/// the same hook over sampled and filtered edge subsets.
 #[inline]
-pub(crate) fn hook_min(
-    parent: &AtomicViewU32<'_>,
-    tree_flag: &AtomicViewU32<'_>,
-    e: usize,
-    u: u32,
-    v: u32,
-) {
+fn hook_min(parent: &AtomicViewU32<'_>, tree_flag: &AtomicViewU32<'_>, e: usize, u: u32, v: u32) {
     if u == v {
         return;
     }

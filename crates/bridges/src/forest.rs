@@ -1,40 +1,24 @@
-//! Pluggable spanning-forest substrates for the bridges pipeline.
+//! The spanning-forest substrate of the bridges pipeline.
 //!
-//! The paper's pipeline (§4) stands on a single substrate — the union-find
-//! hooking CC of [`crate::cc`] — but the winning spanning-tree algorithm
-//! flips with graph shape (Hong, Dhulipala & Shun, "Exploring the Design
-//! Space of Static and Incremental Graph Connectivity Algorithms on GPUs";
-//! Sahu & Donur, "Beyond BFS"): level-synchronous BFS needs one round per
-//! level and collapses on high-diameter road networks, pointer jumping pays
-//! for itself on deep components, and k-out edge sampling (Afforest) wins
-//! when one giant component absorbs most edges. This module opens that
-//! choice: every backend implements [`SpanningForestBuilder`] and produces
-//! the same outputs, so [`crate::bridges_tv`], [`crate::bridges_hybrid`]
-//! and [`crate::twoecc`] run unchanged on any of them.
+//! The paper's pipeline (§4.1) stands on a single substrate — the
+//! union-find hooking CC of [`crate::cc`], which emits a spanning forest as
+//! a byproduct — and so does this crate: [`crate::bridges_tv`],
+//! [`crate::bridges_hybrid`], [`crate::twoecc`] and the `emg serve`
+//! catalog all build their forest with [`UnrootedForest::build`].
+//! DESIGN.md §6 records the measurement that made it the only substrate.
 //!
-//! Construction is two-staged: [`SpanningForestBuilder::build_unrooted`]
-//! yields the tree edges and component structure — all the TV/hybrid
-//! pipelines consume — and [`SpanningForestBuilder::build`] additionally
-//! roots every component at its representative (one multi-source BFS over
-//! the tree edges, one synchronous round per tree level), producing the
-//! unified [`SpanningForest`] the equivalence suite and `emg forest`
-//! validate.
-//!
-//! Backends:
-//!
-//! | Name       | Builder                    | Strategy |
-//! |------------|----------------------------|----------|
-//! | `uf`       | [`UnionFindBuilder`]       | lock-free union-find hooking ([`crate::cc`]) |
-//! | `bfs`      | [`BfsBuilder`]             | level-synchronous BFS per component |
-//! | `sv`       | [`ShiloachVishkinBuilder`] | alternating-direction hooking + pointer-jumping shortcuts |
-//! | `afforest` | [`AfforestBuilder`]        | k-out sampling, skip the largest partial component |
-//! | `adaptive` | [`AdaptiveBuilder`]        | picks one of the above from a cheap [`GraphShape`] probe |
+//! Construction is two-staged: [`UnrootedForest::build`] yields the tree
+//! edges and component structure — all the TV/hybrid pipelines consume —
+//! and [`UnrootedForest::into_rooted`] additionally roots every component
+//! at its representative (one multi-source BFS over the tree edges, one
+//! synchronous round per tree level), producing the [`SpanningForest`]
+//! that `emg forest` validates.
 
-use crate::cc::{self, find, hook_min};
-use gpu_sim::{AtomicViewU32, AtomicViewU64, Device};
+use crate::cc;
+use gpu_sim::{AtomicViewU64, Device};
 use graph_core::ids::{EdgeId, NodeId, INVALID_NODE};
 use graph_core::{Csr, EdgeList};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// An unrooted spanning forest: the tree-edge set plus component structure.
 /// This is the cheap stage — everything the bridge pipelines need.
@@ -49,32 +33,20 @@ pub struct UnrootedForest {
     pub num_components: usize,
 }
 
-/// Answers a batch of connectivity queries in one device launch:
-/// `out[i] = 1` iff the two nodes of `queries[i]` share a component
-/// representative. The batch entry point behind
-/// [`UnrootedForest::connected_batch_on`] and
-/// [`SpanningForest::connected_batch_on`].
-///
-/// # Panics
-/// Panics if `out.len() != queries.len()` or a node id is out of range.
-fn connected_batch(
-    device: &Device,
-    representative: &[NodeId],
-    queries: &[(u32, u32)],
-    out: &mut [u8],
-) {
-    assert_eq!(queries.len(), out.len(), "query/output length mismatch");
-    let _k = device.kernel_label("forest_connected_batch");
-    // The pairs and the representative array feed the closure.
-    device.capture_read(queries);
-    device.capture_read(representative);
-    device.map(out, |q| {
-        let (u, v) = queries[q];
-        u8::from(representative[u as usize] == representative[v as usize])
-    });
-}
-
 impl UnrootedForest {
+    /// Builds the forest with lock-free union-find hooking
+    /// ([`crate::cc`]): diameter-insensitive, and wait-free in aggregate.
+    /// Which edges win the benign hooking races varies run to run; the
+    /// representatives and the component count do not.
+    pub fn build(device: &Device, graph: &EdgeList) -> Self {
+        let c = cc::connected_components(device, graph);
+        Self {
+            tree_edges: c.tree_edges,
+            representative: c.representative,
+            num_components: c.num_components,
+        }
+    }
+
     /// Whether the whole graph is one component (isolated nodes count).
     pub fn is_connected(&self) -> bool {
         self.num_components <= 1
@@ -88,7 +60,16 @@ impl UnrootedForest {
     /// Panics if `out.len() != queries.len()` or a node id is out of
     /// range.
     pub fn connected_batch_on(&self, device: &Device, queries: &[(u32, u32)], out: &mut [u8]) {
-        connected_batch(device, &self.representative, queries, out);
+        assert_eq!(queries.len(), out.len(), "query/output length mismatch");
+        let _k = device.kernel_label("forest_connected_batch");
+        // The pairs and the representative array feed the closure.
+        device.capture_read(queries);
+        let representative = &self.representative;
+        device.capture_read(representative);
+        device.map(out, |q| {
+            let (u, v) = queries[q];
+            u8::from(representative[u as usize] == representative[v as usize])
+        });
     }
 
     /// Roots every component at its representative via one multi-source
@@ -107,11 +88,12 @@ impl UnrootedForest {
     }
 }
 
-/// A rooted spanning forest — the unified output of every backend.
+/// A rooted spanning forest.
 ///
 /// Each connected component is rooted at its **representative** (the
-/// smallest node id in the component), so outputs are directly comparable
-/// across backends even though the chosen tree *edges* may differ.
+/// smallest node id in the component), so roots and components are
+/// deterministic even though the chosen tree *edges* may differ run to
+/// run.
 #[derive(Debug, Clone)]
 pub struct SpanningForest {
     /// Parent of each node in the rooted forest; [`INVALID_NODE`] for
@@ -129,30 +111,20 @@ pub struct SpanningForest {
 }
 
 impl SpanningForest {
+    /// Builds the union-find forest ([`UnrootedForest::build`]) and roots
+    /// it ([`UnrootedForest::into_rooted`]).
+    pub fn build(device: &Device, graph: &EdgeList) -> Self {
+        UnrootedForest::build(device, graph).into_rooted(device, graph)
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.parent.len()
     }
 
-    /// Whether the whole graph is one component (isolated nodes count).
-    pub fn is_connected(&self) -> bool {
-        self.num_components <= 1
-    }
-
     /// Number of tree edges (`n - num_components`).
     pub fn num_tree_edges(&self) -> usize {
         self.num_nodes() - self.num_components
-    }
-
-    /// Batched connectivity queries: one device launch over the pairs,
-    /// `out[i] = 1` iff both nodes share a component — see
-    /// [`UnrootedForest::connected_batch_on`].
-    ///
-    /// # Panics
-    /// Panics if `out.len() != queries.len()` or a node id is out of
-    /// range.
-    pub fn connected_batch_on(&self, device: &Device, queries: &[(u32, u32)], out: &mut [u8]) {
-        connected_batch(device, &self.representative, queries, out);
     }
 
     /// Structural validation against the source graph: every non-root hangs
@@ -251,47 +223,6 @@ impl SpanningForest {
     }
 }
 
-/// A spanning-forest construction algorithm.
-pub trait SpanningForestBuilder: Sync {
-    /// Short CLI/bench name of the backend.
-    fn name(&self) -> &'static str;
-
-    /// Builds the tree-edge set and component structure — the cheap stage
-    /// the bridge pipelines consume.
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> UnrootedForest;
-
-    /// Builds the full rooted forest. The default implementation roots
-    /// [`SpanningForestBuilder::build_unrooted`]'s output; backends whose
-    /// construction is naturally rooted (BFS) override it.
-    fn build(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> SpanningForest {
-        self.build_unrooted(device, graph, csr)
-            .into_rooted(device, graph)
-    }
-}
-
-/// Names accepted by [`builder_by_name`], in sweep order.
-pub const BACKEND_NAMES: &[&str] = &["uf", "bfs", "sv", "afforest", "adaptive"];
-
-/// Resolves a backend name (`uf`, `bfs`, `sv`, `afforest`, `adaptive`).
-pub fn builder_by_name(name: &str) -> Option<Box<dyn SpanningForestBuilder>> {
-    match name {
-        "uf" | "union-find" | "cc" => Some(Box::new(UnionFindBuilder)),
-        "bfs" => Some(Box::new(BfsBuilder)),
-        "sv" | "shiloach-vishkin" => Some(Box::new(ShiloachVishkinBuilder)),
-        "afforest" => Some(Box::new(AfforestBuilder::default())),
-        "adaptive" => Some(Box::new(AdaptiveBuilder)),
-        _ => None,
-    }
-}
-
-/// All selectable backends, in [`BACKEND_NAMES`] order.
-pub fn all_builders() -> Vec<Box<dyn SpanningForestBuilder>> {
-    BACKEND_NAMES
-        .iter()
-        .map(|n| builder_by_name(n).expect("registered name"))
-        .collect()
-}
-
 /// Packs a `(parent, edge)` claim into one atomic word.
 #[inline]
 fn pack(parent: NodeId, edge: u32) -> u64 {
@@ -300,14 +231,12 @@ fn pack(parent: NodeId, edge: u32) -> u64 {
 
 /// One synchronous frontier-expansion wave: every frontier node tries to
 /// claim its unvisited neighbors with a CAS on `claims` (packing the
-/// `(parent, edge)` pair); `on_claim(w)` runs once per winning claim.
-/// Returns the next frontier.
+/// `(parent, edge)` pair). Returns the next frontier.
 fn expand_frontier<'d>(
     device: &'d Device,
     csr: &Csr,
     frontier: &[NodeId],
     claims: &AtomicViewU64<'_>,
-    on_claim: impl Fn(NodeId) + Sync,
 ) -> gpu_sim::ArenaVec<'d, NodeId> {
     let degree_sum: usize = frontier.iter().map(|&u| csr.degree(u)).sum();
     let mut next = device.alloc_pooled::<NodeId>(degree_sum);
@@ -331,7 +260,6 @@ fn expand_frontier<'d>(
                     .compare_exchange(w as usize, u64::MAX, pack(u, eid))
                     .is_ok()
                 {
-                    on_claim(w);
                     let pos = count_ref.fetch_add(1, Ordering::Relaxed);
                     next_shared.write(pos, w);
                 }
@@ -375,7 +303,7 @@ fn root_forest(
         claims.store(r as usize, pack(r, 0));
     }
     while !frontier.is_empty() {
-        frontier = expand_frontier(device, &sub_csr, &frontier, &claims, |_| {});
+        frontier = expand_frontier(device, &sub_csr, &frontier, &claims);
     }
 
     let mut parent = vec![INVALID_NODE; n];
@@ -397,486 +325,6 @@ fn root_forest(
         });
     }
     (parent, parent_edge)
-}
-
-/// Normalizes arbitrary component labels to per-component minimum node ids.
-fn representatives_from_labels(device: &Device, labels: &[u32]) -> Vec<NodeId> {
-    let n = labels.len();
-    let mut min_buf = device.alloc_filled(n, u32::MAX);
-    let min = device
-        .atomic_u32(&mut min_buf)
-        .benign("per-component minimum: fetch_min commutes, any arrival order converges");
-    {
-        let _k = device.kernel_label("representative_min");
-        // The label array feeds the closure, invisible to the tracked view.
-        device.capture_read(labels);
-        device.for_each(n, |v| {
-            min.fetch_min(labels[v] as usize, v as u32);
-        });
-    }
-    let _k = device.kernel_label("representative_collect");
-    device.capture_read(labels);
-    device.alloc_map(n, |v| min.load(labels[v] as usize))
-}
-
-/// Finishes a hooking-style builder: compacts the tree-edge flags and
-/// derives representatives from `labels`.
-fn unrooted_from_labels(
-    device: &Device,
-    graph: &EdgeList,
-    labels: &[u32],
-    tree_flag: &AtomicViewU32<'_>,
-) -> UnrootedForest {
-    let representative = representatives_from_labels(device, labels);
-    let tree_edges: Vec<EdgeId> =
-        device.compact_indices(graph.num_edges(), |e| tree_flag.load(e) == 1);
-    let num_components = graph.num_nodes() - tree_edges.len();
-    UnrootedForest {
-        tree_edges,
-        representative,
-        num_components,
-    }
-}
-
-/// The paper's substrate: lock-free union-find hooking ([`crate::cc`]),
-/// diameter-insensitive and wait-free in aggregate.
-pub struct UnionFindBuilder;
-
-impl SpanningForestBuilder for UnionFindBuilder {
-    fn name(&self) -> &'static str {
-        "uf"
-    }
-
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, _csr: &Csr) -> UnrootedForest {
-        let c = cc::connected_components(device, graph);
-        UnrootedForest {
-            tree_edges: c.tree_edges,
-            representative: c.representative,
-            num_components: c.num_components,
-        }
-    }
-}
-
-/// Level-synchronous BFS per component (the CK substrate, adapted from
-/// [`crate::bfs`]): one round per BFS level, so cost scales with diameter,
-/// but the tree comes out rooted for free and its depth is within 2× of
-/// optimal.
-pub struct BfsBuilder;
-
-impl BfsBuilder {
-    /// The full rooted construction; `build_unrooted` demotes its result.
-    fn bfs_forest(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> SpanningForest {
-        let n = graph.num_nodes();
-        let mut claims_buf = device.alloc_filled(n, u64::MAX);
-        let claims = device
-            .atomic_u64(&mut claims_buf)
-            .benign("claim CAS: exactly one winner per node, losers observe the failure");
-        let mut representative = vec![INVALID_NODE; n];
-        let mut num_components = 0usize;
-        {
-            // Every node is claimed (and written) exactly once.
-            let rep_shared = device.shared(&mut representative);
-            let rep_ref = &rep_shared;
-            let mut cursor = 0usize;
-            while cursor < n {
-                if claims.load(cursor) != u64::MAX {
-                    cursor += 1;
-                    continue;
-                }
-                // The scan pointer only moves forward, so each seed is the
-                // smallest unvisited node — the component's representative.
-                let root = cursor as u32;
-                claims.store(root as usize, pack(root, 0));
-                rep_ref.write(root as usize, root);
-                num_components += 1;
-                let mut frontier = device.alloc_filled(1, root);
-                while !frontier.is_empty() {
-                    frontier = expand_frontier(device, csr, &frontier, &claims, |w| {
-                        // The winning CAS claims w for exactly one virtual
-                        // thread.
-                        rep_ref.write(w as usize, root);
-                    });
-                }
-            }
-        }
-        let mut parent = vec![INVALID_NODE; n];
-        let mut parent_edge = vec![u32::MAX; n];
-        device.capture_fresh(&parent[..]);
-        device.capture_fresh(&parent_edge[..]);
-        {
-            let _k = device.kernel_label("bfs_assign_parents");
-            // One write per node.
-            let parent_shared = device.shared(&mut parent);
-            let pe_shared = device.shared(&mut parent_edge);
-            let claims_ref = &claims;
-            let rep_ref = &representative;
-            device.for_each(n, |v| {
-                if rep_ref[v] != v as u32 {
-                    let c = claims_ref.load(v);
-                    parent_shared.write(v, (c >> 32) as NodeId);
-                    pe_shared.write(v, c as u32);
-                }
-            });
-        }
-        let mut flag = device.alloc_filled(graph.num_edges(), 0u8);
-        {
-            let _k = device.kernel_label("bfs_flag_tree_edges");
-            // Each tree edge is the parent edge of exactly one node (its
-            // child endpoint).
-            let flag_shared = device.shared(&mut flag);
-            let pe = &parent_edge;
-            device.for_each(n, |v| {
-                let e = pe[v];
-                if e != u32::MAX {
-                    flag_shared.write(e as usize, 1u8);
-                }
-            });
-        }
-        // The compaction predicate reads the flags, invisible to the
-        // tracked views.
-        device.capture_read(&flag[..]);
-        let tree_edges = device.compact_indices(graph.num_edges(), |e| flag[e] == 1);
-        SpanningForest {
-            parent,
-            parent_edge,
-            tree_edges,
-            representative,
-            num_components,
-        }
-    }
-}
-
-impl SpanningForestBuilder for BfsBuilder {
-    fn name(&self) -> &'static str {
-        "bfs"
-    }
-
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> UnrootedForest {
-        let f = self.bfs_forest(device, graph, csr);
-        UnrootedForest {
-            tree_edges: f.tree_edges,
-            representative: f.representative,
-            num_components: f.num_components,
-        }
-    }
-
-    fn build(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> SpanningForest {
-        // Already rooted — skip the generic rooting pass.
-        self.bfs_forest(device, graph, csr)
-    }
-}
-
-/// Shiloach–Vishkin-style hooking: rounds of (shortcut to stars, hook
-/// across components) with the hook direction alternating by round parity
-/// — even rounds hook the larger root under the smaller, odd rounds the
-/// smaller under the larger. Each round's hooks are strictly monotone in
-/// node id, so the parent graph stays acyclic.
-///
-/// Both phases are **schedule-deterministic**: shortcutting is synchronous
-/// pointer jumping (read last round's parents, write the next round's), and
-/// hooking resolves contended roots with an `atomicMin` over packed
-/// `(target root, edge id)` claims instead of first-CAS-wins. The forest,
-/// the tree-edge set, and the *launch count* are therefore functions of
-/// the input alone — pool width never changes the captured launch graph.
-pub struct ShiloachVishkinBuilder;
-
-impl SpanningForestBuilder for ShiloachVishkinBuilder {
-    fn name(&self) -> &'static str {
-        "sv"
-    }
-
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, _csr: &Csr) -> UnrootedForest {
-        let n = graph.num_nodes();
-        let m = graph.num_edges();
-        let mut parent_buf = {
-            let _k = device.kernel_label("sv_init_parent");
-            device.alloc_pooled_map(n, |v| v as u32)
-        };
-        let mut jump_buf = device.alloc_filled(n, 0u32);
-        let mut claim_buf = device.alloc_filled(n, u64::MAX);
-        let mut tree_flag_buf = device.alloc_filled(m, 0u32);
-        let edges = graph.edges();
-
-        let mut round = 0usize;
-        loop {
-            // Shortcut until every tree is a star. Synchronous jumping:
-            // every thread reads the previous round's parents, so the trip
-            // count depends only on the forest depth, not on the schedule.
-            loop {
-                let changed = AtomicBool::new(false);
-                {
-                    let _k = device.kernel_label("sv_shortcut");
-                    device.capture_read(&parent_buf[..]);
-                    let parent_ref = &parent_buf;
-                    let changed_ref = &changed;
-                    device.map(&mut jump_buf, |v| {
-                        let p = parent_ref[v] as usize;
-                        let gp = parent_ref[p];
-                        if gp != p as u32 {
-                            changed_ref.store(true, Ordering::Relaxed);
-                        }
-                        gp
-                    });
-                }
-                std::mem::swap(&mut parent_buf, &mut jump_buf);
-                if !changed.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-            // Hook across components, direction by round parity. Claim
-            // pass: every cross-component edge bids for its source root
-            // with a packed (target root, edge id) key; atomicMin picks a
-            // schedule-independent winner. The parents are frozen here, so
-            // the bids are, too.
-            device.fill(&mut claim_buf, u64::MAX);
-            {
-                let _k = device.kernel_label("sv_hook_claim");
-                device.capture_read(edges);
-                device.capture_read(&parent_buf[..]);
-                let claim = device.atomic_u64(&mut claim_buf).benign(
-                    "min-claim hooking: fetch_min commutes, ties impossible (edge id in the key)",
-                );
-                let parent_ref = &parent_buf;
-                let even = round.is_multiple_of(2);
-                device.for_each(m, |e| {
-                    let (u, v) = edges[e];
-                    if u == v {
-                        return;
-                    }
-                    let ru = parent_ref[u as usize];
-                    let rv = parent_ref[v as usize];
-                    if ru == rv {
-                        return;
-                    }
-                    let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-                    let (src, dst) = if even { (hi, lo) } else { (lo, hi) };
-                    claim.fetch_min(src as usize, ((dst as u64) << 32) | e as u64);
-                });
-            }
-            // Commit pass: one write per claimed root, one tree edge per
-            // winning claim.
-            let hooks = AtomicUsize::new(0);
-            {
-                let _k = device.kernel_label("sv_hook_commit");
-                device.capture_read(&claim_buf[..]);
-                let claim_ref = &claim_buf;
-                // Each claimed root is written once; winning edge ids are
-                // distinct across roots.
-                let parent_sh = device.shared(&mut parent_buf);
-                let tree_sh = device.shared(&mut tree_flag_buf);
-                let hooks_ref = &hooks;
-                device.for_each(n, |v| {
-                    let c = claim_ref[v];
-                    if c != u64::MAX {
-                        parent_sh.write(v, (c >> 32) as u32);
-                        tree_sh.write((c & u64::from(u32::MAX)) as usize, 1);
-                        hooks_ref.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            if hooks.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            round += 1;
-        }
-
-        let labels = {
-            let _k = device.kernel_label("sv_labels");
-            device.capture_read(&parent_buf[..]);
-            device.alloc_pooled_map(n, |v| parent_buf[v])
-        };
-        let tree_flag = device.atomic_u32(&mut tree_flag_buf);
-        unrooted_from_labels(device, graph, &labels, &tree_flag)
-    }
-}
-
-/// Afforest-style k-out sampling (Sutton, Ben-Nun & Barak): hook the first
-/// `neighbor_rounds` incident edges of every vertex, identify the largest
-/// partial component, then run the full hooking pass skipping edges whose
-/// endpoints both already sit inside it — on skewed graphs the giant
-/// component absorbs most edges, so most of the full pass is skipped.
-pub struct AfforestBuilder {
-    /// Sampled incident edges per vertex (the Afforest paper uses 2).
-    pub neighbor_rounds: usize,
-}
-
-impl Default for AfforestBuilder {
-    fn default() -> Self {
-        Self { neighbor_rounds: 2 }
-    }
-}
-
-impl SpanningForestBuilder for AfforestBuilder {
-    fn name(&self) -> &'static str {
-        "afforest"
-    }
-
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> UnrootedForest {
-        let n = graph.num_nodes();
-        let m = graph.num_edges();
-        let mut parent_buf = {
-            let _k = device.kernel_label("afforest_init_parent");
-            device.alloc_pooled_map(n, |v| v as u32)
-        };
-        let mut tree_flag_buf = device.alloc_filled(m, 0u32);
-        let parent = device
-            .atomic_u32(&mut parent_buf)
-            .benign("union-find hooking: any CAS winner yields a valid forest, losers re-find");
-        let tree_flag = device.atomic_u32(&mut tree_flag_buf);
-
-        // Sampling phase: one hook per vertex per round over its r-th slot.
-        for r in 0..self.neighbor_rounds {
-            let _k = device.kernel_label("afforest_sample");
-            // The CSR adjacency feeds the closure, invisible to the
-            // tracked views.
-            device.capture_read(csr.offsets());
-            device.capture_read(csr.raw_neighbors());
-            device.capture_read(csr.raw_edge_ids());
-            device.for_each(n, |v| {
-                let nbs = csr.neighbors(v as u32);
-                if r < nbs.len() {
-                    let w = nbs[r];
-                    let e = csr.edge_ids(v as u32)[r];
-                    hook_min(&parent, &tree_flag, e as usize, v as u32, w);
-                }
-            });
-        }
-
-        // Snapshot the partial components and find the most frequent one.
-        let snapshot = {
-            let _k = device.kernel_label("afforest_snapshot");
-            device.alloc_pooled_map(n, |v| find(&parent, v as u32))
-        };
-        let skip = {
-            let mut counts = device.alloc_filled(n, 0u32);
-            // The histogram runs on the host: it reads the snapshot and
-            // both reads and bumps the fill-initialized counts.
-            device.capture_host_read(&snapshot[..]);
-            device.capture_host_read(&counts[..]);
-            for &c in snapshot.iter() {
-                counts[c as usize] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, c)| *c)
-                .map(|(c, _)| c as u32)
-                .unwrap_or(0)
-        };
-
-        // Full pass, skipping intra-edges of the largest partial component
-        // (their endpoints are already connected).
-        {
-            let _k = device.kernel_label("afforest_full_pass");
-            let snap_ref = &snapshot;
-            let edges = graph.edges();
-            // Snapshot and edge list feed the closure.
-            device.capture_read(&snapshot[..]);
-            device.capture_read(edges);
-            device.for_each(m, |e| {
-                let (u, v) = edges[e];
-                if u == v {
-                    return;
-                }
-                if snap_ref[u as usize] == skip && snap_ref[v as usize] == skip {
-                    return;
-                }
-                hook_min(&parent, &tree_flag, e, u, v);
-            });
-        }
-
-        let labels = {
-            let _k = device.kernel_label("afforest_labels");
-            device.alloc_pooled_map(n, |v| find(&parent, v as u32))
-        };
-        unrooted_from_labels(device, graph, &labels, &tree_flag)
-    }
-}
-
-/// The diameter probe stops after this many BFS levels; anything that deep
-/// counts as "high diameter".
-pub const DIAMETER_PROBE_CAP: u32 = 64;
-/// At or above this capped diameter estimate, BFS-style level synchrony is
-/// off the table.
-pub const HIGH_DIAMETER: u32 = 64;
-/// Below this diameter the level-synchronous BFS needs only a handful of
-/// rounds and wins on simplicity.
-pub const LOW_DIAMETER: u32 = 16;
-/// Max-degree / average-degree ratio above which the degree distribution
-/// counts as skewed (power-law-ish) and edge sampling pays off.
-pub const HIGH_SKEW: f64 = 8.0;
-
-/// Cheap shape statistics driving the adaptive backend choice.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphShape {
-    /// Node count.
-    pub nodes: usize,
-    /// Undirected edge count.
-    pub edges: usize,
-    /// Capped double-sweep BFS diameter estimate
-    /// ([`graphgen::stats::diameter_probe`], cap [`DIAMETER_PROBE_CAP`]).
-    pub diameter: u32,
-    /// Degree skew ([`graphgen::stats::degree_skew`]).
-    pub degree_skew: f64,
-}
-
-impl GraphShape {
-    /// Probes the graph: one capped double-sweep BFS plus a degree scan.
-    ///
-    /// The probe starts from the maximum-degree node — on disconnected
-    /// inputs node 0 may sit in a tiny (or isolated) component, which would
-    /// make the diameter look deceptively small; the hub node sits in a
-    /// substantial component by construction.
-    pub fn probe(csr: &Csr) -> Self {
-        let start = (0..csr.num_nodes() as u32)
-            .max_by_key(|&v| csr.degree(v))
-            .unwrap_or(0);
-        Self {
-            nodes: csr.num_nodes(),
-            edges: csr.num_edges(),
-            diameter: graphgen::stats::diameter_probe(csr, start, DIAMETER_PROBE_CAP),
-            degree_skew: graphgen::stats::degree_skew(csr),
-        }
-    }
-}
-
-/// The selector heuristic (see `DESIGN.md` §6): high diameter → union-find
-/// hooking; high degree skew → Afforest; low diameter → BFS; otherwise
-/// Shiloach–Vishkin.
-pub fn select_backend(shape: &GraphShape) -> &'static str {
-    if shape.diameter >= HIGH_DIAMETER {
-        "uf"
-    } else if shape.degree_skew >= HIGH_SKEW {
-        "afforest"
-    } else if shape.diameter <= LOW_DIAMETER {
-        "bfs"
-    } else {
-        "sv"
-    }
-}
-
-/// Probes the graph shape and delegates to [`select_backend`]'s choice.
-pub struct AdaptiveBuilder;
-
-impl AdaptiveBuilder {
-    fn choose(csr: &Csr) -> Box<dyn SpanningForestBuilder> {
-        let shape = GraphShape::probe(csr);
-        builder_by_name(select_backend(&shape)).expect("registered name")
-    }
-}
-
-impl SpanningForestBuilder for AdaptiveBuilder {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn build_unrooted(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> UnrootedForest {
-        Self::choose(csr).build_unrooted(device, graph, csr)
-    }
-
-    fn build(&self, device: &Device, graph: &EdgeList, csr: &Csr) -> SpanningForest {
-        Self::choose(csr).build(device, graph, csr)
-    }
 }
 
 /// Sequential union-find oracle: component partition (per-component minimum
@@ -915,79 +363,56 @@ pub fn components_sequential(graph: &EdgeList) -> (Vec<NodeId>, usize) {
 mod tests {
     use super::*;
 
-    fn check_all_backends(edges: Vec<(u32, u32)>, n: usize) {
+    /// Builds the rooted forest and checks it against the sequential
+    /// oracle, the unrooted stage included.
+    fn check_forest(edges: Vec<(u32, u32)>, n: usize) {
         let device = Device::new();
         let graph = EdgeList::new(n, edges);
-        let csr = Csr::from_edge_list(&graph);
         let (oracle_rep, oracle_comps) = components_sequential(&graph);
-        for builder in all_builders() {
-            let f = builder.build(&device, &graph, &csr);
-            f.validate(&graph)
-                .unwrap_or_else(|e| panic!("{}: {e}", builder.name()));
-            assert_eq!(
-                f.representative,
-                oracle_rep,
-                "{} representatives",
-                builder.name()
-            );
-            assert_eq!(
-                f.num_components,
-                oracle_comps,
-                "{} components",
-                builder.name()
-            );
-            // The unrooted stage agrees with the rooted one.
-            let u = builder.build_unrooted(&device, &graph, &csr);
-            assert_eq!(u.representative, oracle_rep, "{} unrooted", builder.name());
-            assert_eq!(
-                u.num_components,
-                oracle_comps,
-                "{} unrooted",
-                builder.name()
-            );
-            assert_eq!(
-                u.tree_edges.len(),
-                n - oracle_comps,
-                "{} unrooted tree edges",
-                builder.name()
-            );
-        }
+        let u = UnrootedForest::build(&device, &graph);
+        assert_eq!(u.representative, oracle_rep, "unrooted representatives");
+        assert_eq!(u.num_components, oracle_comps, "unrooted components");
+        assert_eq!(u.tree_edges.len(), n - oracle_comps, "unrooted tree edges");
+        let f = u.into_rooted(&device, &graph);
+        f.validate(&graph).unwrap();
+        assert_eq!(f.representative, oracle_rep, "representatives");
+        assert_eq!(f.num_components, oracle_comps, "components");
     }
 
     #[test]
     fn path_graph() {
-        check_all_backends(vec![(0, 1), (1, 2), (2, 3)], 4);
+        check_forest(vec![(0, 1), (1, 2), (2, 3)], 4);
     }
 
     #[test]
     fn cycle_with_chords() {
-        check_all_backends(vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)], 4);
+        check_forest(vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)], 4);
     }
 
     #[test]
     fn disconnected_with_isolated_nodes() {
-        check_all_backends(vec![(0, 1), (3, 4), (4, 5), (5, 3)], 8);
+        check_forest(vec![(0, 1), (3, 4), (4, 5), (5, 3)], 8);
     }
 
     #[test]
     fn self_loops_and_parallel_edges() {
-        check_all_backends(vec![(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)], 3);
+        check_forest(vec![(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)], 3);
     }
 
     #[test]
     fn empty_graph() {
-        check_all_backends(vec![], 0);
-        check_all_backends(vec![], 5);
+        check_forest(vec![], 0);
+        check_forest(vec![], 5);
     }
 
     #[test]
     fn single_node() {
-        check_all_backends(vec![], 1);
+        check_forest(vec![], 1);
     }
 
     #[test]
     fn star_graph() {
-        check_all_backends((1..64).map(|v| (0, v)).collect(), 64);
+        check_forest((1..64).map(|v| (0, v)).collect(), 64);
     }
 
     #[test]
@@ -1003,84 +428,23 @@ mod tests {
             let edges: Vec<(u32, u32)> = (0..m)
                 .map(|_| ((step() % n as u64) as u32, (step() % n as u64) as u32))
                 .collect();
-            check_all_backends(edges, n);
+            check_forest(edges, n);
         }
     }
 
     #[test]
-    fn long_path_stresses_sv_and_uf() {
-        // 3000-node path: worst case for level synchrony, fine for hooking.
+    fn long_path_roots_level_by_level() {
+        // 3000-node path: deep hooking chains, and 2999 rooting rounds.
         let n = 3000;
-        check_all_backends((1..n as u32).map(|v| (v - 1, v)).collect(), n);
-    }
-
-    #[test]
-    fn builder_names_resolve() {
-        for &name in BACKEND_NAMES {
-            let b = builder_by_name(name).unwrap();
-            assert_eq!(b.name(), name);
-        }
-        assert!(builder_by_name("nope").is_none());
-    }
-
-    #[test]
-    fn selector_prefers_uf_on_deep_graphs_and_bfs_on_shallow() {
-        let deep = GraphShape {
-            nodes: 1000,
-            edges: 999,
-            diameter: DIAMETER_PROBE_CAP,
-            degree_skew: 1.5,
-        };
-        assert_eq!(select_backend(&deep), "uf");
-        let shallow = GraphShape {
-            nodes: 1000,
-            edges: 5000,
-            diameter: 6,
-            degree_skew: 2.0,
-        };
-        assert_eq!(select_backend(&shallow), "bfs");
-        let skewed = GraphShape {
-            nodes: 1000,
-            edges: 8000,
-            diameter: 6,
-            degree_skew: 40.0,
-        };
-        assert_eq!(select_backend(&skewed), "afforest");
-        let middling = GraphShape {
-            nodes: 1000,
-            edges: 2000,
-            diameter: 30,
-            degree_skew: 3.0,
-        };
-        assert_eq!(select_backend(&middling), "sv");
-    }
-
-    #[test]
-    fn probe_starts_from_a_substantial_component() {
-        // Node 0 is isolated; the real component is a 100-path. A probe
-        // anchored at node 0 would report diameter 0 and mislead the
-        // selector into level-synchronous BFS.
-        let n = 101;
-        let edges: Vec<(u32, u32)> = (2..n as u32).map(|v| (v - 1, v)).collect();
-        let csr = Csr::from_edge_list(&EdgeList::new(n, edges));
-        let shape = GraphShape::probe(&csr);
-        assert_eq!(shape.diameter, DIAMETER_PROBE_CAP);
-        assert_eq!(select_backend(&shape), "uf");
+        check_forest((1..n as u32).map(|v| (v - 1, v)).collect(), n);
     }
 
     #[test]
     fn tree_edges_ascending_and_distinct() {
         let device = Device::new();
         let graph = EdgeList::new(5, vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        let csr = Csr::from_edge_list(&graph);
-        for builder in all_builders() {
-            let f = builder.build(&device, &graph, &csr);
-            assert_eq!(f.tree_edges.len(), f.num_tree_edges(), "{}", builder.name());
-            assert!(
-                f.tree_edges.windows(2).all(|w| w[0] < w[1]),
-                "{}",
-                builder.name()
-            );
-        }
+        let f = SpanningForest::build(&device, &graph);
+        assert_eq!(f.tree_edges.len(), f.num_tree_edges());
+        assert!(f.tree_edges.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::bfs::BfsTree;
 use crate::ck;
-use crate::forest::{SpanningForestBuilder, UnionFindBuilder};
+use crate::forest::UnrootedForest;
 use crate::result::{BridgesError, BridgesResult};
 use euler_tour::{EulerTour, TreeStats};
 use gpu_sim::Device;
@@ -20,29 +20,16 @@ use std::time::Instant;
 /// levels/parents + CK marking).
 ///
 /// The CSR parameter keeps the signature interchangeable with
-/// [`crate::bridges_tv`] / [`crate::bridges_ck_device`]; only the
-/// spanning-forest substrate consults the adjacency — the marking walk
-/// itself follows parent pointers.
+/// [`crate::bridges_tv`] / [`crate::bridges_ck_device`]; the algorithm
+/// never consults the adjacency — the union-find forest hooks over the
+/// edge list and the marking walk follows parent pointers.
 ///
 /// # Errors
 /// [`BridgesError::Empty`] / [`BridgesError::Disconnected`] as for TV.
 pub fn bridges_hybrid(
     device: &Device,
     graph: &EdgeList,
-    csr: &Csr,
-) -> Result<BridgesResult, BridgesError> {
-    bridges_hybrid_with(device, graph, csr, &UnionFindBuilder)
-}
-
-/// [`bridges_hybrid`] with an explicit spanning-forest backend.
-///
-/// # Errors
-/// As [`bridges_hybrid`].
-pub fn bridges_hybrid_with(
-    device: &Device,
-    graph: &EdgeList,
-    csr: &Csr,
-    builder: &dyn SpanningForestBuilder,
+    _csr: &Csr,
 ) -> Result<BridgesResult, BridgesError> {
     let n = graph.num_nodes();
     let m = graph.num_edges();
@@ -51,11 +38,10 @@ pub fn bridges_hybrid_with(
     }
     let mut phases = Vec::new();
 
-    // Phase 1: spanning tree from the selected substrate. The unrooted
-    // stage suffices — the hybrid recovers parents/levels via the Euler
-    // tour (phase 3), never from the builder's rooting.
+    // Phase 1: the union-find spanning tree. The unrooted stage suffices
+    // — the hybrid recovers parents/levels via the Euler tour (phase 3).
     let t0 = Instant::now();
-    let forest = builder.build_unrooted(device, graph, csr);
+    let forest = UnrootedForest::build(device, graph);
     if !forest.is_connected() {
         return Err(BridgesError::Disconnected);
     }
@@ -244,29 +230,5 @@ mod tests {
             bridges_hybrid(&device, &graph, &csr).unwrap_err(),
             BridgesError::Disconnected
         );
-    }
-
-    #[test]
-    fn every_forest_backend_finds_the_same_bridges() {
-        let device = Device::new();
-        let graph = EdgeList::new(
-            7,
-            vec![
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 3),
-                (5, 6),
-            ],
-        );
-        let csr = Csr::from_edge_list(&graph);
-        let expected = bridges_dfs(&graph, &csr).bridge_ids();
-        for builder in crate::forest::all_builders() {
-            let r = bridges_hybrid_with(&device, &graph, &csr, builder.as_ref()).unwrap();
-            assert_eq!(r.bridge_ids(), expected, "{}", builder.name());
-        }
     }
 }

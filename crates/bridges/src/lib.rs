@@ -14,10 +14,8 @@
 //! Substrates built for them: lock-free connected components with a spanning
 //! forest byproduct ([`cc`]), level-synchronous parallel BFS ([`bfs`]), a
 //! parallel-buildable segment tree for the low/high range queries
-//! ([`segment_tree`]), and the pluggable spanning-forest design space
-//! ([`forest`]) — union-find / BFS / Shiloach–Vishkin / Afforest backends
-//! behind one [`SpanningForestBuilder`] trait, selectable per run in
-//! [`bridges_tv_with`] and [`bridges_hybrid_with`].
+//! ([`segment_tree`]), and the union-find spanning-forest substrate the
+//! TV and hybrid pipelines share ([`forest`]).
 //!
 //! Beyond the paper's scope, [`bcc`] completes Tarjan–Vishkin's original
 //! algorithm — auxiliary-graph biconnected-component labeling and
@@ -64,15 +62,9 @@ pub use bfs::{bfs_device, bfs_rayon, bfs_sequential, BfsTree};
 pub use cc::{connected_components, ConnectedComponents};
 pub use ck::{bridges_ck_device, bridges_ck_rayon};
 pub use dfs::bridges_dfs;
-pub use forest::{
-    all_builders, builder_by_name, select_backend, AdaptiveBuilder, AfforestBuilder, BfsBuilder,
-    GraphShape, ShiloachVishkinBuilder, SpanningForest, SpanningForestBuilder, UnionFindBuilder,
-    UnrootedForest, BACKEND_NAMES,
-};
-pub use hybrid::{bridges_hybrid, bridges_hybrid_with};
+pub use forest::{SpanningForest, UnrootedForest};
+pub use hybrid::bridges_hybrid;
 pub use result::{BridgesError, BridgesResult};
 pub use segment_tree::SegmentTree;
-pub use tv::{bridges_tv, bridges_tv_with};
-pub use twoecc::{
-    two_edge_connected_components, two_edge_connected_components_with, TwoEccDecomposition,
-};
+pub use tv::bridges_tv;
+pub use twoecc::{two_edge_connected_components, TwoEccDecomposition};

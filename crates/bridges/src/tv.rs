@@ -12,7 +12,7 @@
 //!    segment-tree RMQ: tree edge `{u, parent(u)}` is a bridge iff both
 //!    `low(u)` and `high(u)` stay inside `[pre(u), pre(u) + size(u))`.
 
-use crate::forest::{SpanningForestBuilder, UnionFindBuilder};
+use crate::forest::UnrootedForest;
 use crate::result::{BridgesError, BridgesResult};
 use crate::segment_tree::{SegOp, SegmentTree};
 use euler_tour::{EulerTour, TreeStats};
@@ -22,8 +22,7 @@ use graph_core::{Csr, EdgeList};
 use std::time::Instant;
 
 /// Finds all bridges of a connected graph with the Tarjan–Vishkin
-/// algorithm on the simulated device, using the default union-find
-/// spanning-forest substrate.
+/// algorithm on the simulated device, over the union-find spanning forest.
 ///
 /// # Errors
 /// [`BridgesError::Empty`] for zero nodes, [`BridgesError::Disconnected`]
@@ -33,20 +32,6 @@ pub fn bridges_tv(
     graph: &EdgeList,
     csr: &Csr,
 ) -> Result<BridgesResult, BridgesError> {
-    bridges_tv_with(device, graph, csr, &UnionFindBuilder)
-}
-
-/// [`bridges_tv`] with an explicit spanning-forest backend — the bridge set
-/// is intrinsic to the graph, so every backend yields the same result.
-///
-/// # Errors
-/// As [`bridges_tv`].
-pub fn bridges_tv_with(
-    device: &Device,
-    graph: &EdgeList,
-    csr: &Csr,
-    builder: &dyn SpanningForestBuilder,
-) -> Result<BridgesResult, BridgesError> {
     let n = graph.num_nodes();
     let m = graph.num_edges();
     if n == 0 {
@@ -54,10 +39,10 @@ pub fn bridges_tv_with(
     }
     let mut phases = Vec::new();
 
-    // Phase 1: spanning tree from the selected substrate. The unrooted
-    // stage suffices — TV roots through the Euler tour itself.
+    // Phase 1: the union-find spanning tree. The unrooted stage suffices
+    // — TV roots through the Euler tour itself.
     let t0 = Instant::now();
-    let forest = builder.build_unrooted(device, graph, csr);
+    let forest = UnrootedForest::build(device, graph);
     if !forest.is_connected() {
         return Err(BridgesError::Disconnected);
     }
@@ -286,38 +271,6 @@ mod tests {
             bridges_tv(&device, &graph, &csr).unwrap_err(),
             BridgesError::Disconnected
         );
-        for builder in crate::forest::all_builders() {
-            assert_eq!(
-                bridges_tv_with(&device, &graph, &csr, builder.as_ref()).unwrap_err(),
-                BridgesError::Disconnected,
-                "{}",
-                builder.name()
-            );
-        }
-    }
-
-    #[test]
-    fn every_forest_backend_finds_the_same_bridges() {
-        let device = Device::new();
-        let graph = EdgeList::new(
-            7,
-            vec![
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 3),
-                (5, 6),
-            ],
-        );
-        let csr = Csr::from_edge_list(&graph);
-        let expected = crate::dfs::bridges_dfs(&graph, &csr).bridge_ids();
-        for builder in crate::forest::all_builders() {
-            let r = bridges_tv_with(&device, &graph, &csr, builder.as_ref()).unwrap();
-            assert_eq!(r.bridge_ids(), expected, "{}", builder.name());
-        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! receive 2ECC labels.
 
 use crate::cc::connected_components;
-use crate::forest::SpanningForestBuilder;
 use crate::result::{BridgesError, BridgesResult};
-use crate::tv::{bridges_tv, bridges_tv_with};
+use crate::tv::bridges_tv;
 use gpu_sim::Device;
 use graph_core::bitset::BitSet;
 use graph_core::ids::NodeId;
@@ -48,21 +47,6 @@ pub fn two_edge_connected_components(
     csr: &Csr,
 ) -> Result<TwoEccDecomposition, BridgesError> {
     let bridges = bridges_tv(device, graph, csr)?;
-    Ok(decompose_with_bridges(device, graph, &bridges))
-}
-
-/// [`two_edge_connected_components`] with an explicit spanning-forest
-/// backend driving the TV bridge phase.
-///
-/// # Errors
-/// Propagates [`BridgesError`] from the bridge phase.
-pub fn two_edge_connected_components_with(
-    device: &Device,
-    graph: &EdgeList,
-    csr: &Csr,
-    builder: &dyn SpanningForestBuilder,
-) -> Result<TwoEccDecomposition, BridgesError> {
-    let bridges = bridges_tv_with(device, graph, csr, builder)?;
     Ok(decompose_with_bridges(device, graph, &bridges))
 }
 
@@ -203,28 +187,6 @@ mod tests {
         let via_tv = two_edge_connected_components(&device, &graph, &csr).unwrap();
         assert_eq!(via_dfs.num_components, via_tv.num_components);
         assert_eq!(via_dfs.component, via_tv.component);
-    }
-
-    #[test]
-    fn works_with_any_forest_backend() {
-        let device = Device::new();
-        let graph = EdgeList::new(
-            6,
-            vec![(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)],
-        );
-        let csr = Csr::from_edge_list(&graph);
-        let baseline = two_edge_connected_components(&device, &graph, &csr).unwrap();
-        for builder in crate::forest::all_builders() {
-            let d = two_edge_connected_components_with(&device, &graph, &csr, builder.as_ref())
-                .unwrap();
-            assert_eq!(
-                d.num_components,
-                baseline.num_components,
-                "{}",
-                builder.name()
-            );
-            assert_eq!(d.component, baseline.component, "{}", builder.name());
-        }
     }
 
     #[test]

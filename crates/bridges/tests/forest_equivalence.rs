@@ -1,16 +1,17 @@
-//! Equivalence suite for the spanning-forest design space: every
-//! [`bridges::forest`] backend must produce a *valid* spanning forest
-//! (`n - #components` tree edges, acyclic parent chains, representatives
-//! consistent with the sequential union-find oracle) on arbitrary
-//! multigraphs — and on connected inputs the TV/hybrid pipelines must find
-//! bit-identical bridge sets over every backend.
+//! Equivalence suite for the spanning-forest substrate and the bridge
+//! backends built on it: the union-find forest of [`bridges::forest`]
+//! must be a *valid* spanning forest (`n - #components` tree edges,
+//! acyclic parent chains, representatives consistent with the sequential
+//! union-find oracle) on arbitrary multigraphs — and on connected inputs
+//! the TV, hybrid and CK backends must find the DFS oracle's bridge set
+//! bit for bit.
 //!
 //! CI runs this suite under `RAYON_NUM_THREADS=1` and `=4`; the assertions
 //! only reference schedule-independent outputs (representatives, counts,
 //! bridge bitmaps), so both widths must agree.
 
-use bridges::forest::{all_builders, components_sequential};
-use bridges::{bridges_dfs, bridges_hybrid_with, bridges_tv_with};
+use bridges::forest::{components_sequential, SpanningForest};
+use bridges::{bridges_ck_device, bridges_dfs, bridges_hybrid, bridges_tv, BridgesResult};
 use gpu_sim::Device;
 use graph_core::{Csr, EdgeList};
 use proptest::prelude::*;
@@ -46,31 +47,27 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Every device bridge backend, by name.
+const BACKENDS: [(&str, BackendFn); 3] = [
+    ("tv", bridges_tv),
+    ("hybrid", bridges_hybrid),
+    ("ck", bridges_ck_device),
+];
+
+type BackendFn = fn(&Device, &EdgeList, &Csr) -> Result<BridgesResult, bridges::BridgesError>;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn every_backend_builds_a_valid_forest(graph in arb_multigraph(200)) {
+    fn union_find_builds_a_valid_forest(graph in arb_multigraph(200)) {
         let device = Device::new();
-        let csr = Csr::from_edge_list(&graph);
         let (oracle_rep, oracle_comps) = components_sequential(&graph);
-        for builder in all_builders() {
-            let f = builder.build(&device, &graph, &csr);
-            prop_assert!(
-                f.validate(&graph).is_ok(),
-                "{}: {:?}",
-                builder.name(),
-                f.validate(&graph)
-            );
-            prop_assert_eq!(&f.representative, &oracle_rep, "{} representatives", builder.name());
-            prop_assert_eq!(f.num_components, oracle_comps, "{} components", builder.name());
-            prop_assert_eq!(
-                f.tree_edges.len(),
-                f.num_tree_edges(),
-                "{} tree edge count",
-                builder.name()
-            );
-        }
+        let f = SpanningForest::build(&device, &graph);
+        prop_assert!(f.validate(&graph).is_ok(), "{:?}", f.validate(&graph));
+        prop_assert_eq!(&f.representative, &oracle_rep, "representatives");
+        prop_assert_eq!(f.num_components, oracle_comps, "components");
+        prop_assert_eq!(f.tree_edges.len(), f.num_tree_edges(), "tree edge count");
     }
 
     #[test]
@@ -78,17 +75,15 @@ proptest! {
         let device = Device::new();
         let csr = Csr::from_edge_list(&graph);
         let expected = bridges_dfs(&graph, &csr).bridge_ids();
-        for builder in all_builders() {
-            let tv = bridges_tv_with(&device, &graph, &csr, builder.as_ref()).unwrap();
-            prop_assert_eq!(tv.bridge_ids(), expected.clone(), "tv/{}", builder.name());
-            let hy = bridges_hybrid_with(&device, &graph, &csr, builder.as_ref()).unwrap();
-            prop_assert_eq!(hy.bridge_ids(), expected.clone(), "hybrid/{}", builder.name());
+        for (name, run) in BACKENDS {
+            let r = run(&device, &graph, &csr).unwrap();
+            prop_assert_eq!(r.bridge_ids(), expected.clone(), "{}", name);
         }
     }
 }
 
-/// Every backend on every `graphgen` family — the deterministic sweep
-/// companion to the random-shape proptests above.
+/// The forest and every bridge backend on every `graphgen` family — the
+/// deterministic sweep companion to the random-shape proptests above.
 #[test]
 fn backends_agree_on_every_graphgen_family() {
     let device = Device::new();
@@ -101,40 +96,20 @@ fn backends_agree_on_every_graphgen_family() {
         ("tree", EdgeList::new(tree.num_nodes(), tree.edges())),
     ];
     for (family, graph) in families {
-        let csr = Csr::from_edge_list(&graph);
         let (oracle_rep, oracle_comps) = components_sequential(&graph);
-        for builder in all_builders() {
-            let f = builder.build(&device, &graph, &csr);
-            f.validate(&graph)
-                .unwrap_or_else(|e| panic!("{family}/{}: {e}", builder.name()));
-            assert_eq!(
-                f.representative,
-                oracle_rep,
-                "{family}/{} representatives",
-                builder.name()
-            );
-            assert_eq!(
-                f.num_components,
-                oracle_comps,
-                "{family}/{} components",
-                builder.name()
-            );
-        }
-        // On the largest connected component, the bridge pipelines agree
-        // bit-for-bit across all substrates.
+        let f = SpanningForest::build(&device, &graph);
+        f.validate(&graph)
+            .unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert_eq!(f.representative, oracle_rep, "{family} representatives");
+        assert_eq!(f.num_components, oracle_comps, "{family} components");
+        // On the largest connected component, every bridge backend agrees
+        // with the DFS oracle bit for bit.
         let (lcc, _) = graphgen::largest_connected_component(&graph);
         let lcc_csr = Csr::from_edge_list(&lcc);
         let expected = bridges_dfs(&lcc, &lcc_csr).bridge_ids();
-        for builder in all_builders() {
-            let tv = bridges_tv_with(&device, &lcc, &lcc_csr, builder.as_ref()).unwrap();
-            assert_eq!(tv.bridge_ids(), expected, "{family}: tv/{}", builder.name());
-            let hy = bridges_hybrid_with(&device, &lcc, &lcc_csr, builder.as_ref()).unwrap();
-            assert_eq!(
-                hy.bridge_ids(),
-                expected,
-                "{family}: hybrid/{}",
-                builder.name()
-            );
+        for (name, run) in BACKENDS {
+            let r = run(&device, &lcc, &lcc_csr).unwrap();
+            assert_eq!(r.bridge_ids(), expected, "{family}: {name}");
         }
     }
 }

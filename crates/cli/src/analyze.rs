@@ -10,8 +10,7 @@
 //! `cargo run -p xtask -- analyze` diffs against them.
 
 use crate::args::Args;
-use bridges::forest::builder_by_name;
-use bridges::{bridges_hybrid_with, bridges_tv_with, BACKEND_NAMES};
+use bridges::{bridges_hybrid, bridges_tv};
 use euler_tour::{EulerTour, Ranker, TreeStats};
 use gpu_sim::{CaptureMode, Device, DeviceConfig, LaunchGraph};
 use graph_core::Csr;
@@ -21,28 +20,20 @@ use std::fmt::Write as _;
 
 /// Every shipped pipeline, in golden-file order: CSR construction, tour +
 /// statistics under each list ranker, the TV and hybrid bridge pipelines
-/// over each spanning-forest backend, and inlabel LCA.
+/// over the union-find spanning forest, and inlabel LCA.
 pub const PIPELINES: &[&str] = &[
     "csr_build",
     "tour_stats_seq",
     "tour_stats_wyllie",
     "tour_stats_weijaja",
     "tv_bridges_uf",
-    "tv_bridges_bfs",
-    "tv_bridges_sv",
-    "tv_bridges_afforest",
-    "tv_bridges_adaptive",
     "hybrid_bridges_uf",
-    "hybrid_bridges_bfs",
-    "hybrid_bridges_sv",
-    "hybrid_bridges_afforest",
-    "hybrid_bridges_adaptive",
     "lca_inlabel",
 ];
 
 /// Graph scale for the bridge/CSR pipelines. Large enough that every
 /// primitive takes its parallel path (> the 2048-element sequential
-/// threshold), small enough that capturing all 15 pipelines stays fast.
+/// threshold), small enough that capturing every pipeline stays fast.
 const GRAPH_NODES: usize = 4_000;
 /// Tree scale for the tour/LCA pipelines (list length `2(n-1)` must also
 /// clear the sequential threshold).
@@ -93,23 +84,15 @@ pub fn run_pipeline(device: &Device, pipeline: &str) -> Result<(), String> {
                 EulerTour::build_with_ranker(device, &tree, ranker).map_err(|e| e.to_string())?;
             let _stats = TreeStats::compute(device, &tour);
         }
-        name if name.starts_with("tv_bridges_") || name.starts_with("hybrid_bridges_") => {
-            let backend = name.rsplit_once('_').map(|(_, b)| b).unwrap_or_default();
-            let builder = builder_by_name(backend).ok_or_else(|| {
-                format!(
-                    "unknown forest backend {backend:?} (expected {})",
-                    BACKEND_NAMES.join("|")
-                )
-            })?;
+        "tv_bridges_uf" | "hybrid_bridges_uf" => {
             let graph = ba_graph(GRAPH_NODES, 8, 0x5CA7);
             let csr = Csr::from_edge_list_on(device, &graph);
-            if name.starts_with("tv_") {
-                bridges_tv_with(device, &graph, &csr, builder.as_ref())
-                    .map_err(|e| e.to_string())?;
+            let run = if pipeline == "tv_bridges_uf" {
+                bridges_tv
             } else {
-                bridges_hybrid_with(device, &graph, &csr, builder.as_ref())
-                    .map_err(|e| e.to_string())?;
-            }
+                bridges_hybrid
+            };
+            run(device, &graph, &csr).map_err(|e| e.to_string())?;
         }
         "lca_inlabel" => {
             let tree = random_tree(TREE_NODES, Some(8), 0x5CA8);
@@ -235,7 +218,7 @@ fn full_report(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
 
 /// `emg analyze <pipeline>|--all [--threads N] [--json] [--write-golden <dir>]`
 ///
-/// Captures the launch graph of one pipeline (or all fifteen), runs the
+/// Captures the launch graph of one pipeline (or all of them), runs the
 /// hazard / dead-write / fusion passes, and prints the report. `--json`
 /// prints the stable golden-file JSON instead; `--write-golden <dir>`
 /// writes `<dir>/<pipeline>.json` for each selected pipeline.

@@ -10,6 +10,8 @@ pub struct Args {
     positional: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every `--name` given, in command-line order.
+    names: Vec<String>,
 }
 
 /// Option names that take no value (everything else consumes the next
@@ -31,13 +33,16 @@ impl Args {
                 }
                 if BOOL_FLAGS.contains(&name) {
                     args.flags.push(name.to_string());
+                    args.names.push(name.to_string());
                 } else if let Some((k, v)) = name.split_once('=') {
                     args.options.insert(k.to_string(), v.to_string());
+                    args.names.push(k.to_string());
                 } else {
                     let v = it
                         .next()
                         .ok_or_else(|| format!("option --{name} needs a value"))?;
                     args.options.insert(name.to_string(), v);
+                    args.names.push(name.to_string());
                 }
             } else {
                 args.positional.push(tok);
@@ -86,6 +91,12 @@ impl Args {
     pub fn num_pos(&self) -> usize {
         self.positional.len()
     }
+
+    /// The name (without `--`) of every option and flag given, in
+    /// command-line order.
+    pub fn option_names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(String::as_str)
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +134,15 @@ mod tests {
     fn bad_parse_is_an_error() {
         let a = parse("--queries many");
         assert!(a.opt_parse("queries", 0usize).is_err());
+    }
+
+    #[test]
+    fn option_names_keep_command_line_order() {
+        let a = parse("x --lcc --alg=tv --queries 5");
+        assert_eq!(
+            a.option_names().collect::<Vec<_>>(),
+            ["lcc", "alg", "queries"]
+        );
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //! integration tests can assert on output without spawning processes.
 
 use crate::args::Args;
-use bridges::forest::{builder_by_name, select_backend, GraphShape, SpanningForestBuilder};
 use bridges::{
     articulation_points_from_bcc, bcc_tv, bridges_ck_device, bridges_ck_rayon, bridges_dfs,
-    bridges_hybrid, bridges_hybrid_with, bridges_tv, bridges_tv_with, BridgesResult, BACKEND_NAMES,
+    bridges_hybrid, bridges_tv, BridgesResult, SpanningForest,
 };
 use emg_server::{BatchConfig, GraphInfo, QueryKind, RetryPolicy, RetryingClient, Server};
 use gpu_sim::Device;
@@ -58,53 +57,26 @@ fn run_bridge_alg(
     device: &Device,
     graph: &EdgeList,
     csr: &Csr,
-    forest: Option<&dyn SpanningForestBuilder>,
 ) -> Result<BridgesResult, String> {
     match name {
         "dfs" => Ok(bridges_dfs(graph, csr)),
-        "tv" => match forest {
-            Some(b) => bridges_tv_with(device, graph, csr, b).map_err(|e| e.to_string()),
-            None => bridges_tv(device, graph, csr).map_err(|e| e.to_string()),
-        },
+        "tv" => bridges_tv(device, graph, csr).map_err(|e| e.to_string()),
         "ck" => bridges_ck_device(device, graph, csr).map_err(|e| e.to_string()),
         "ck-cpu" => bridges_ck_rayon(graph, csr).map_err(|e| e.to_string()),
-        "hybrid" => match forest {
-            Some(b) => bridges_hybrid_with(device, graph, csr, b).map_err(|e| e.to_string()),
-            None => bridges_hybrid(device, graph, csr).map_err(|e| e.to_string()),
-        },
+        "hybrid" => bridges_hybrid(device, graph, csr).map_err(|e| e.to_string()),
         other => Err(format!(
             "unknown algorithm {other:?} (expected dfs|tv|ck|ck-cpu|hybrid|all)"
         )),
     }
 }
 
-/// `emg bridges <file> [--alg dfs|tv|ck|ck-cpu|hybrid|all]
-/// [--forest uf|bfs|sv|afforest|adaptive] [--lcc] [--list]`
+/// `emg bridges <file> [--alg dfs|tv|ck|ck-cpu|hybrid|all] [--lcc] [--list]`
 ///
 /// The graph comes from the positional file or `--input <file>`, either a
 /// text format or an `emgbin` cache (whose embedded CSR is reused).
 pub fn cmd_bridges(args: &Args) -> Result<String, String> {
     let path = input_path(args, "graph-file")?;
     let alg = args.opt("alg").unwrap_or("tv");
-    let forest = match args.opt("forest") {
-        None => None,
-        Some(name) => {
-            // Only the TV/hybrid pipelines are built on a spanning-forest
-            // substrate; silently ignoring --forest for the others would
-            // mislabel benchmark numbers.
-            if !matches!(alg, "tv" | "hybrid" | "all") {
-                return Err(format!(
-                    "--forest only applies to --alg tv|hybrid|all, not {alg:?}"
-                ));
-            }
-            Some(builder_by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown forest backend {name:?} (expected {})",
-                    BACKEND_NAMES.join("|")
-                )
-            })?)
-        }
-    };
     let (graph, cached_csr) = load_with_csr(path, args.flag("lcc"))?;
     let device = Device::new();
     let csr = cached_csr.unwrap_or_else(|| Csr::from_edge_list_on(&device, &graph));
@@ -124,7 +96,7 @@ pub fn cmd_bridges(args: &Args) -> Result<String, String> {
     let mut first_ids: Option<Vec<u32>> = None;
     for a in algs {
         let t = Instant::now();
-        let r = run_bridge_alg(a, &device, &graph, &csr, forest.as_deref())?;
+        let r = run_bridge_alg(a, &device, &graph, &csr)?;
         let elapsed = t.elapsed();
         writeln!(
             out,
@@ -151,68 +123,26 @@ pub fn cmd_bridges(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `emg forest <file> [--backend uf|bfs|sv|afforest|adaptive|all] [--lcc]`
-/// — the spanning-forest design space: build each backend, validate it,
-/// and report the adaptive selector's choice.
+/// `emg forest <file> [--lcc]` — builds the union-find spanning forest
+/// the bridge pipelines stand on, roots every component at its smallest
+/// node, and validates the result against the graph.
 pub fn cmd_forest(args: &Args) -> Result<String, String> {
     let path = input_path(args, "graph-file")?;
-    let backend = args.opt("backend").unwrap_or("all");
-    let (graph, cached_csr) = load_with_csr(path, args.flag("lcc"))?;
+    let graph = load(path, args.flag("lcc"))?;
     let device = Device::new();
-    let csr = cached_csr.unwrap_or_else(|| Csr::from_edge_list_on(&device, &graph));
-    let shape = GraphShape::probe(&csr);
-    let mut out = String::new();
-    writeln!(
-        out,
-        "graph: {} nodes, {} edges",
+    let t = Instant::now();
+    let forest = SpanningForest::build(&device, &graph);
+    let elapsed = t.elapsed();
+    forest
+        .validate(&graph)
+        .map_err(|e| format!("invalid forest: {e}"))?;
+    Ok(format!(
+        "graph: {} nodes, {} edges\nforest: {} components, {} tree edges in {elapsed:.1?}\n",
         graph.num_nodes(),
-        graph.num_edges()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "shape: diameter probe {}, degree skew {:.1} -> adaptive picks {}",
-        shape.diameter,
-        shape.degree_skew,
-        select_backend(&shape)
-    )
-    .unwrap();
-    let backends: Vec<&str> = if backend == "all" {
-        BACKEND_NAMES.to_vec()
-    } else {
-        vec![backend]
-    };
-    let mut first: Option<(Vec<u32>, usize)> = None;
-    for name in backends {
-        let builder = builder_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown forest backend {name:?} (expected {}|all)",
-                BACKEND_NAMES.join("|")
-            )
-        })?;
-        let t = Instant::now();
-        let forest = builder.build(&device, &graph, &csr);
-        let elapsed = t.elapsed();
-        forest
-            .validate(&graph)
-            .map_err(|e| format!("{name}: invalid forest: {e}"))?;
-        writeln!(
-            out,
-            "{name:>9}: {} components, {} tree edges in {elapsed:.1?}",
-            forest.num_components,
-            forest.num_tree_edges()
-        )
-        .unwrap();
-        match &first {
-            None => first = Some((forest.representative, forest.num_components)),
-            Some((rep, comps)) => {
-                if rep != &forest.representative || *comps != forest.num_components {
-                    return Err(format!("backend {name} disagrees with the first result"));
-                }
-            }
-        }
-    }
-    Ok(out)
+        graph.num_edges(),
+        forest.num_components,
+        forest.num_tree_edges()
+    ))
 }
 
 /// `emg bcc <file> [--lcc]` — biconnected components + articulation points.

@@ -62,62 +62,73 @@ fn gen_then_stats_then_bridges_agree() {
 }
 
 #[test]
-fn forest_backends_agree_on_generated_graph() {
+fn forest_builds_and_validates_the_union_find_forest() {
     let path = tmp("forest_road.txt");
     run(&format!(
         "gen road --width 15 --height 15 --keep 0.8 --seed 11 --out {}",
         path.display()
     ))
     .unwrap();
-
-    // All backends build, validate, and agree on the component partition.
+    // A validated forest has exactly nodes - components tree edges.
     let out = run(&format!("forest {}", path.display())).unwrap();
-    for name in ["uf", "bfs", "sv", "afforest", "adaptive"] {
-        assert!(out.contains(name), "missing backend {name}:\n{out}");
-    }
-    assert!(out.contains("adaptive picks"));
-    assert!(out.contains("components"));
-
-    // A single backend can be selected.
-    let out = run(&format!("forest {} --backend sv --lcc", path.display())).unwrap();
-    assert!(out.contains("sv"));
-    assert!(!out.contains("afforest"));
-
-    // Unknown backends error out.
-    let err = run(&format!("forest {} --backend nope", path.display())).unwrap_err();
-    assert!(err.contains("unknown forest backend"));
+    let field = |prefix: &str| -> usize {
+        out.split(prefix)
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .unwrap_or_else(|| panic!("no {prefix:?} in {out}"))
+            .parse()
+            .unwrap()
+    };
+    let (nodes, comps) = (field("graph: "), field("forest: "));
+    assert!(
+        out.contains(&format!("{} tree edges", nodes - comps)),
+        "{out}"
+    );
+    // Restricted to the LCC, the forest is a single tree.
+    let out = run(&format!("forest {} --lcc", path.display())).unwrap();
+    assert!(out.contains("forest: 1 components"), "{out}");
 }
 
 #[test]
-fn bridges_accepts_forest_backend() {
-    let path = tmp("forest_bridges.txt");
+fn retired_forest_options_are_rejected() {
+    // Scripts written for the removed backend selectors must fail loudly
+    // rather than silently run union-find.
+    let path = tmp("retired_forest.txt");
     run(&format!(
         "gen web --nodes 300 --edges 900 --seed 5 --out {}",
         path.display()
     ))
     .unwrap();
-    // The bridge set is intrinsic, so every substrate must agree with the
-    // default (cross-checked against dfs via --alg all); compare the
-    // reports with durations stripped.
-    let base = strip_times(&run(&format!("bridges {} --lcc --alg all", path.display())).unwrap());
-    for backend in ["uf", "bfs", "sv", "afforest", "adaptive"] {
-        let out = run(&format!(
-            "bridges {} --lcc --alg all --forest {backend}",
-            path.display()
-        ))
-        .unwrap();
-        assert_eq!(
-            strip_times(&out),
-            base,
-            "backend {backend} changed the bridge report"
-        );
-    }
-    let err = run(&format!("bridges {} --forest bogus", path.display())).unwrap_err();
-    assert!(err.contains("unknown forest backend"));
-    // Algorithms without a forest substrate reject the flag instead of
-    // silently ignoring it.
-    let err = run(&format!("bridges {} --alg ck --forest sv", path.display())).unwrap_err();
-    assert!(err.contains("--forest only applies"));
+    let err = run(&format!("bridges {} --lcc --forest sv", path.display())).unwrap_err();
+    assert_eq!(err, "unknown option --forest for emg bridges");
+    let err = run(&format!("forest {} --backend all", path.display())).unwrap_err();
+    assert_eq!(err, "unknown option --backend for emg forest");
+}
+
+#[test]
+fn misspelled_options_are_rejected() {
+    let path = tmp("misspelled.txt");
+    run(&format!(
+        "gen road --width 10 --height 10 --seed 2 --out {}",
+        path.display()
+    ))
+    .unwrap();
+    // `--algo` is not `--alg`: before option checking this ran tv.
+    let err = run(&format!("bridges {} --lcc --algo ck", path.display())).unwrap_err();
+    assert_eq!(err, "unknown option --algo for emg bridges");
+    let err = run(&format!("forest {} --backnd sv", path.display())).unwrap_err();
+    assert_eq!(err, "unknown option --backnd for emg forest");
+    // `=` syntax and boolean flags are checked too, per subcommand.
+    let err = run(&format!("stats {} --lcc --alg=tv", path.display())).unwrap_err();
+    assert_eq!(err, "unknown option --alg for emg stats");
+    let err = run(&format!(
+        "gen tree --nodes 8 --lcc --out {}",
+        path.display()
+    ))
+    .unwrap_err();
+    assert_eq!(err, "unknown option --lcc for emg gen");
+    // --help stays accepted everywhere.
+    assert!(run("bcc --help").unwrap().contains("USAGE"));
 }
 
 #[test]

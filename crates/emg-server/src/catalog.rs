@@ -11,7 +11,7 @@
 //! in-flight batches keep answering against the epoch they started with.
 
 use crate::protocol::{ErrorCode, GraphInfo, QueryKind, BRIDGE_NO_SUCH_EDGE};
-use bridges::{bridges_dfs, bridges_tv, SpanningForestBuilder, UnionFindBuilder, UnrootedForest};
+use bridges::{bridges_dfs, bridges_tv, UnrootedForest};
 use euler_tour::{EulerTour, TreeStats};
 use gpu_sim::{Device, DeviceConfig, DeviceHandle};
 use graph_core::{Csr, EdgeList, Tree};
@@ -96,7 +96,7 @@ impl Snapshot {
         let (csr, forest, bridge_flag, num_bridges, tree) = {
             let _build_quietly = device.pause_faults();
             let csr = maybe_csr.unwrap_or_else(|| Csr::from_edge_list_on(&device, &graph));
-            let forest = UnionFindBuilder.build_unrooted(&device, &graph, &csr);
+            let forest = UnrootedForest::build(&device, &graph);
 
             // Bridges: the TV pipeline on the device when connected, the
             // DFS oracle otherwise (TV requires a connected input).

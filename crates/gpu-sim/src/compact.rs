@@ -5,17 +5,13 @@
 //! [`Device::compact_indices_pooled`] also pools the output so a hot loop
 //! compacts with zero allocation at steady state.
 //!
-//! Like the scans, compaction dispatches on
-//! [`DeviceConfig::scan_engine`](crate::DeviceConfig::scan_engine): the
-//! lookback engine fuses count → offset-resolve → write into **one**
-//! launch via the [`crate::lookback`] descriptor protocol (the survivor
-//! counts are the scanned values), where the two-pass baseline keeps the
-//! classic count launch + write launch. Predicate evaluations are modeled
-//! as one 4-byte read each in the traffic plane.
+//! Like the scans, the parallel path is two-pass: a count launch, a
+//! host-side scan of the per-block survivor counts, and a write launch, so
+//! the predicate is evaluated twice per element. Predicate evaluations are
+//! modeled as one 4-byte read each in the traffic plane.
 
 use crate::arena::ArenaVec;
 use crate::device::{Device, SharedSlice};
-use crate::lookback::{Descriptors, ScanEngine};
 use rayon::prelude::*;
 
 impl Device {
@@ -59,8 +55,6 @@ impl Device {
                 self.metrics().record_traffic(4 * n as u64, 4 * len as u64);
                 self.san_mark_written(&out[..]);
                 out
-            } else if self.config().scan_engine == ScanEngine::Lookback {
-                self.compact_lookback(n, &pred)
             } else {
                 let (offsets, total, chunk, blocks) = self.compact_offsets(n, &pred);
                 let mut out = self.alloc_pooled::<u32>(total);
@@ -71,69 +65,6 @@ impl Device {
         // The survivor region only exists (at its final truncated length)
         // after the launches ran, so the write is attributed afterwards.
         self.cap_note_output(&out[..]);
-        out
-    }
-
-    /// Single-launch compaction: each block stages its survivors in the
-    /// tile plane while counting them, resolves its output offset through
-    /// the lookback descriptors (an additive scan of the survivor counts),
-    /// and writes its run — one predicate evaluation per element and one
-    /// launch total. The output is carved at full `n` capacity and
-    /// truncated to the survivor total the last descriptor publishes.
-    fn compact_lookback<F>(&self, n: usize, pred: &F) -> ArenaVec<'_, u32>
-    where
-        F: Fn(usize) -> bool + Sync,
-    {
-        let chunk = self.grid_chunk_len(n);
-        let blocks = n.div_ceil(chunk);
-        let mut status_buf = self.alloc_pooled::<u32>(blocks);
-        let mut value_buf = self.alloc_pooled::<u32>(2 * blocks);
-        let (agg_buf, pfx_buf) = value_buf.split_at_mut(blocks);
-        let mut stage = self.alloc_pooled::<u32>(n);
-        let mut out = self.alloc_pooled::<u32>(n);
-
-        self.metrics().record_launch(n as u64);
-        self.cap_instant_launch(n as u64);
-        self.metrics().record_traffic(4 * n as u64, 0);
-        let total = {
-            let desc = Descriptors::new(&mut status_buf, agg_buf, pfx_buf);
-            let stage_shared = SharedSlice::new(&mut stage);
-            let out_shared = SharedSlice::new(&mut out);
-            self.schedule_blocks(blocks, |b| {
-                let start = b * chunk;
-                let end = usize::min(start + chunk, n);
-                // SAFETY: each block owns the disjoint staging range
-                // [start, end).
-                let tile = unsafe {
-                    std::slice::from_raw_parts_mut(stage_shared.as_ptr().add(start), end - start)
-                };
-                let mut count = 0usize;
-                for i in start..end {
-                    if pred(i) {
-                        tile[count] = i as u32;
-                        count += 1;
-                    }
-                }
-                let exclusive = if b == 0 {
-                    0
-                } else {
-                    desc.publish_aggregate(b, count as u32);
-                    desc.lookback(b, &|a, b| a + b)
-                };
-                desc.publish_prefix(b, exclusive + count as u32);
-                let dst = exclusive as usize;
-                for (j, &v) in tile[..count].iter().enumerate() {
-                    // SAFETY: blocks own disjoint output runs
-                    // [exclusive, exclusive + count) by construction of
-                    // the scanned offsets.
-                    unsafe { out_shared.write_unchecked(dst + j, v) };
-                }
-            });
-            desc.prefix_value(blocks - 1) as usize
-        };
-        out.truncate(total);
-        self.metrics().record_traffic(0, 4 * total as u64);
-        self.san_mark_written(&out[..]);
         out
     }
 

@@ -26,7 +26,6 @@
 use crate::arena::{ArenaPod, DeviceArena};
 use crate::fault::{FaultConfig, FaultPause, FaultPlane};
 use crate::launch_graph::{Cap, CaptureMode, LaunchGraph, Recorder, ACC_READ, ACC_WRITE};
-use crate::lookback::ScanEngine;
 use crate::metrics::Metrics;
 use crate::sanitize::{AccessKind, Finding, SanitizeMode, Sanitizer, Track};
 use std::marker::PhantomData;
@@ -45,11 +44,6 @@ pub struct DeviceConfig {
     /// calling thread; models the fact that tiny grids do not fill a GPU
     /// and launch overhead dominates.
     pub seq_threshold: usize,
-    /// Optional fixed cost added to every kernel launch, modeling the
-    /// CUDA launch + synchronization latency (~5–10 µs on the paper's
-    /// hardware). Useful for studying launch-bound regimes such as the
-    /// small batches of Figure 6; `None` (the default) adds nothing.
-    pub launch_overhead: Option<std::time::Duration>,
     /// Whether the device pools scratch buffers in its [`DeviceArena`]
     /// (the default). `false` degrades every pooled allocation to a plain
     /// malloc/free pair — the A/B baseline the `mem_sweep` experiment
@@ -63,12 +57,6 @@ pub struct DeviceConfig {
     /// recorded for [`Device::take_findings`] — the latter is what the
     /// seeded-violation tests use to assert detection.
     pub sanitize_fatal: bool,
-    /// Which scan core backs every prefix-sum primitive (defaults to the
-    /// `EMG_SCAN_ENGINE` environment variable,
-    /// [`ScanEngine::Lookback`] when unset). [`ScanEngine::TwoPass`] keeps
-    /// the classic three-phase core as the A/B baseline and oracle; outputs
-    /// are bit-identical between the two.
-    pub scan_engine: ScanEngine,
     /// Whether the device records its launch graph (defaults to the
     /// `EMG_CAPTURE` environment variable, [`CaptureMode::Off`] when
     /// unset). See [`crate::launch_graph`].
@@ -84,11 +72,9 @@ impl Default for DeviceConfig {
             threads: None,
             block_size: 4096,
             seq_threshold: 2048,
-            launch_overhead: None,
             pooling: true,
             sanitize: SanitizeMode::from_env(),
             sanitize_fatal: true,
-            scan_engine: ScanEngine::from_env(),
             capture: CaptureMode::from_env(),
             faults: FaultConfig::from_env(),
         }
@@ -344,8 +330,8 @@ impl Device {
         }
     }
 
-    /// Opens a launch node around a hand-scheduled kernel (lookback scan,
-    /// two-pass phases) so tracked-view accesses inside it attribute to
+    /// Opens a launch node around a hand-scheduled kernel (the two-pass
+    /// scan phases) so tracked-view accesses inside it attribute to
     /// the launch; close with [`Device::cap_end_launch`].
     pub(crate) fn cap_begin_launch(&self, work: u64) -> Option<usize> {
         self.rec.as_deref().map(|r| r.begin_launch(work))
@@ -454,18 +440,6 @@ impl Device {
             0
         } else {
             n.div_ceil(self.grid_chunk_len(n))
-        }
-    }
-
-    /// Spends the configured per-launch latency (busy-wait: the real cost
-    /// is on the host thread exactly as with a blocking CUDA launch).
-    #[inline]
-    fn pay_launch_overhead(&self) {
-        if let Some(d) = self.cfg.launch_overhead {
-            let start = std::time::Instant::now();
-            while start.elapsed() < d {
-                std::hint::spin_loop();
-            }
         }
     }
 
@@ -579,7 +553,6 @@ impl Device {
         F: Fn(usize) + Sync,
     {
         self.metrics.record_launch(n as u64);
-        self.pay_launch_overhead();
         self.fault_launch();
         let cap = self.cap_begin_launch(n as u64);
         if n == 0 {
@@ -636,7 +609,6 @@ impl Device {
     {
         let n = out.len();
         self.metrics.record_launch(n as u64);
-        self.pay_launch_overhead();
         self.fault_launch();
         // A bare map is a data-plane write to `out`; a map issued inside
         // an open primitive scope inherits the primitive's declarations
@@ -1384,23 +1356,6 @@ mod tests {
         let v = device.alloc_map(1000, |i| i as u32 + 1);
         assert_eq!(v[0], 1);
         assert_eq!(v[999], 1000);
-    }
-
-    #[test]
-    fn launch_overhead_is_paid_per_kernel() {
-        let device = Device::with_config(DeviceConfig {
-            launch_overhead: Some(std::time::Duration::from_micros(200)),
-            ..Default::default()
-        });
-        let mut out = vec![0u8; 8];
-        let start = std::time::Instant::now();
-        for _ in 0..50 {
-            device.map(&mut out, |_| 0);
-        }
-        assert!(
-            start.elapsed() >= std::time::Duration::from_millis(10),
-            "50 launches at 200us overhead must cost at least 10ms"
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! contract:
 //!
 //! * **unset ⇒ default** — an absent variable always selects the knob's
-//!   documented default (off / lookback / no recording);
+//!   documented default (off / no recording / no faults);
 //! * **panic on typo** — a *present but unparsable* value panics instead
 //!   of silently selecting a default. A misspelled mode in a CI matrix or
 //!   benchmark wrapper must never quietly disable the checks it meant to
@@ -20,14 +20,11 @@
 //! the registry so a knob added elsewhere fails the build's test run.
 
 use crate::launch_graph::CaptureMode;
-use crate::lookback::ScanEngine;
 use crate::sanitize::SanitizeMode;
 use std::str::FromStr;
 
 /// Sanitizer plane selector; see [`crate::sanitize`].
 pub const EMG_SANITIZE: &str = "EMG_SANITIZE";
-/// Prefix-sum core selector; see [`crate::lookback`].
-pub const EMG_SCAN_ENGINE: &str = "EMG_SCAN_ENGINE";
 /// Bench JSONL sink path; read by the benchmark harness (a free-form
 /// path, so any non-empty value "parses").
 pub const EMG_BENCH_JSON: &str = "EMG_BENCH_JSON";
@@ -71,7 +68,6 @@ pub const KNOBS: &[(&str, &str)] = &[
         EMG_SANITIZE,
         "sanitizer checks: off|memcheck|initcheck|racecheck|full",
     ),
-    (EMG_SCAN_ENGINE, "prefix-sum core: lookback|two_pass"),
     (EMG_BENCH_JSON, "path receiving benchmark JSONL records"),
     (EMG_CAPTURE, "launch-graph capture: off|on"),
     (
@@ -123,7 +119,6 @@ where
 pub fn parse_knob(var: &str, value: &str) -> Result<String, String> {
     match var {
         EMG_SANITIZE => SanitizeMode::from_str(value).map(|m| format!("{m:?}")),
-        EMG_SCAN_ENGINE => ScanEngine::from_str(value).map(|m| format!("{m:?}")),
         EMG_CAPTURE => CaptureMode::from_str(value).map(|m| format!("{m:?}")),
         EMG_BENCH_JSON => {
             if value.is_empty() {
@@ -179,7 +174,7 @@ mod tests {
     /// [`parse_knob`], accepts its documented defaults, and rejects typos.
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 10, "new knob? register it in env.rs");
+        assert_eq!(KNOBS.len(), 9, "new knob? register it in env.rs");
         for (var, _help) in KNOBS {
             // A typo must be a hard error for every enum knob; the one
             // free-form knob (a path) instead rejects the empty string.
@@ -209,9 +204,6 @@ mod tests {
             "0",
         ] {
             parse_knob(EMG_SANITIZE, v).unwrap();
-        }
-        for v in ["lookback", "two_pass", "twopass", "two-pass", ""] {
-            parse_knob(EMG_SCAN_ENGINE, v).unwrap();
         }
         for v in ["off", "on", "capture", "0", "1", ""] {
             parse_knob(EMG_CAPTURE, v).unwrap();
@@ -244,6 +236,5 @@ mod tests {
     fn case_and_whitespace_insensitive_enums() {
         parse_knob(EMG_SANITIZE, " Full ").unwrap();
         parse_knob(EMG_CAPTURE, "ON").unwrap();
-        parse_knob(EMG_SCAN_ENGINE, "LookBack").unwrap();
     }
 }

@@ -24,8 +24,8 @@
 //!   gather, scatter, ...) access their operands through untracked raw
 //!   slices internally, so each declares its user-facing inputs and
 //!   outputs on a capture scope that every launch it issues inherits.
-//!   Primitive-internal scratch (radix ping-pong buffers, lookback
-//!   descriptors) is deliberately *not* declared: the graph models
+//!   Primitive-internal scratch (radix ping-pong buffers, per-block
+//!   scan sums) is deliberately *not* declared: the graph models
 //!   pipeline-level dataflow, not intra-primitive plumbing.
 //!
 //! Closure-captured inputs (the generator of a fused `map_scan`, a

@@ -74,7 +74,6 @@ pub mod fault;
 pub mod histogram;
 pub mod launch_graph;
 pub mod lbs;
-pub mod lookback;
 pub mod merge;
 pub mod metrics;
 pub mod rbk;
@@ -93,7 +92,6 @@ pub use launch_graph::{
     Analysis, CaptureMode, DeadWrite, DepCounts, FusionCandidate, Hazard, HazardKind, LaunchGraph,
     Node, Region,
 };
-pub use lookback::ScanEngine;
 pub use metrics::{Metrics, MetricsSnapshot, PhaseTimer};
 pub use rbk::ReducedRuns;
 pub use sanitize::{AccessKind, Finding, FindingKind, SanitizeMode};

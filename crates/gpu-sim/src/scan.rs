@@ -3,15 +3,13 @@
 //! The paper's §2.2 optimization rests on the observation that on a GPU the
 //! array scan primitive is much faster than list ranking (7–8× per \[64\]), so
 //! an Euler tour should be list-ranked *once* and every subsequent statistic
-//! computed by scans over the resulting array. Two interchangeable cores
-//! back every entry point, selected by [`DeviceConfig::scan_engine`]:
-//!
-//! * [`ScanEngine::Lookback`] (default) — the single-pass decoupled-lookback
-//!   scan of [`crate::lookback`]: 1 launch, ~1 read + 1 write per element;
-//! * [`ScanEngine::TwoPass`] — the classic three-phase blocked algorithm
-//!   (per-block reduce, exclusive scan of block sums, per-block downsweep —
-//!   the moderngpu/CUB structure the paper uses): 2 launches, ~2 reads + 1
-//!   write per element. Kept as the A/B baseline and bit-identical oracle.
+//! computed by scans over the resulting array. One core backs every entry
+//! point (and the segmented scans and radix-sort offsets built on them):
+//! the classic three-phase blocked algorithm — per-block reduce, exclusive
+//! scan of block sums, per-block downsweep — the moderngpu/CUB structure
+//! the paper uses. It costs 2 launches and ~2 reads + 1 write per element;
+//! DESIGN.md §10 records why it beat a single-pass decoupled-lookback core
+//! on this simulator.
 //!
 //! All operators must be associative; they need not be commutative.
 //!
@@ -26,14 +24,9 @@
 //!   variants additionally **fuse** an elementwise transform into the scan
 //!   (the generator runs inside the block passes instead of materializing
 //!   an intermediate array — a launch and an n-sized buffer saved).
-//!
-//! [`DeviceConfig::scan_engine`]: crate::DeviceConfig::scan_engine
-//! [`ScanEngine::Lookback`]: crate::ScanEngine::Lookback
-//! [`ScanEngine::TwoPass`]: crate::ScanEngine::TwoPass
 
 use crate::arena::ArenaPod;
 use crate::device::Device;
-use crate::lookback::ScanEngine;
 use rayon::prelude::*;
 
 impl Device {
@@ -153,9 +146,9 @@ impl Device {
         self.map_scan_into(n, gen, out, identity, &op, false)
     }
 
-    /// Engine dispatch for every scan entry point: handles the empty and
-    /// sequential small-`n` cases, then hands the parallel grid to the
-    /// configured [`ScanEngine`]. Per-block scratch comes from the arena.
+    /// The shared body of every scan entry point: handles the empty and
+    /// sequential small-`n` cases, then runs the two-pass core over the
+    /// parallel grid. Per-block scratch comes from the arena.
     fn map_scan_into<T, G, F>(
         &self,
         n: usize,
@@ -177,8 +170,9 @@ impl Device {
         }
         let _cap = self.cap_scope("scan").write(&*out);
         if n <= self.config().seq_threshold {
-            // Same metric taxonomy as the parallel engines: one launch,
-            // one read + one write per element.
+            // The same accounting rule as the two-pass core: one read
+            // per generator evaluation (once here) and one write per
+            // element, in a single launch.
             let bytes = (n * size_of::<T>()) as u64;
             self.metrics().record_launch(n as u64);
             self.cap_instant_launch(n as u64);
@@ -196,10 +190,7 @@ impl Device {
             self.san_mark_written(out);
             return acc;
         }
-        match self.config().scan_engine {
-            ScanEngine::Lookback => self.scan_lookback(n, &gen, out, identity, op, inclusive),
-            ScanEngine::TwoPass => self.scan_two_pass(n, &gen, out, identity, op, inclusive),
-        }
+        self.scan_two_pass(n, &gen, out, identity, op, inclusive)
     }
 
     /// The classic three-phase blocked scan over a generated source: block

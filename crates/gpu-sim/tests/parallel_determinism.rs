@@ -18,7 +18,6 @@ fn device(threads: usize) -> Device {
         // 4-worker device.
         block_size: 1024,
         seq_threshold: 512,
-        launch_overhead: None,
         pooling: true,
         ..Default::default()
     })

@@ -12,11 +12,9 @@ fn dev(mode: SanitizeMode) -> Device {
         threads: Some(4),
         block_size: 64,
         seq_threshold: 16,
-        launch_overhead: None,
         pooling: true,
         sanitize: mode,
         sanitize_fatal: false,
-        scan_engine: gpu_sim::ScanEngine::default(),
         capture: gpu_sim::CaptureMode::Off,
         faults: gpu_sim::FaultConfig::default(),
     })
@@ -273,11 +271,9 @@ fn sanitize_off_has_zero_tracking() {
         threads: Some(2),
         block_size: 64,
         seq_threshold: 16,
-        launch_overhead: None,
         pooling: true,
         sanitize: SanitizeMode::Off,
         sanitize_fatal: false,
-        scan_engine: gpu_sim::ScanEngine::default(),
         capture: gpu_sim::CaptureMode::Off,
         faults: gpu_sim::FaultConfig::default(),
     });
@@ -299,11 +295,9 @@ fn fatal_sanitizer_panics_with_the_finding() {
         threads: Some(1),
         block_size: 64,
         seq_threshold: 16,
-        launch_overhead: None,
         pooling: true,
         sanitize: SanitizeMode::Memcheck,
         sanitize_fatal: true,
-        scan_engine: gpu_sim::ScanEngine::default(),
         capture: gpu_sim::CaptureMode::Off,
         faults: gpu_sim::FaultConfig::default(),
     });

@@ -16,7 +16,6 @@ fn stress_device(threads: usize) -> Device {
         threads: Some(threads),
         block_size: 128, // many small blocks → many claim races
         seq_threshold: 0,
-        launch_overhead: None,
         pooling: true,
         ..Default::default()
     })
@@ -88,7 +87,6 @@ fn four_workers_run_blocks_concurrently() {
         threads: Some(4),
         block_size: 1,
         seq_threshold: 0,
-        launch_overhead: None,
         pooling: true,
         ..Default::default()
     });

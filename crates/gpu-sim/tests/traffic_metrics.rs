@@ -4,19 +4,18 @@
 //! are pool-width-independent so CI can gate them host-independently.
 //!
 //! The modeled numbers follow the accounting rules in DESIGN.md §10:
-//! only O(n) data-plane arrays count; descriptor/bookkeeping arrays and
-//! per-block "shared memory" staging do not; fused generators and
+//! only O(n) data-plane arrays count; grid bookkeeping (per-block sums)
+//! and per-block "shared memory" state do not; fused generators and
 //! predicates are one element-sized (predicates: 4-byte) read per
 //! evaluation.
 
-use gpu_sim::{Device, DeviceConfig, MetricsSnapshot, ScanEngine};
+use gpu_sim::{Device, DeviceConfig, MetricsSnapshot};
 
-fn dev(engine: ScanEngine, threads: usize) -> Device {
+fn dev(threads: usize) -> Device {
     Device::with_config(DeviceConfig {
         threads: Some(threads),
         block_size: 64,
         seq_threshold: 16,
-        scan_engine: engine,
         ..Default::default()
     })
 }
@@ -30,23 +29,25 @@ fn measure<F: FnOnce(&Device)>(device: &Device, f: F) -> MetricsSnapshot {
 
 #[test]
 fn scan_seq_path_matches_parallel_taxonomy() {
-    // n = 10 (sequential) and n = 2000 (parallel) must both report one
-    // launch and n elements read + written under the lookback engine.
-    let device = dev(ScanEngine::Lookback, 4);
-    for n in [10usize, 2000] {
+    // Both paths count one element-sized read per input evaluation per
+    // launch and one write per output: n = 10 (sequential) folds once in
+    // one launch, n = 2000 (parallel) reads once in each of the two-pass
+    // core's two launches.
+    let device = dev(4);
+    for (n, launches) in [(10usize, 1u64), (2000, 2)] {
         let input: Vec<u64> = (0..n as u64).collect();
         let d = measure(&device, |d| {
             let _ = d.scan_inclusive(&input, 0u64, |a, b| a + b);
         });
-        assert_eq!(d.kernel_launches, 1, "n={n}");
-        assert_eq!(d.bytes_read, 8 * n as u64, "n={n}");
+        assert_eq!(d.kernel_launches, launches, "n={n}");
+        assert_eq!(d.bytes_read, 8 * n as u64 * launches, "n={n}");
         assert_eq!(d.bytes_written, 8 * n as u64, "n={n}");
     }
 }
 
 #[test]
 fn two_pass_scan_reads_twice_and_launches_twice() {
-    let device = dev(ScanEngine::TwoPass, 4);
+    let device = dev(4);
     let n = 2000usize;
     let input: Vec<u64> = (0..n as u64).collect();
     let d = measure(&device, |d| {
@@ -59,7 +60,7 @@ fn two_pass_scan_reads_twice_and_launches_twice() {
 
 #[test]
 fn reduce_reads_once_writes_nothing() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     for n in [10usize, 2000] {
         let input: Vec<u32> = (0..n as u32).collect();
         let d = measure(&device, |d| {
@@ -72,19 +73,19 @@ fn reduce_reads_once_writes_nothing() {
 }
 
 #[test]
-fn compact_taxonomy_per_engine() {
+fn compact_reads_once_per_predicate_evaluation() {
     // Half the elements survive; a predicate evaluation is a 4-byte read.
-    for n in [10usize, 2000] {
-        let d = measure(&dev(ScanEngine::Lookback, 4), |d| {
-            let _ = d.compact_indices(n, |i| i % 2 == 0);
-        });
-        assert_eq!(d.kernel_launches, 1, "lookback n={n}");
-        assert_eq!(d.bytes_read, 4 * n as u64, "lookback n={n}");
-        assert_eq!(d.bytes_written, 4 * n.div_ceil(2) as u64, "lookback n={n}");
-    }
-    // The two-pass baseline evaluates the predicate twice (count + write).
+    // The sequential path evaluates once in one launch.
+    let n = 10usize;
+    let d = measure(&dev(4), |d| {
+        let _ = d.compact_indices(n, |i| i % 2 == 0);
+    });
+    assert_eq!(d.kernel_launches, 1);
+    assert_eq!(d.bytes_read, 4 * n as u64);
+    assert_eq!(d.bytes_written, 4 * n.div_ceil(2) as u64);
+    // The parallel path evaluates twice (count launch + write launch).
     let n = 2000usize;
-    let d = measure(&dev(ScanEngine::TwoPass, 4), |d| {
+    let d = measure(&dev(4), |d| {
         let _ = d.compact_indices(n, |i| i % 2 == 0);
     });
     assert_eq!(d.kernel_launches, 2);
@@ -94,7 +95,7 @@ fn compact_taxonomy_per_engine() {
 
 #[test]
 fn gather_scatter_count_index_and_element() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     let n = 500usize;
     let src: Vec<u64> = (0..n as u64).collect();
     let idx: Vec<u32> = (0..n as u32).rev().collect();
@@ -112,7 +113,7 @@ fn gather_scatter_count_index_and_element() {
 
 #[test]
 fn sort_seq_paths_record_full_taxonomy() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     // u32 path, below the sequential threshold.
     let d = measure(&device, |d| {
         let mut keys = vec![5u32, 3, 1, 4, 2];
@@ -135,7 +136,7 @@ fn sort_seq_paths_record_full_taxonomy() {
 
 #[test]
 fn histogram_counts_bin_evaluations_and_output_bins() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     let n = 2000usize;
     let bins = 16usize;
     let d = measure(&device, |d| {
@@ -157,7 +158,7 @@ fn histogram_counts_bin_evaluations_and_output_bins() {
 
 #[test]
 fn segreduce_counts_slots_offsets_and_segments() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     let values: Vec<u32> = (0..40).collect();
     let offsets: Vec<u32> = (0..=8u32).map(|s| s * 5).collect();
     let d = measure(&device, |d| {
@@ -170,7 +171,7 @@ fn segreduce_counts_slots_offsets_and_segments() {
 
 #[test]
 fn merge_streams_each_element_once() {
-    let device = dev(ScanEngine::Lookback, 4);
+    let device = dev(4);
     let a: Vec<u32> = (0..300).map(|i| 2 * i).collect();
     let b: Vec<u32> = (0..300).map(|i| 2 * i + 1).collect();
     let d = measure(&device, |d| {
@@ -188,7 +189,7 @@ fn traffic_is_pool_width_independent() {
     let input: Vec<u64> = (0..n as u64).collect();
     let mut reference: Option<(MetricsSnapshot, MetricsSnapshot)> = None;
     for threads in [1usize, 2, 8] {
-        let device = dev(ScanEngine::Lookback, threads);
+        let device = dev(threads);
         let scan = measure(&device, |d| {
             let _ = d.scan_exclusive(&input, 0u64, |a, b| a + b);
         });

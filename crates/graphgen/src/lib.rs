@@ -30,7 +30,5 @@ pub use ba::{ba_graph, ba_tree};
 pub use kronecker::kronecker_graph;
 pub use road::road_grid;
 pub use social::web_graph;
-pub use stats::{
-    degree_skew, diameter_estimate, diameter_probe, largest_connected_component, GraphStats,
-};
+pub use stats::{diameter_estimate, largest_connected_component, GraphStats};
 pub use trees::{average_depth, permute_labels, random_queries, random_tree};

@@ -103,62 +103,6 @@ fn bfs_farthest(csr: &Csr, start: NodeId) -> (NodeId, u32) {
     far
 }
 
-/// Capped BFS eccentricity search from `start`: expands at most `cap`
-/// levels and returns `(farthest node seen, its level)`. Visits only nodes
-/// within distance `cap`, so the probe stays cheap on huge-diameter graphs.
-fn bfs_farthest_capped(csr: &Csr, start: NodeId, cap: u32) -> (NodeId, u32) {
-    let n = csr.num_nodes();
-    let mut level = vec![u32::MAX; n];
-    level[start as usize] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    let mut far = (start, 0);
-    while let Some(u) = queue.pop_front() {
-        let l = level[u as usize];
-        if l > far.1 {
-            far = (u, l);
-        }
-        if l >= cap {
-            continue;
-        }
-        for &w in csr.neighbors(u) {
-            if level[w as usize] == u32::MAX {
-                level[w as usize] = l + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    far
-}
-
-/// Capped double-sweep diameter probe: a lower bound like
-/// [`diameter_estimate`], but each sweep stops after `cap` levels, so the
-/// result saturates at `cap`. The cheap shape statistic behind the adaptive
-/// spanning-forest selector — "is the diameter small?" is answerable
-/// without paying for a full BFS on road-network-scale diameters.
-pub fn diameter_probe(csr: &Csr, start: NodeId, cap: u32) -> u32 {
-    if csr.num_nodes() == 0 {
-        return 0;
-    }
-    let (u, d1) = bfs_farthest_capped(csr, start, cap);
-    if d1 >= cap {
-        return cap;
-    }
-    let (_, d2) = bfs_farthest_capped(csr, u, cap);
-    d1.max(d2)
-}
-
-/// Degree skew: maximum degree divided by average degree. `1.0` for regular
-/// graphs, large for power-law degree distributions, `0.0` for graphs
-/// without edges.
-pub fn degree_skew(csr: &Csr) -> f64 {
-    let avg = csr.avg_degree();
-    if avg == 0.0 {
-        return 0.0;
-    }
-    csr.max_degree() as f64 / avg
-}
-
 /// Double-sweep diameter estimate with `sweeps` refinement rounds.
 /// Exact on trees; a lower bound in general.
 pub fn diameter_estimate(csr: &Csr, sweeps: usize) -> u32 {
@@ -214,37 +158,6 @@ mod tests {
         let (lcc, mapping) = largest_connected_component(&g);
         assert_eq!(lcc.num_nodes(), 4);
         assert_eq!(mapping, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn diameter_probe_saturates_at_cap() {
-        let n = 500;
-        let g = EdgeList::new(n, (1..n as u32).map(|v| (v - 1, v)).collect());
-        let csr = Csr::from_edge_list(&g);
-        assert_eq!(diameter_probe(&csr, 0, 64), 64);
-        assert_eq!(diameter_probe(&csr, 0, 1000), n as u32 - 1);
-        assert_eq!(diameter_probe(&csr, 250, 64), 64);
-    }
-
-    #[test]
-    fn diameter_probe_exact_below_cap() {
-        let g = EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)]);
-        let csr = Csr::from_edge_list(&g);
-        assert_eq!(diameter_probe(&csr, 1, 64), 3);
-        let empty = Csr::from_edge_list(&EdgeList::empty(0));
-        assert_eq!(diameter_probe(&empty, 0, 64), 0);
-    }
-
-    #[test]
-    fn degree_skew_flat_vs_star() {
-        let cycle: Vec<(u32, u32)> = (0..8u32).map(|v| (v, (v + 1) % 8)).collect();
-        let csr = Csr::from_edge_list(&EdgeList::new(8, cycle));
-        assert!((degree_skew(&csr) - 1.0).abs() < 1e-9);
-        let star: Vec<(u32, u32)> = (1..9u32).map(|v| (0, v)).collect();
-        let csr = Csr::from_edge_list(&EdgeList::new(9, star));
-        assert!(degree_skew(&csr) > 4.0);
-        let empty = Csr::from_edge_list(&EdgeList::empty(3));
-        assert_eq!(degree_skew(&empty), 0.0);
     }
 
     #[test]

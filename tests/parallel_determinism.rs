@@ -19,7 +19,6 @@ fn device(threads: usize) -> Device {
         threads: Some(threads),
         block_size: 1024,
         seq_threshold: 256,
-        launch_overhead: None,
         pooling: true,
         ..Default::default()
     })

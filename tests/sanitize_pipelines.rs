@@ -6,7 +6,6 @@
 //! intentional race carries its `benign` annotation, every pooled buffer
 //! is initialized before it is read, no index ever leaves its region).
 
-use bridges::{bridges_hybrid_with, bridges_tv_with};
 use euler_meets_gpu::gpu_sim::SanitizeMode;
 use euler_meets_gpu::prelude::*;
 use euler_tour::ranking::Ranker;
@@ -46,13 +45,11 @@ fn bridges_all_backends_are_sanitizer_clean() {
     let csr = Csr::from_edge_list(&graph);
     assert_clean(&device, "csr construction");
 
-    for builder in bridges::forest::all_builders() {
-        let tv = bridges_tv_with(&device, &graph, &csr, builder.as_ref()).expect("tv");
-        assert_clean(&device, &format!("bridges_tv[{}]", builder.name()));
-        let hy = bridges_hybrid_with(&device, &graph, &csr, builder.as_ref()).expect("hybrid");
-        assert_clean(&device, &format!("bridges_hybrid[{}]", builder.name()));
-        assert_eq!(tv.is_bridge, hy.is_bridge, "backend {}", builder.name());
-    }
+    let tv = bridges_tv(&device, &graph, &csr).expect("tv");
+    assert_clean(&device, "bridges_tv");
+    let hy = bridges_hybrid(&device, &graph, &csr).expect("hybrid");
+    assert_clean(&device, "bridges_hybrid");
+    assert_eq!(tv.is_bridge, hy.is_bridge);
 
     bridges_ck_device(&device, &graph, &csr).expect("ck");
     assert_clean(&device, "bridges_ck_device");
