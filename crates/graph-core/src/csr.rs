@@ -12,6 +12,11 @@ use gpu_sim::Device;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Edges per virtual thread of the device placement launch: each thread
+/// claims the slots of all its tile's arcs before it stores any of them.
+/// DESIGN.md §7 records why 16 and not 1 or 128.
+const PLACE_TILE: usize = 16;
+
 /// CSR adjacency structure of an undirected graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
@@ -76,12 +81,21 @@ impl Csr {
     }
 
     /// Builds the CSR form of `edges` with the device's kernel launches —
-    /// a counting sort of the directed arcs by source node: per-source arc
-    /// counts (atomic histogram), offsets via [`Device::scan_exclusive`],
-    /// then a placement launch. Bit-identical to [`Csr::from_edge_list`]
-    /// (both sort each adjacency by `(neighbor, edge id)` at the end), but
-    /// every phase is a device primitive, so the construction shows up in
-    /// the device metrics and scales with the pool like any other kernel.
+    /// a counting sort of the directed arcs by source node:
+    ///
+    /// 1. per-source arc counts (an atomic histogram launch);
+    /// 2. offsets via [`Device::map_scan_exclusive_into`];
+    /// 3. placement: one virtual thread per tile of 16 edges claims all of
+    ///    its tile's slots with atomic per-node cursors, then stores each
+    ///    arc as one packed word `(neighbor << 32) | edge id`;
+    /// 4. a per-node sort of the packed words on the device's pool;
+    /// 5. two map launches that unpack the words into the neighbor and
+    ///    edge-id arrays.
+    ///
+    /// Bit-identical to [`Csr::from_edge_list`] (both order each adjacency
+    /// by `(neighbor, edge id)`), but every phase runs on the device, so
+    /// the construction shows up in the device metrics and scales with the
+    /// pool like any other kernel. DESIGN.md §7 explains the tiling.
     ///
     /// # Panics
     /// Panics if the graph has more than `u32::MAX / 2` edges.
@@ -126,10 +140,20 @@ impl Csr {
         drop(counts);
         debug_assert_eq!(total as usize, 2 * m);
 
-        // Phase 3: scatter each arc to its slot (counting-sort placement
-        // with atomic per-node cursors).
-        let mut neighbors = vec![0 as NodeId; 2 * m];
-        let mut edge_ids = vec![0 as EdgeId; 2 * m];
+        // The packed words are allocated last, as a plain heap buffer
+        // freed at return: an arena block would stay resident through the
+        // caller's pipeline and raise its peak memory (DESIGN.md §7).
+        let arcs = 2 * m;
+        let mut neighbors = vec![0 as NodeId; arcs];
+        let mut edge_ids = vec![0 as EdgeId; arcs];
+        let mut words = vec![0u64; arcs];
+        device.capture_fresh(&words[..]);
+
+        // Phase 3: place each arc's packed word in its slot. On x86 every
+        // fetch_add is a locked instruction that first drains the store
+        // buffer; claiming all of a tile's slots before storing lets the
+        // tile's scattered stores miss cache together, with one drain per
+        // tile instead of one per arc (DESIGN.md §7).
         {
             let _k = device.kernel_label("csr_place_arcs");
             // The arc pairs and offsets feed the closure, invisible to the
@@ -139,26 +163,74 @@ impl Csr {
             let cursors: Vec<AtomicU32> = offsets[..n].iter().map(|&o| AtomicU32::new(o)).collect();
             // fetch_add hands out unique slots within each node's
             // [offsets[v], offsets[v+1]) range, so each slot has one writer.
-            let nb_shared = device.shared(&mut neighbors);
-            let ei_shared = device.shared(&mut edge_ids);
-            device.for_each(m, |e| {
-                let (u, v) = pairs[e];
-                let pu = cursors[u as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                let pv = cursors[v as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                nb_shared.write(pu, v);
-                ei_shared.write(pu, e as EdgeId);
-                nb_shared.write(pv, u);
-                ei_shared.write(pv, e as EdgeId);
+            let slots_out = device.shared(&mut words);
+            device.for_each(m.div_ceil(PLACE_TILE), |t| {
+                let first = t * PLACE_TILE;
+                let tile = &pairs[first..usize::min(first + PLACE_TILE, m)];
+                let mut slots = [(0u32, 0u32); PLACE_TILE];
+                for (slot, &(u, v)) in slots.iter_mut().zip(tile) {
+                    *slot = (
+                        cursors[u as usize].fetch_add(1, Ordering::Relaxed),
+                        cursors[v as usize].fetch_add(1, Ordering::Relaxed),
+                    );
+                }
+                for (k, (&(pu, pv), &(u, v))) in slots.iter().zip(tile).enumerate() {
+                    let e = (first + k) as u64;
+                    slots_out.write(pu as usize, ((v as u64) << 32) | e);
+                    slots_out.write(pv as usize, ((u as u64) << 32) | e);
+                }
             });
         }
-        let mut csr = Self {
+
+        // Phase 4: sort every node's run of words on the device's pool. A
+        // word orders by (neighbor, edge id) and equal words are identical,
+        // so the unstable sort is deterministic. The runs are grouped into
+        // node-aligned pieces of about one grid chunk of arcs each.
+        let pieces = device.grid_blocks(arcs);
+        let mut groups = Vec::with_capacity(pieces);
+        let mut rest = &mut words[..];
+        let mut lo = 0;
+        for p in 1..=pieces {
+            let hi = if p == pieces {
+                n
+            } else {
+                let target = arcs * p / pieces;
+                offsets.partition_point(|&o| (o as usize) < target).max(lo)
+            };
+            let (group, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
+            groups.push((lo, hi, group));
+            rest = tail;
+            lo = hi;
+        }
+        device.run(|| {
+            groups.into_par_iter().for_each(|(lo, hi, group)| {
+                let base = offsets[lo];
+                for v in lo..hi {
+                    let run = (offsets[v] - base) as usize..(offsets[v + 1] - base) as usize;
+                    group[run].sort_unstable();
+                }
+            })
+        });
+
+        // Phase 5: unpack — neighbors from the high halves, edge ids from
+        // the low halves.
+        let words = &words[..];
+        {
+            let _k = device.kernel_label("csr_unpack_neighbors");
+            device.capture_read(words);
+            device.map(&mut neighbors, |i| (words[i] >> 32) as NodeId);
+        }
+        {
+            let _k = device.kernel_label("csr_unpack_edge_ids");
+            device.capture_read(words);
+            device.map(&mut edge_ids, |i| words[i] as EdgeId);
+        }
+        Self {
             offsets,
             neighbors,
             edge_ids,
             num_edges: m,
-        };
-        csr.sort_adjacency();
-        csr
+        }
     }
 
     /// Reassembles a CSR from its raw arrays (the shape `emgbin` caches
