@@ -253,8 +253,7 @@ impl DeviceArena {
                 ScratchGuard {
                     arena: self,
                     block: None,
-                    san: None,
-                    rec: None,
+                    planes: None,
                 },
                 false,
             ));
@@ -281,8 +280,7 @@ impl DeviceArena {
             ScratchGuard {
                 arena: self,
                 block: Some(block),
-                san: None,
-                rec: None,
+                planes: None,
             },
             reused,
         ))
@@ -330,13 +328,11 @@ impl Drop for DeviceArena {
 pub struct ScratchGuard<'a> {
     arena: &'a DeviceArena,
     block: Option<RawBlock>,
-    /// Set when the owning device runs initcheck: the block's shadow
-    /// bitmap is unregistered when the guard returns the block.
-    san: Option<&'a crate::sanitize::Sanitizer>,
-    /// Set when the owning device captures its launch graph: regions
-    /// backed by the block are retired when the guard returns it, so a
-    /// recycled block gets fresh region ids (pooling never aliases).
-    rec: Option<&'a crate::launch_graph::Recorder>,
+    /// The owning device, set when its sanitizer or capture is on:
+    /// returning the block unregisters its initcheck shadow and retires
+    /// the regions it backed, so a recycled block gets a fresh shadow and
+    /// fresh region ids (pooling never aliases).
+    planes: Option<&'a Device>,
 }
 
 // SAFETY: a guard exclusively owns its block; moving the guard moves that
@@ -386,11 +382,8 @@ impl<'a> ScratchGuard<'a> {
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
         if let Some(block) = self.block.take() {
-            if let Some(san) = self.san {
-                san.unregister_shadow(block.ptr.as_ptr() as usize);
-            }
-            if let Some(rec) = self.rec {
-                rec.arena_release(block.ptr.as_ptr() as usize);
+            if let Some(dev) = self.planes {
+                dev.planes_release(block.ptr.as_ptr() as usize);
             }
             self.arena.release(block);
         }
@@ -503,17 +496,8 @@ impl Device {
         }
         let (mut guard, reused) = self.arena_ref().try_acquire(bytes)?;
         self.metrics().record_arena(guard.capacity() as u64, reused);
-        if let Some(san) = self.sanitizer() {
-            if san.mode().initcheck() && guard.capacity() > 0 {
-                san.register_shadow(guard.base() as usize, guard.capacity());
-                guard.san = Some(san);
-            }
-        }
-        if let Some(rec) = self.recorder() {
-            if guard.capacity() > 0 {
-                rec.arena_acquire(guard.base() as usize, guard.capacity());
-                guard.rec = Some(rec);
-            }
+        if guard.capacity() > 0 && self.planes_acquire(guard.base() as usize, guard.capacity()) {
+            guard.planes = Some(self);
         }
         Ok(guard)
     }

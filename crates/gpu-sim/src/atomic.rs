@@ -15,12 +15,11 @@
 //!   [sanitizer](crate::sanitize) enabled every operation is
 //!   bounds-checked, recorded for racecheck, and initialization-checked;
 //!   [`AtomicViewU32::benign`] is the call-site whitelist for deliberate
-//!   hooking/last-writer races. With the sanitizer off the view is a
-//!   zero-shadow wrapper over the raw cast.
+//!   hooking/last-writer races. With the sanitizer and capture off the
+//!   view is a zero-shadow wrapper over the raw cast.
 
-use crate::device::Device;
-use crate::launch_graph::Cap;
-use crate::sanitize::{AccessKind, Track};
+use crate::device::{Device, Probe};
+use crate::sanitize::AccessKind;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Reinterprets an exclusive `u32` slice as a shared slice of atomics.
@@ -87,26 +86,16 @@ macro_rules! atomic_view {
         /// model this simulator targets).
         pub struct $name<'a> {
             cells: &'a [$cell],
-            track: Option<Track<'a>>,
-            cap: Option<Cap<'a>>,
+            probe: Option<Probe<'a>>,
         }
 
         impl<'a> $name<'a> {
-            pub(crate) fn new_tracked(
-                cells: &'a [$cell],
-                track: Option<Track<'a>>,
-                cap: Option<Cap<'a>>,
-            ) -> Self {
-                Self { cells, track, cap }
-            }
-
-            /// An untracked view (no sanitizer context), for host-side
-            /// code without a device at hand.
+            /// An untracked view (no plane probe), for host-side code
+            /// without a device at hand.
             pub fn untracked(slice: &'a mut [$elem]) -> Self {
                 Self {
                     cells: $ctor(slice),
-                    track: None,
-                    cap: None,
+                    probe: None,
                 }
             }
 
@@ -126,27 +115,19 @@ macro_rules! atomic_view {
             /// racecheck must not flag them. The reason documents the
             /// benignity argument at the call site.
             pub fn benign(mut self, reason: &'static str) -> Self {
-                if let Some(t) = &mut self.track {
-                    t.benign = Some(reason);
-                }
-                if let Some(c) = &mut self.cap {
-                    c.benign = true;
+                if let Some(p) = &mut self.probe {
+                    p.benign(reason);
                 }
                 self
             }
 
-            /// Per-operation sanitizer hook; returns `false` when the
-            /// access is out of bounds and must be skipped (non-fatal
-            /// memcheck).
+            /// Per-operation plane hook; returns `false` when the access
+            /// is out of bounds and must be skipped (non-fatal memcheck).
             #[inline]
             fn pre(&self, index: usize, kind: AccessKind) -> bool {
-                if let Some(c) = &self.cap {
-                    c.note(kind);
-                }
-                match &self.track {
-                    Some(t) => t.access(index, self.cells.len(), size_of::<$elem>(), kind),
-                    None => true,
-                }
+                self.probe
+                    .as_ref()
+                    .is_none_or(|p| p.access(index, self.cells.len(), size_of::<$elem>(), kind))
             }
 
             /// Atomic load of cell `index`.
@@ -239,9 +220,10 @@ macro_rules! atomic_view {
             /// [`crate::sanitize`]); the CUDA-style replacement for
             #[doc = concat!("[`", stringify!($ctor), "`] in kernel code.")]
             pub fn $cast<'a>(&'a self, slice: &'a mut [$elem]) -> $name<'a> {
-                let track = self.san_track_for(&*slice);
-                let cap = self.cap_ctx_for(&*slice);
-                $name::new_tracked($ctor(slice), track, cap)
+                $name {
+                    probe: self.probe(&*slice),
+                    cells: $ctor(slice),
+                }
             }
         }
     };

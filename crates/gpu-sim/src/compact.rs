@@ -41,8 +41,7 @@ impl Device {
         let out = {
             let _cap = self.cap_scope("compact");
             if n <= self.config().seq_threshold {
-                self.metrics().record_launch(n as u64);
-                self.cap_instant_launch(n as u64);
+                let _launch = self.launch(n);
                 let mut out = self.alloc_pooled::<u32>(n);
                 let mut len = 0usize;
                 for i in 0..n {
@@ -78,17 +77,19 @@ impl Device {
         let blocks = n.div_ceil(chunk);
 
         // Phase 1: count survivors per block.
-        self.metrics().record_launch(n as u64);
-        self.cap_instant_launch(n as u64);
-        self.metrics().record_traffic(4 * n as u64, 0);
-        let mut counts = self.alloc_pooled::<u32>(blocks);
-        self.run(|| {
-            counts.par_iter_mut().enumerate().for_each(|(b, count)| {
-                let start = b * chunk;
-                let end = usize::min(start + chunk, n);
-                *count = (start..end).filter(|&i| pred(i)).count() as u32;
+        let counts = {
+            let _launch = self.launch(n);
+            self.metrics().record_traffic(4 * n as u64, 0);
+            let mut counts = self.alloc_pooled::<u32>(blocks);
+            self.run(|| {
+                counts.par_iter_mut().enumerate().for_each(|(b, count)| {
+                    let start = b * chunk;
+                    let end = usize::min(start + chunk, n);
+                    *count = (start..end).filter(|&i| pred(i)).count() as u32;
+                });
             });
-        });
+            counts
+        };
 
         // Phase 2: block offsets (tiny, sequential).
         let mut offsets = self.alloc_pooled::<u32>(blocks);
@@ -112,8 +113,7 @@ impl Device {
     ) where
         F: Fn(usize) -> bool + Sync,
     {
-        self.metrics().record_launch(n as u64);
-        self.cap_instant_launch(n as u64);
+        let _launch = self.launch(n);
         self.metrics()
             .record_traffic(4 * n as u64, 4 * out.len() as u64);
         let shared = SharedSlice::new(out);

@@ -8,20 +8,27 @@
 //! block_size`]) which are the unit of scheduling on the worker pool —
 //! mirroring how thread blocks map onto streaming multiprocessors.
 //!
-//! Scheduling works like a grid draining over SMs: `Device::schedule_blocks`
-//! spawns one claimer task per pool worker, and each claimer repeatedly grabs
-//! the next unprocessed block index from an **atomic block-claim counter**
-//! until the grid is exhausted. Block decomposition depends only on
-//! [`DeviceConfig::block_size`], never on the worker count, so kernel output
-//! is bit-identical across pool widths (which block a worker claims varies;
-//! what gets computed for each index does not).
+//! Scheduling works like a grid draining over SMs: the grid core behind
+//! `for_each` and `map` spawns one claimer task per pool worker, and each
+//! claimer repeatedly grabs the next unprocessed block index from an
+//! **atomic block-claim counter** until the grid is exhausted. Block
+//! decomposition depends only on [`DeviceConfig::block_size`], never on the
+//! worker count, so kernel output is bit-identical across pool widths (which
+//! block a worker claims varies; what gets computed for each index does
+//! not).
 //!
-//! When [`DeviceConfig::sanitize`] is enabled the device additionally runs
-//! the checks of the [sanitizer plane](crate::sanitize): every launch
-//! records which virtual block touched which element through the tracked
-//! views ([`Device::shared`], [`Device::atomic_u32`]), and the launch
-//! barrier analyzes the log for out-of-bounds accesses, uninitialized
-//! reads, and unannotated cross-block races.
+//! Every launch — `for_each`, `map`, and the hand-scheduled phases of the
+//! scan, sort, compaction and reduce primitives — crosses one seam: an RAII
+//! launch guard opened by `Device::launch`. Opening it counts the launch in
+//! [`Metrics`], runs the [fault plane](crate::fault)'s hook before any other
+//! plane opens (so an injected panic unwinds past a clean device), then
+//! opens the [capture](crate::launch_graph) node and the
+//! [sanitizer](crate::sanitize) launch; dropping it closes both, also when a
+//! kernel panics. Tracked views ([`Device::shared`], [`Device::atomic_u32`])
+//! carry one plane probe that notes each access for capture and runs the
+//! sanitizer's memcheck / initcheck / racecheck hook against the virtual
+//! block the grid core tagged; the launch barrier analyzes the racecheck
+//! log for unannotated cross-block races.
 
 use crate::arena::{ArenaPod, DeviceArena};
 use crate::fault::{FaultConfig, FaultPause, FaultPlane};
@@ -29,6 +36,7 @@ use crate::launch_graph::{Cap, CaptureMode, LaunchGraph, Recorder, ACC_READ, ACC
 use crate::metrics::Metrics;
 use crate::sanitize::{AccessKind, Finding, SanitizeMode, Sanitizer, Track};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 /// Tuning knobs for a [`Device`].
@@ -177,14 +185,28 @@ impl Device {
         &self.arena
     }
 
-    /// Internal sanitizer access for the sibling modules.
-    pub(crate) fn sanitizer(&self) -> Option<&Sanitizer> {
-        self.san.as_deref()
+    /// Registers a freshly acquired arena block with the planes that track
+    /// blocks: the sanitizer's initcheck shadow and capture's region
+    /// retirement. Returns whether a plane is on, i.e. whether the block's
+    /// release must be reported through [`Device::planes_release`].
+    pub(crate) fn planes_acquire(&self, base: usize, bytes: usize) -> bool {
+        if let Some(san) = &self.san {
+            san.register_shadow(base, bytes);
+        }
+        if let Some(rec) = &self.rec {
+            rec.arena_acquire(base, bytes);
+        }
+        self.san.is_some() || self.rec.is_some()
     }
 
-    /// Internal recorder access for the sibling modules.
-    pub(crate) fn recorder(&self) -> Option<&Recorder> {
-        self.rec.as_deref()
+    /// The release half of [`Device::planes_acquire`].
+    pub(crate) fn planes_release(&self, base: usize) {
+        if let Some(san) = &self.san {
+            san.unregister_shadow(base);
+        }
+        if let Some(rec) = &self.rec {
+            rec.arena_release(base);
+        }
     }
 
     /// The device configuration.
@@ -245,8 +267,8 @@ impl Device {
     /// Host reads keep live-out results from looking like dead writes.
     /// No-op with capture off.
     pub fn capture_host_read<T>(&self, slice: &[T]) {
-        if let Some(c) = self.cap_ctx_for(slice) {
-            c.note(AccessKind::Read);
+        if let Some(rec) = &self.rec {
+            rec.note(rec.region_for(slice), ACC_READ);
         }
     }
 
@@ -322,38 +344,13 @@ impl Device {
         CaptureScope { rec }
     }
 
-    /// Records a launch that has no per-element capture phase (the manual
-    /// `record_launch` sites inside primitives).
-    pub(crate) fn cap_instant_launch(&self, work: u64) {
-        if let Some(rec) = &self.rec {
-            rec.instant_launch(work);
-        }
-    }
-
-    /// Opens a launch node around a hand-scheduled kernel (the two-pass
-    /// scan phases) so tracked-view accesses inside it attribute to
-    /// the launch; close with [`Device::cap_end_launch`].
-    pub(crate) fn cap_begin_launch(&self, work: u64) -> Option<usize> {
-        self.rec.as_deref().map(|r| r.begin_launch(work))
-    }
-
-    pub(crate) fn cap_end_launch(&self, launch: Option<usize>) {
-        if let (Some(rec), Some(id)) = (self.rec.as_deref(), launch) {
-            rec.end_launch(id);
-        }
-    }
-
-    /// Declares an access for the next launch unless a primitive scope is
-    /// already open (see [`crate::launch_graph::Recorder::declare_unscoped`]).
-    pub(crate) fn cap_auto_declare<T>(&self, slice: &[T], mask: u8) {
-        if let Some(rec) = &self.rec {
-            rec.declare_unscoped(
-                slice.as_ptr() as usize,
-                slice.len(),
-                size_of::<T>(),
-                std::any::type_name::<T>(),
-                mask,
-            );
+    /// Opens an unlabeled scope for a bare launch's own declarations —
+    /// unless a primitive scope is already open, whose declarations the
+    /// launch then inherits instead (a primitive's intermediates stay out
+    /// of the graph).
+    fn cap_bare_scope(&self) -> CaptureScope<'_> {
+        CaptureScope {
+            rec: self.rec.as_deref().filter(|r| r.push_bare_scope()),
         }
     }
 
@@ -369,23 +366,6 @@ impl Device {
                 ACC_WRITE,
             );
         }
-    }
-
-    /// Builds the capture context for a view over `slice`, when capture
-    /// is on.
-    pub(crate) fn cap_ctx_for<T>(&self, slice: &[T]) -> Option<Cap<'_>> {
-        let rec = self.rec.as_deref()?;
-        let region = rec.region_for(
-            slice.as_ptr() as usize,
-            slice.len(),
-            size_of::<T>(),
-            std::any::type_name::<T>(),
-        );
-        Some(Cap {
-            rec,
-            region,
-            benign: false,
-        })
     }
 
     /// Pushes a kernel label for subsequent launches; the label is attached
@@ -405,10 +385,7 @@ impl Device {
         if let Some(rec) = &self.rec {
             rec.push_label(label);
         }
-        KernelLabel {
-            san: self.san.as_deref(),
-            rec: self.rec.as_deref(),
-        }
+        KernelLabel { dev: self }
     }
 
     /// Number of physical worker threads backing the device.
@@ -443,16 +420,24 @@ impl Device {
         }
     }
 
-    /// The fault plane's launch hook ([`crate::fault`]): spends any
-    /// injected delay and panics if the seeded schedule faults this
-    /// launch. Runs on the calling thread *before* any sanitizer/capture
-    /// launch state opens, so an injected panic unwinds without leaving
-    /// those planes unbalanced and a `catch_unwind` upstream observes a
-    /// clean device.
-    #[inline]
-    fn fault_launch(&self) {
+    /// Opens one kernel launch of `work` virtual threads — the seam every
+    /// launch crosses, kernel or hand-scheduled primitive phase alike. In
+    /// order: counts the launch in [`Metrics`]; runs the fault plane's
+    /// hook ([`crate::fault`]), which spends any injected delay and may
+    /// panic, *before* any other plane opens, so an injected panic unwinds
+    /// past a clean device; then opens the capture node and the sanitizer
+    /// launch. The returned guard closes both when it drops.
+    pub(crate) fn launch(&self, work: usize) -> LaunchGuard<'_> {
+        self.metrics.record_launch(work as u64);
         if let Some(flt) = &self.flt {
             flt.on_launch(&self.metrics);
+        }
+        if let Some(rec) = &self.rec {
+            rec.begin_launch(work as u64);
+        }
+        LaunchGuard {
+            dev: self,
+            san: self.san.as_deref().map(|san| (san, san.begin_launch())),
         }
     }
 
@@ -497,49 +482,51 @@ impl Device {
         }
     }
 
-    /// Schedules a grid of `blocks` blocks onto the worker pool via an
-    /// atomic block-claim counter: one claimer task per worker, each
-    /// repeatedly claiming the next block index until the grid drains.
-    /// Returns only when every block ran (the launch barrier). Inline on
-    /// the calling thread when the pool has one worker or the grid one
-    /// block.
-    pub(crate) fn schedule_blocks<F>(&self, blocks: usize, run_block: F)
+    /// The one grid core behind [`Device::for_each`] and [`Device::map`]:
+    /// opens a launch of `n` virtual threads and runs `block` over the
+    /// index range of every virtual block. Grids up to
+    /// [`DeviceConfig::seq_threshold`] (or of one block, or on a
+    /// one-worker pool) run inline on the calling thread; larger ones
+    /// drain over the pool through an atomic block-claim counter, one
+    /// claimer task per worker. Either way each block first tags its
+    /// thread with its *virtual* block, so sanitizer attribution is the
+    /// same on every path and at every pool width. Returns once every
+    /// block ran (the launch barrier).
+    fn grid<F>(&self, n: usize, block: F)
     where
-        F: Fn(usize) + Sync,
+        F: Fn(Range<usize>) + Sync,
     {
-        if blocks == 0 {
-            return;
-        }
-        let workers = self.worker_threads().max(1);
-        if workers == 1 || blocks == 1 {
-            for b in 0..blocks {
-                run_block(b);
-            }
+        let launch = self.launch(n);
+        let bs = self.cfg.block_size;
+        let blocks = n.div_ceil(bs);
+        let run_block = |b: usize| {
+            launch.set_block(b);
+            block(b * bs..usize::min(b * bs + bs, n));
+        };
+        let workers = if n <= self.cfg.seq_threshold {
+            1
+        } else {
+            self.worker_threads()
+        };
+        if workers <= 1 || blocks <= 1 {
+            (0..blocks).for_each(run_block);
             return;
         }
         let next = AtomicUsize::new(0);
-        let claimers = usize::min(workers, blocks);
-        fn claim_loop<F: Fn(usize)>(next: &AtomicUsize, blocks: usize, run_block: &F) {
-            loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= blocks {
-                    return;
-                }
-                run_block(b);
+        let claim = || loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= blocks {
+                return;
             }
-        }
-        match &self.pool {
-            Some(pool) => pool.scope(|s| {
-                for _ in 0..claimers {
-                    s.spawn(|_| claim_loop(&next, blocks, &run_block));
+            run_block(b);
+        };
+        self.run(|| {
+            rayon::scope(|s| {
+                for _ in 0..usize::min(workers, blocks) {
+                    s.spawn(|_| claim());
                 }
-            }),
-            None => rayon::scope(|s| {
-                for _ in 0..claimers {
-                    s.spawn(|_| claim_loop(&next, blocks, &run_block));
-                }
-            }),
-        }
+            })
+        });
     }
 
     /// Launches a side-effect kernel over `n` virtual threads.
@@ -552,53 +539,13 @@ impl Device {
     where
         F: Fn(usize) + Sync,
     {
-        self.metrics.record_launch(n as u64);
-        self.fault_launch();
-        let cap = self.cap_begin_launch(n as u64);
-        if n == 0 {
-            self.cap_end_launch(cap);
-            return;
-        }
-        let bs = self.cfg.block_size;
-        let launch = self.san.as_deref().map(|s| (s, s.begin_launch()));
-        if n <= self.cfg.seq_threshold {
-            match launch {
-                None => {
-                    for i in 0..n {
-                        f(i);
-                    }
-                }
-                Some((san, id)) => {
-                    // Attribution uses the *virtual* block even on the
-                    // inline path, so racecheck findings are identical to
-                    // a parallel run of the same grid.
-                    for i in 0..n {
-                        if i % bs == 0 {
-                            san.set_block(id, (i / bs) as u32);
-                        }
-                        f(i);
-                    }
-                    san.end_launch(id, &self.metrics);
-                }
-            }
-            self.cap_end_launch(cap);
-            return;
-        }
-        let blocks = n.div_ceil(bs);
-        self.schedule_blocks(blocks, |b| {
-            if let Some((san, id)) = launch {
-                san.set_block(id, b as u32);
-            }
-            let start = b * bs;
-            let end = usize::min(start + bs, n);
-            for i in start..end {
+        // A plain loop: with `range.for_each(&f)` instead, the tour
+        // statistics (`TreeStats::compute`) measured ~30% slower.
+        self.grid(n, |range| {
+            for i in range {
                 f(i);
             }
         });
-        if let Some((san, id)) = launch {
-            san.end_launch(id, &self.metrics);
-        }
-        self.cap_end_launch(cap);
     }
 
     /// Launches a map kernel: `out[i] = f(i)` for every element of `out`.
@@ -607,63 +554,21 @@ impl Device {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let n = out.len();
-        self.metrics.record_launch(n as u64);
-        self.fault_launch();
-        // A bare map is a data-plane write to `out`; a map issued inside
-        // an open primitive scope inherits the primitive's declarations
-        // instead (its intermediates stay out of the graph).
-        self.cap_auto_declare(&*out, ACC_WRITE);
-        let cap = self.cap_begin_launch(n as u64);
-        if n == 0 {
-            self.cap_end_launch(cap);
-            return;
-        }
-        let bs = self.cfg.block_size;
-        let launch = self.san.as_deref().map(|s| (s, s.begin_launch()));
-        if n <= self.cfg.seq_threshold {
-            match launch {
-                None => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = f(i);
-                    }
-                }
-                Some((san, id)) => {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        if i % bs == 0 {
-                            san.set_block(id, (i / bs) as u32);
-                        }
-                        *slot = f(i);
-                    }
-                    san.end_launch(id, &self.metrics);
-                    self.san_mark_written(out);
-                }
-            }
-            self.cap_end_launch(cap);
-            return;
-        }
-        let blocks = n.div_ceil(bs);
+        // A bare map is a data-plane write to `out`.
+        let _cap = self.cap_bare_scope().write(&*out);
         let shared = SharedSlice::new(out);
-        self.schedule_blocks(blocks, |b| {
-            if let Some((san, id)) = launch {
-                san.set_block(id, b as u32);
-            }
-            let start = b * bs;
-            let end = usize::min(start + bs, n);
+        self.grid(shared.len(), |range| {
             // SAFETY: blocks own disjoint index ranges, so carving one
             // exclusive sub-slice per block upholds the SharedSlice
             // contract; assigning through `&mut` (rather than raw writes)
             // preserves drop semantics of the overwritten values.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut(shared.as_ptr().add(start), end - start) };
+            let chunk = unsafe {
+                std::slice::from_raw_parts_mut(shared.as_ptr().add(range.start), range.len())
+            };
             for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = f(start + j);
+                *slot = f(range.start + j);
             }
         });
-        if let Some((san, id)) = launch {
-            san.end_launch(id, &self.metrics);
-        }
-        self.cap_end_launch(cap);
         self.san_mark_written(out);
     }
 
@@ -705,9 +610,9 @@ impl Device {
         }
     }
 
-    /// Builds the tracking context for a view over `slice`, when the
+    /// Builds the sanitizer's tracking context for `slice`, when the
     /// sanitizer is on.
-    pub(crate) fn san_track_for<T>(&self, slice: &[T]) -> Option<Track<'_>> {
+    fn san_track_for<T>(&self, slice: &[T]) -> Option<Track<'_>> {
         let san = self.san.as_deref()?;
         let bytes = std::mem::size_of_val(slice);
         let desc = format!(
@@ -729,19 +634,34 @@ impl Device {
         })
     }
 
+    /// Builds the plane probe a tracked view over `slice` carries: `None`
+    /// with the sanitizer and capture both off, so an access then costs
+    /// one branch.
+    pub(crate) fn probe<T>(&self, slice: &[T]) -> Option<Probe<'_>> {
+        if self.san.is_none() && self.rec.is_none() {
+            return None;
+        }
+        Some(Probe {
+            track: self.san_track_for(slice),
+            cap: self.rec.as_deref().map(|rec| Cap {
+                rec,
+                region: rec.region_for(slice),
+                benign: false,
+            }),
+        })
+    }
+
     /// Wraps an exclusive slice in a **tracked** [`SharedSlice`]: with the
     /// sanitizer on, every [`SharedSlice::read`]/[`SharedSlice::write`]
     /// through the view is bounds-checked, race-recorded, and
-    /// initialization-checked. With the sanitizer off this is
-    /// [`SharedSlice::new`] (a branch per access and nothing else).
+    /// initialization-checked; with capture on, it is noted against the
+    /// running launch. With both off this is [`SharedSlice::new`] (a
+    /// branch per access and nothing else).
     pub fn shared<'a, T: ArenaPod>(&'a self, slice: &'a mut [T]) -> SharedSlice<'a, T> {
-        let track = self.san_track_for(slice);
-        let cap = self.cap_ctx_for(slice);
         SharedSlice {
+            probe: self.probe(slice),
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
-            track,
-            cap,
             _marker: PhantomData,
         }
     }
@@ -916,17 +836,88 @@ impl Drop for CaptureScope<'_> {
 
 /// RAII guard for a kernel label pushed via [`Device::kernel_label`].
 pub struct KernelLabel<'a> {
-    san: Option<&'a Sanitizer>,
-    rec: Option<&'a Recorder>,
+    dev: &'a Device,
 }
 
 impl Drop for KernelLabel<'_> {
     fn drop(&mut self) {
-        if let Some(san) = self.san {
+        if let Some(san) = &self.dev.san {
             san.pop_label();
         }
-        if let Some(rec) = self.rec {
+        if let Some(rec) = &self.dev.rec {
             rec.pop_label();
+        }
+    }
+}
+
+/// RAII guard over one open kernel launch, from `Device::launch`.
+pub(crate) struct LaunchGuard<'a> {
+    dev: &'a Device,
+    /// The sanitizer and this launch's id in it, when the sanitizer is on.
+    san: Option<(&'a Sanitizer, u64)>,
+}
+
+impl LaunchGuard<'_> {
+    /// Tags the calling thread as running virtual `block` of this launch.
+    #[inline]
+    fn set_block(&self, block: usize) {
+        if let Some((san, id)) = self.san {
+            san.set_block(id, block as u32);
+        }
+    }
+}
+
+impl Drop for LaunchGuard<'_> {
+    /// The launch barrier: closes the capture node, then the sanitizer
+    /// launch. A launch unwinding from a panic inside its kernel has a
+    /// partial racecheck log, so the log is discarded instead of analyzed
+    /// (a fatal finding would otherwise panic again mid-unwind); either
+    /// way later accesses attribute to `host`, not to the dead launch.
+    fn drop(&mut self) {
+        if let Some(rec) = &self.dev.rec {
+            rec.end_launch();
+        }
+        if let Some((san, id)) = self.san {
+            san.end_launch(id, &self.dev.metrics, !std::thread::panicking());
+        }
+    }
+}
+
+/// The plane probe a tracked view carries (see [`Device::shared`]): the
+/// sanitizer's tracking context and the capture's, built together by
+/// `Device::probe` when either plane is on.
+pub(crate) struct Probe<'a> {
+    track: Option<Track<'a>>,
+    cap: Option<Cap<'a>>,
+}
+
+impl Probe<'_> {
+    /// Notes one access for capture and runs the sanitizer's per-access
+    /// hook. Returns `false` when a non-fatal memcheck found `index` out
+    /// of bounds and the access must be skipped.
+    #[inline]
+    pub(crate) fn access(
+        &self,
+        index: usize,
+        len: usize,
+        elem_bytes: usize,
+        kind: AccessKind,
+    ) -> bool {
+        if let Some(c) = &self.cap {
+            c.note(kind);
+        }
+        self.track
+            .as_ref()
+            .is_none_or(|t| t.access(index, len, elem_bytes, kind))
+    }
+
+    /// Marks the view's races as benign for both planes.
+    pub(crate) fn benign(&mut self, reason: &'static str) {
+        if let Some(t) = &mut self.track {
+            t.benign = Some(reason);
+        }
+        if let Some(c) = &mut self.cap {
+            c.benign = true;
         }
     }
 }
@@ -947,15 +938,14 @@ impl Drop for KernelLabel<'_> {
 pub struct SharedSlice<'a, T> {
     ptr: *mut T,
     len: usize,
-    track: Option<Track<'a>>,
-    cap: Option<Cap<'a>>,
+    probe: Option<Probe<'a>>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
 // SAFETY: the whole point — many threads hold &SharedSlice and write
 // disjoint (or atomically-accessed) cells. T: Send suffices because each
-// cell value is only produced/consumed by one thread at a time; the Track
-// context is internally synchronized.
+// cell value is only produced/consumed by one thread at a time; the plane
+// probe's sanitizer and capture contexts are internally synchronized.
 unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 // SAFETY: as above; moving the view moves no data.
 unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
@@ -967,8 +957,7 @@ impl<'a, T> SharedSlice<'a, T> {
         Self {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
-            track: None,
-            cap: None,
+            probe: None,
             _marker: PhantomData,
         }
     }
@@ -998,11 +987,8 @@ impl<'a, T> SharedSlice<'a, T> {
     /// elections) and the racecheck must not flag them. The reason string
     /// documents the argument at the call site.
     pub fn benign(mut self, reason: &'static str) -> Self {
-        if let Some(t) = &mut self.track {
-            t.benign = Some(reason);
-        }
-        if let Some(c) = &mut self.cap {
-            c.benign = true;
+        if let Some(p) = &mut self.probe {
+            p.benign(reason);
         }
         self
     }
@@ -1057,20 +1043,16 @@ impl<T: ArenaPod> SharedSlice<'_, T> {
                 "SharedSlice::write requires an unpadded element type"
             );
         }
-        if let Some(c) = &self.cap {
-            c.note(AccessKind::Write);
-        }
-        if let Some(t) = &self.track {
-            if !t.access(index, self.len, size_of::<T>(), AccessKind::Write) {
+        if let Some(p) = &self.probe {
+            if !p.access(index, self.len, size_of::<T>(), AccessKind::Write) {
                 return;
             }
-        } else {
-            assert!(
-                index < self.len,
-                "SharedSlice write out of bounds: index {index}, len {}",
-                self.len
-            );
         }
+        assert!(
+            index < self.len,
+            "SharedSlice write out of bounds: index {index}, len {}",
+            self.len
+        );
         // SAFETY: `index < len` was checked above.
         unsafe { chunk_store(self.ptr.add(index), value) };
     }
@@ -1091,22 +1073,18 @@ impl<T: ArenaPod> SharedSlice<'_, T> {
                 "SharedSlice::read requires an unpadded element type"
             );
         }
-        if let Some(c) = &self.cap {
-            c.note(AccessKind::Read);
-        }
-        if let Some(t) = &self.track {
-            if !t.access(index, self.len, size_of::<T>(), AccessKind::Read) {
+        if let Some(p) = &self.probe {
+            if !p.access(index, self.len, size_of::<T>(), AccessKind::Read) {
                 // SAFETY: ArenaPod admits every initialized bit pattern,
                 // including all-zeroes.
                 return unsafe { std::mem::zeroed() };
             }
-        } else {
-            assert!(
-                index < self.len,
-                "SharedSlice read out of bounds: index {index}, len {}",
-                self.len
-            );
         }
+        assert!(
+            index < self.len,
+            "SharedSlice read out of bounds: index {index}, len {}",
+            self.len
+        );
         // SAFETY: `index < len` was checked above.
         unsafe { chunk_load(self.ptr.add(index)) }
     }

@@ -492,5 +492,34 @@ mod tests {
             start.elapsed() >= Duration::from_millis(6),
             "20 launches at 300us injected delay must cost at least 6ms"
         );
+        // Every counted launch is delayed: kernels and the hand-scheduled
+        // phases of the primitives alike.
+        let n = 200_000;
+        let keys: Vec<u32> = (0..n as u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let (mut out, mut sorted) = (vec![0u32; n], keys.clone());
+        let check = |what: &str, op: &mut dyn FnMut()| {
+            let before = device.metrics().snapshot();
+            op();
+            let d = device.metrics().snapshot().since(&before);
+            assert!(d.kernel_launches > 0, "{what} launched nothing");
+            assert_eq!(d.faults_injected, d.kernel_launches, "{what}");
+        };
+        check("for_each", &mut || device.for_each(n, |_| {}));
+        check("map", &mut || device.map(&mut out, |i| i as u32));
+        check("inline scan", &mut || {
+            device.scan_exclusive(&keys[..16], 0, u32::wrapping_add);
+        });
+        check("two-pass scan", &mut || {
+            device.scan_exclusive(&keys, 0, u32::wrapping_add);
+        });
+        check("reduce", &mut || {
+            device.reduce(&keys, 0, u32::max);
+        });
+        check("radix sort", &mut || device.sort_u32(&mut sorted));
+        check("compaction", &mut || {
+            device.compact_indices(n, |i| keys[i].is_multiple_of(3));
+        });
     }
 }

@@ -263,6 +263,18 @@ impl Recorder {
         });
     }
 
+    /// Opens an unlabeled scope for a bare launch's own declarations
+    /// **unless** a scope is already open (so bare maps record their
+    /// output but primitive-internal maps stay silent). Returns whether
+    /// a scope was pushed.
+    pub(crate) fn push_bare_scope(&self) -> bool {
+        let bare = self.state.lock().scopes.is_empty();
+        if bare {
+            self.push_scope("");
+        }
+        bare
+    }
+
     pub(crate) fn pop_scope(&self) {
         self.state.lock().scopes.pop();
     }
@@ -296,25 +308,6 @@ impl Recorder {
             // No scope open: treat as a next-launch annotation.
             None => st.pending_next.push((region, mask)),
         }
-    }
-
-    /// Declares an access for the next launch **unless** a primitive
-    /// scope is open (used by `map` so bare maps record their output but
-    /// primitive-internal maps stay silent).
-    pub(crate) fn declare_unscoped(
-        &self,
-        base: usize,
-        len: usize,
-        elem_bytes: usize,
-        ty: &'static str,
-        mask: u8,
-    ) {
-        let mut st = self.state.lock();
-        if !st.scopes.is_empty() {
-            return;
-        }
-        let region = Self::region_for_locked(&mut st, base, len, elem_bytes, ty);
-        st.pending_next.push((region, mask));
     }
 
     /// Attributes an access to the most recently recorded node — for
@@ -416,14 +409,15 @@ impl Recorder {
         Self::region_for_locked(&mut st, base, len, elem_bytes, ty);
     }
 
-    pub(crate) fn region_for(
-        &self,
-        base: usize,
-        len: usize,
-        elem_bytes: usize,
-        ty: &'static str,
-    ) -> u32 {
-        Self::region_for_locked(&mut self.state.lock(), base, len, elem_bytes, ty)
+    /// Live region id of the buffer `slice` (registered on first sight).
+    pub(crate) fn region_for<T>(&self, slice: &[T]) -> u32 {
+        Self::region_for_locked(
+            &mut self.state.lock(),
+            slice.as_ptr() as usize,
+            slice.len(),
+            size_of::<T>(),
+            std::any::type_name::<T>(),
+        )
     }
 
     /// Arena block handed out: any region still mapped inside it belongs
@@ -461,8 +455,9 @@ impl Recorder {
 
     /// Opens a launch node: label from the kernel-label stack plus open
     /// scope labels, accesses seeded from scope declarations and pending
-    /// annotations. Returns the node index for [`Recorder::end_launch`].
-    pub(crate) fn begin_launch(&self, work: u64) -> usize {
+    /// annotations. Tracked-view accesses attribute to it until
+    /// [`Recorder::end_launch`].
+    pub(crate) fn begin_launch(&self, work: u64) {
         let mut st = self.state.lock();
         let mut parts: Vec<&str> = st.labels.iter().map(String::as_str).collect();
         parts.extend(st.scopes.iter().filter_map(|s| s.label.as_deref()));
@@ -493,19 +488,10 @@ impl Recorder {
             accesses,
         });
         self.current.store(idx, Ordering::Release);
-        idx
     }
 
-    pub(crate) fn end_launch(&self, _idx: usize) {
+    pub(crate) fn end_launch(&self) {
         self.current.store(NO_LAUNCH, Ordering::Release);
-    }
-
-    /// Records a launch with no per-element phase of its own (the manual
-    /// `record_launch` sites inside primitives): one node, opened and
-    /// closed immediately, carrying the declared scope accesses.
-    pub(crate) fn instant_launch(&self, work: u64) {
-        let idx = self.begin_launch(work);
-        self.end_launch(idx);
     }
 
     // ---- per-access notes ----------------------------------------------
@@ -1087,22 +1073,12 @@ fn json_str(s: &str) -> String {
 
 // ---- view-side capture context ------------------------------------------
 
-/// Per-view capture context attached to [`crate::SharedSlice`] and the
-/// atomic views by the `Device` constructors when capture is on.
+/// Per-view capture context: the capture half of the plane probe a
+/// tracked view ([`crate::SharedSlice`], the atomic views) carries.
 pub(crate) struct Cap<'a> {
     pub(crate) rec: &'a Recorder,
     pub(crate) region: u32,
     pub(crate) benign: bool,
-}
-
-impl Clone for Cap<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            rec: self.rec,
-            region: self.region,
-            benign: self.benign,
-        }
-    }
 }
 
 impl Cap<'_> {

@@ -59,6 +59,14 @@
 //! testable and every chaos run replays from its seed. All `EMG_*` knobs
 //! share one parsing contract, registered in [`mod@env`].
 //!
+//! The three planes meet the device at one seam ([`device`]): every
+//! launch — [`Device::for_each`], [`Device::map`], and the hand-scheduled
+//! phases of the scan, sort, compaction and reduce primitives — opens one
+//! RAII launch guard, which counts it in [`metrics`], runs the fault hook
+//! first, opens the capture node and the sanitizer launch, and closes both
+//! when it drops, also when a kernel panics. On the access side, each
+//! tracked view carries one probe for the capture and sanitizer planes.
+//!
 //! [moderngpu]: https://github.com/moderngpu/moderngpu
 //! [`SharedSlice::benign`]: device::SharedSlice::benign
 

@@ -23,11 +23,8 @@ impl Device {
         F: Fn(T, T) -> T + Sync,
     {
         self.metrics().record_primitive();
-        self.metrics().record_launch(n as u64);
-        {
-            let _cap = self.cap_scope("reduce");
-            self.cap_instant_launch(n as u64);
-        }
+        let _cap = self.cap_scope("reduce");
+        let _launch = self.launch(n);
         self.metrics()
             .record_traffic((n * size_of::<T>()) as u64, 0);
         if n <= self.config().seq_threshold {

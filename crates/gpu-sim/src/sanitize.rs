@@ -284,8 +284,9 @@ thread_local! {
     static TL_BLOCK: std::cell::Cell<(u64, u32)> = const { std::cell::Cell::new((0, HOST_BLOCK)) };
 }
 
-/// Per-view tracking context attached to [`crate::SharedSlice`] and the
-/// atomic views by [`crate::Device::shared`] / [`crate::Device::atomic_u32`].
+/// Per-view tracking context: the sanitizer half of the plane probe a
+/// tracked view ([`crate::Device::shared`], [`crate::Device::atomic_u32`])
+/// carries; `scatter` tracks its targets with one directly.
 pub(crate) struct Track<'a> {
     pub(crate) san: &'a Sanitizer,
     pub(crate) metrics: &'a Metrics,
@@ -296,18 +297,6 @@ pub(crate) struct Track<'a> {
     pub(crate) shadow: Option<(Arc<ShadowRegion>, usize)>,
     /// Call-site benign-race annotation (the whitelist reason).
     pub(crate) benign: Option<&'static str>,
-}
-
-impl Clone for Track<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            san: self.san,
-            metrics: self.metrics,
-            region: self.region,
-            shadow: self.shadow.clone(),
-            benign: self.benign,
-        }
-    }
 }
 
 impl Track<'_> {
@@ -432,9 +421,11 @@ impl Sanitizer {
         TL_BLOCK.set((launch, block));
     }
 
-    /// The launch barrier: drains this launch's access log and flags
-    /// unannotated cross-block conflicts.
-    pub(crate) fn end_launch(&self, launch: u64, metrics: &Metrics) {
+    /// The launch barrier: retires the launch, drains its access log and,
+    /// when `analyze` holds, flags unannotated cross-block conflicts. A
+    /// launch unwinding from a panic passes `false`: its log is partial
+    /// and is discarded.
+    pub(crate) fn end_launch(&self, launch: u64, metrics: &Metrics, analyze: bool) {
         let label = {
             let mut active = self.active.lock();
             let pos = active.iter().position(|(id, _)| *id == launch);
@@ -463,6 +454,9 @@ impl Sanitizer {
                     true
                 }
             });
+        }
+        if !analyze {
+            return;
         }
         for ((region, index), accesses) in by_elem {
             let mut blocks_seen: Vec<u32> = Vec::new();

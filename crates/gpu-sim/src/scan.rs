@@ -174,8 +174,7 @@ impl Device {
             // per generator evaluation (once here) and one write per
             // element, in a single launch.
             let bytes = (n * size_of::<T>()) as u64;
-            self.metrics().record_launch(n as u64);
-            self.cap_instant_launch(n as u64);
+            let _launch = self.launch(n);
             self.metrics().record_traffic(bytes, bytes);
             let mut acc = identity;
             for (i, slot) in out.iter_mut().enumerate() {
@@ -224,24 +223,24 @@ impl Device {
         let bytes = (n * size_of::<T>()) as u64;
 
         // Phase 1 (parallel): reduce each block — the first input read.
-        self.metrics().record_launch(n as u64);
-        let cap1 = self.cap_begin_launch(n as u64);
-        self.metrics().record_traffic(bytes, 0);
-        self.run(|| {
-            block_sums[..blocks]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(b, sum)| {
-                    let start = b * chunk;
-                    let end = usize::min(start + chunk, n);
-                    let mut acc = identity;
-                    for i in start..end {
-                        acc = op(acc, gen(i));
-                    }
-                    *sum = acc;
-                });
-        });
-        self.cap_end_launch(cap1);
+        {
+            let _launch = self.launch(n);
+            self.metrics().record_traffic(bytes, 0);
+            self.run(|| {
+                block_sums[..blocks]
+                    .par_iter_mut()
+                    .enumerate()
+                    .for_each(|(b, sum)| {
+                        let start = b * chunk;
+                        let end = usize::min(start + chunk, n);
+                        let mut acc = identity;
+                        for i in start..end {
+                            acc = op(acc, gen(i));
+                        }
+                        *sum = acc;
+                    });
+            });
+        }
 
         // Phase 2 (host, tiny): exclusive scan of the block sums.
         let mut acc = identity;
@@ -253,8 +252,7 @@ impl Device {
 
         // Phase 3 (parallel): downsweep each block from its offset — the
         // second input read and the output write.
-        self.metrics().record_launch(n as u64);
-        let cap3 = self.cap_begin_launch(n as u64);
+        let _launch = self.launch(n);
         self.metrics().record_traffic(bytes, bytes);
         let block_offsets = &block_offsets[..blocks];
         self.run(|| {
@@ -275,7 +273,6 @@ impl Device {
                     }
                 });
         });
-        self.cap_end_launch(cap3);
         self.san_mark_written(out);
         total
     }

@@ -83,11 +83,8 @@ impl Device {
             // Same taxonomy as the parallel path: a launch that reads and
             // rewrites every key, even when n is too small to permute.
             let bytes = 4 * n as u64;
-            self.metrics().record_launch(n as u64);
-            {
-                let _cap = self.cap_scope("sort").read(keys).write(keys);
-                self.cap_instant_launch(n as u64);
-            }
+            let _cap = self.cap_scope("sort").read(keys).write(keys);
+            let _launch = self.launch(n);
             self.metrics().record_traffic(bytes, bytes);
             keys.sort_unstable();
             self.san_mark_written(keys);
@@ -123,28 +120,23 @@ impl Device {
             return;
         }
         if n <= self.config().seq_threshold {
+            // A payload sorts as zipped pairs, built by their own map
+            // launch before the sort's launch opens.
+            let zipped = match &vals {
+                Some(v) if n > 1 => Some(self.alloc_pooled_map(n, |i| (keys[i], v[i]))),
+                _ => None,
+            };
             let elem = 8 + if vals.is_some() { 4 } else { 0 };
             let bytes = (elem * n) as u64;
-            self.metrics().record_launch(n as u64);
-            {
-                let cap = self.cap_scope("sort").read(keys).write(keys);
-                let _cap = match &vals {
-                    Some(v) => cap.read(v).write(v),
-                    None => cap,
-                };
-                self.cap_instant_launch(n as u64);
-            }
+            let cap = self.cap_scope("sort").read(keys).write(keys);
+            let _cap = match &vals {
+                Some(v) => cap.read(v).write(v),
+                None => cap,
+            };
+            let _launch = self.launch(n);
             self.metrics().record_traffic(bytes, bytes);
-            if n == 1 {
-                self.san_mark_written(keys);
-                if let Some(v) = vals {
-                    self.san_mark_written(v);
-                }
-                return;
-            }
-            match vals {
-                Some(vals) => {
-                    let mut zipped = self.alloc_pooled_map(n, |i| (keys[i], vals[i]));
+            match (zipped, vals) {
+                (Some(mut zipped), Some(vals)) => {
                     zipped.sort_by_key(|p| p.0); // stable
                     for (i, &(k, v)) in zipped.iter().enumerate() {
                         keys[i] = k;
@@ -152,7 +144,12 @@ impl Device {
                     }
                     self.san_mark_written(vals);
                 }
-                None => keys.sort_unstable(),
+                (_, vals) => {
+                    keys.sort_unstable();
+                    if let Some(v) = vals {
+                        self.san_mark_written(v);
+                    }
+                }
             }
             self.san_mark_written(keys);
             return;
@@ -199,22 +196,21 @@ impl Device {
 
             // Per-chunk digit histograms (the histograms themselves are
             // per-block privatized state — not data-plane traffic).
-            self.metrics().record_launch(n as u64);
             {
                 let _cap = self.cap_scope("sort.hist").read(src_k);
-                self.cap_instant_launch(n as u64);
-            }
-            self.metrics().record_traffic(key_bytes, 0);
-            self.run(|| {
-                hist.par_chunks_mut(BUCKETS).enumerate().for_each(|(c, h)| {
-                    h.fill(0);
-                    let start = c * chunk;
-                    let end = usize::min(start + chunk, n);
-                    for &k in &src_k[start..end] {
-                        h[k.digit(shift)] += 1;
-                    }
+                let _launch = self.launch(n);
+                self.metrics().record_traffic(key_bytes, 0);
+                self.run(|| {
+                    hist.par_chunks_mut(BUCKETS).enumerate().for_each(|(c, h)| {
+                        h.fill(0);
+                        let start = c * chunk;
+                        let end = usize::min(start + chunk, n);
+                        for &k in &src_k[start..end] {
+                            h[k.digit(shift)] += 1;
+                        }
+                    });
                 });
-            });
+            }
 
             // Exclusive offset scan for (digit, chunk) pairs, through the
             // configured scan engine; the fused generator walks the
@@ -232,7 +228,6 @@ impl Device {
 
             // Stable scatter: chunks write their elements in order, each
             // digit region partitioned among chunks by the offset matrix.
-            self.metrics().record_launch(n as u64);
             {
                 let cap = self
                     .cap_scope("sort.scatter")
@@ -244,11 +239,9 @@ impl Device {
                 } else {
                     cap
                 };
-                self.cap_instant_launch(n as u64);
-            }
-            self.metrics()
-                .record_traffic(key_bytes + val_bytes, key_bytes + val_bytes);
-            {
+                let _launch = self.launch(n);
+                self.metrics()
+                    .record_traffic(key_bytes + val_bytes, key_bytes + val_bytes);
                 let dst_k_shared = SharedSlice::new(dst_k);
                 let dst_v_shared = SharedSlice::new(dst_v);
                 let offsets_ref = &offsets;
@@ -285,18 +278,15 @@ impl Device {
         if !in_keys {
             // Odd pass count: one copy-back launch returns the data to the
             // caller's buffers.
-            self.metrics().record_launch(n as u64);
-            {
-                let cap = self
-                    .cap_scope("sort.copyback")
-                    .read(&scratch_k[..])
-                    .write(&*keys);
-                let _cap = match &vals {
-                    Some(v) => cap.read(&scratch_v[..]).write(v),
-                    None => cap,
-                };
-                self.cap_instant_launch(n as u64);
-            }
+            let cap = self
+                .cap_scope("sort.copyback")
+                .read(&scratch_k[..])
+                .write(&*keys);
+            let _cap = match &vals {
+                Some(v) => cap.read(&scratch_v[..]).write(v),
+                None => cap,
+            };
+            let _launch = self.launch(n);
             self.metrics()
                 .record_traffic(key_bytes + val_bytes, key_bytes + val_bytes);
             keys.copy_from_slice(&scratch_k);

@@ -4,7 +4,10 @@
 //! (all shipped pipelines analyze clean) lives in the CLI integration
 //! suite, which drives the real pipelines at several pool widths.
 
-use gpu_sim::{CaptureMode, Device, DeviceConfig, HazardKind};
+use gpu_sim::{
+    CaptureMode, Device, DeviceConfig, FaultConfig, FindingKind, HazardKind, SanitizeMode,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn capture_device() -> Device {
     Device::with_config(DeviceConfig {
@@ -176,4 +179,52 @@ fn capture_off_records_nothing() {
     let mut a = vec![0u32; 100];
     device.map(&mut a, |i| i as u32);
     assert!(device.launch_graph().is_none());
+}
+
+/// A genuine panic inside a kernel unwinds through the launch guard, which
+/// closes the capture node and the sanitizer launch: later host-side
+/// accesses are charged to `host`, not to the dead launch.
+#[test]
+fn genuine_mid_kernel_panic_leaves_the_device_clean() {
+    let device = Device::with_config(DeviceConfig {
+        threads: Some(4),
+        block_size: 64,
+        seq_threshold: 16,
+        sanitize: SanitizeMode::Full,
+        sanitize_fatal: false,
+        capture: CaptureMode::On,
+        faults: FaultConfig::default(),
+        ..DeviceConfig::default()
+    });
+    let doomed = |label: &str, n: usize, bad: usize| {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let _k = device.kernel_label(label);
+            device.for_each(n, |i| assert_ne!(i, bad, "genuine bug in {label}"));
+        }));
+        assert!(run.is_err(), "{label} must panic");
+    };
+
+    // (a) A 16-block grid on 4 workers fails in block 7.
+    doomed("doomed_grid", 1024, 7 * 64 + 3);
+    let mut data = vec![0u32; 8];
+    assert_eq!(device.shared(&mut data).read(3), 0);
+    let graph = device.launch_graph().expect("capture is on");
+    let at = graph
+        .nodes
+        .iter()
+        .position(|n| n.label == "doomed_grid")
+        .expect("the failed launch is recorded");
+    assert!(graph.nodes[at].accesses.is_empty(), "{:?}", graph.nodes);
+    assert_eq!(graph.nodes.len(), at + 2, "{:?}", graph.nodes);
+    assert!(graph.nodes[at + 1].host, "{:?}", graph.nodes[at + 1]);
+
+    // (b) An inline launch fails; a later host-side out-of-bounds read is
+    // reported under `host`.
+    doomed("doomed_inline", 8, 5);
+    let mut small = vec![0u32; 4];
+    assert_eq!(device.shared(&mut small).read(99), 0);
+    let findings = device.take_findings();
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].kind, FindingKind::OutOfBounds);
+    assert_eq!(findings[0].kernel, "host", "{}", findings[0]);
 }

@@ -38,6 +38,16 @@
 //!    at an existing `## N.` section of `DESIGN.md` — docs that name a
 //!    knob or section that does not exist are worse than no docs.
 //!
+//! One rule keeps the **launch seam** the only path to the planes
+//! (DESIGN.md §1):
+//!
+//! 10. in `gpu-sim/src`, `record_launch(` is called only from the launch
+//!     guard in `device.rs` (`Device::launch` and the `LaunchGuard`
+//!     impls) and inside `metrics.rs`, and the planes' launch hooks
+//!     (`begin_launch(`, `end_launch(`, `on_launch(`) only from that
+//!     guard and from the planes' own modules — so a primitive cannot
+//!     count a launch that skips the fault, capture or sanitizer plane.
+//!
 //! `vendor/` (offline stand-ins), `target/`, and any path containing
 //! `fixtures` are exempt. The `xtask` crate itself is exempt from the
 //! content rules (its source must name the patterns it hunts) but not from
@@ -97,6 +107,16 @@ const LAUNCH_PATTERNS: &[&str] = &["device.for_each(", "device.map(", "device.al
 /// Empty justification literals: a label or whitelist reason that says
 /// nothing documents nothing.
 const EMPTY_JUSTIFICATION_PATTERNS: &[&str] = &["kernel_label(\"\")", ".benign(\"\")"];
+
+/// Launch accounting and the planes' launch hooks, each with the
+/// `gpu-sim/src` modules that own it (rule 10); anywhere else they may be
+/// called only from the launch guard in `device.rs`.
+const SEAM_HOOKS: &[(&str, &[&str])] = &[
+    ("record_launch(", &["metrics.rs"]),
+    ("begin_launch(", &["sanitize.rs", "launch_graph.rs"]),
+    ("end_launch(", &["sanitize.rs", "launch_graph.rs"]),
+    ("on_launch(", &["fault.rs"]),
+];
 
 /// Start marker of the README's consolidated env-var table (rule 9).
 pub const ENV_TABLE_BEGIN: &str = "<!-- env-table:begin -->";
@@ -468,6 +488,46 @@ fn lint_launch_labels(root: &Path, file: &Path, lines: &[&str], findings: &mut V
     }
 }
 
+/// Rule 10: a launch hook outside its owning module must sit in the launch
+/// guard — in `device.rs`, inside `fn launch(` or an `impl` of
+/// `LaunchGuard`. Items are tracked at the text level: a line at column 0
+/// opens a top-level item, an `fn` line opens a function.
+fn lint_launch_seam(root: &Path, file: &Path, lines: &[&str], findings: &mut Vec<Finding>) {
+    let name = file.file_name().unwrap_or_default().to_string_lossy();
+    let is_device = name == "device.rs";
+    let (mut guard_impl, mut launch_fn) = (false, false);
+    for (i, raw) in lines.iter().enumerate() {
+        let code = code_part(raw);
+        if is_comment_line(raw.trim_start()) || code.trim().is_empty() {
+            continue;
+        }
+        if !raw.starts_with(char::is_whitespace) && !code.starts_with(['}', '#']) {
+            let words: Vec<&str> = code.split_whitespace().collect();
+            guard_impl = words.iter().any(|w| *w == "impl" || w.starts_with("impl<"))
+                && code.contains("LaunchGuard");
+            launch_fn = false;
+        }
+        if is_fn_line(raw) {
+            launch_fn = code.contains("fn launch(");
+        }
+        for (hook, owners) in SEAM_HOOKS {
+            let owned = owners.contains(&name.as_ref()) || (is_device && (guard_impl || launch_fn));
+            if code.contains(hook) && !owned {
+                findings.push(finding_at(
+                    root,
+                    file,
+                    i + 1,
+                    "launch-seam",
+                    format!(
+                        "`{hook}` outside the launch guard: open the launch with \
+                         `Device::launch` so every plane sees it"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 fn lint_file(
     root: &Path,
     file: &Path,
@@ -482,8 +542,12 @@ fn lint_file(
     // Rule 7 covers shipped pipeline code only: `src/` of the algorithm
     // crates. gpu-sim's own primitives label themselves, and test/bench
     // code never feeds the golden graphs.
-    if !is_gpu_sim && file.components().any(|c| c.as_os_str() == "src") {
+    let in_src = file.components().any(|c| c.as_os_str() == "src");
+    if !is_gpu_sim && in_src {
         lint_launch_labels(root, file, &lines, findings);
+    }
+    if is_gpu_sim && in_src {
+        lint_launch_seam(root, file, &lines, findings);
     }
     // Rule 9b applies everywhere a section can be cited, comments and
     // test strings included.

@@ -32,7 +32,7 @@ fn workspace_root() -> PathBuf {
 fn lint() -> ExitCode {
     let findings = xtask::lint_workspace(&workspace_root());
     if findings.is_empty() {
-        println!("xtask lint: clean ({} rules)", 9);
+        println!("xtask lint: clean ({} rules)", 10);
         ExitCode::SUCCESS
     } else {
         for f in &findings {

@@ -177,6 +177,31 @@ fn the_real_workspace_is_clean() {
 }
 
 #[test]
+fn launch_outside_the_seam_is_flagged() {
+    let ws = TempWorkspace::new("seam");
+    ws.write(
+        "crates/gpu-sim/src/lib.rs",
+        "#![deny(unsafe_op_in_unsafe_fn)]\npub fn g() {}\n",
+    );
+    // The guard itself may count the launch and open the planes.
+    ws.write(
+        "crates/gpu-sim/src/device.rs",
+        "impl Device {\n    pub(crate) fn launch(&self, work: usize) -> LaunchGuard<'_> {\n        \
+         self.metrics.record_launch(work as u64);\n        self.rec.begin_launch(work);\n    }\n}\n\
+         impl Drop for LaunchGuard<'_> {\n    fn drop(&mut self) {\n        self.rec.end_launch();\n    }\n}\n",
+    );
+    // A primitive that counts its own launch skips the guard.
+    ws.write(
+        "crates/gpu-sim/src/scan.rs",
+        "impl Device {\n    fn scan(&self, n: usize) {\n        self.metrics().record_launch(n as u64);\n    }\n}\n",
+    );
+    let f = lint_workspace(&ws.root);
+    assert_eq!(rules(&f), ["launch-seam"], "{f:?}");
+    assert!(f[0].path.ends_with("scan.rs"), "{f:?}");
+    assert_eq!(f[0].line, 3);
+}
+
+#[test]
 fn unlabeled_launch_in_src_is_flagged() {
     let ws = TempWorkspace::new("unlabeled");
     ws.write(
