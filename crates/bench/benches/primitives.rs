@@ -1,6 +1,5 @@
 //! Criterion microbenchmarks for the gpu-sim primitives (the moderngpu
-//! substitutes): scan, radix sort, segmented reduce, compaction, merge,
-//! mergesort, load-balanced search, reduce-by-key and histograms.
+//! substitutes): scan, radix sort, segmented reduce and compaction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::Device;
@@ -96,153 +95,11 @@ fn bench_compact(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_merge(c: &mut Criterion) {
-    let device = Device::new();
-    let mut group = c.benchmark_group("merge");
-    group.sample_size(10);
-    let n = 1usize << 20;
-    let mut a = pseudo_random(n / 2, 4);
-    let mut b2 = pseudo_random(n / 2, 5);
-    a.sort_unstable();
-    b2.sort_unstable();
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("two_halves_1M", |b| {
-        b.iter(|| device.merge(&a, &b2));
-    });
-    group.finish();
-}
-
-/// The key distributions the sort war runs on. Merge-path sort is
-/// comparison-based, so pre-sorted and reverse-sorted inputs change its
-/// merge work; LSD radix is oblivious to key order but sensitive to key
-/// magnitude (`skewed` keeps all keys under 2^16, letting the max-key
-/// probe skip the high passes).
-fn sort_distributions(n: usize) -> Vec<(&'static str, Vec<u64>)> {
-    let uniform = pseudo_random(n, 6);
-    let mut presorted = uniform.clone();
-    presorted.sort_unstable();
-    let mut reversed = presorted.clone();
-    reversed.reverse();
-    let skewed: Vec<u64> = uniform.iter().map(|&k| k % (1 << 16)).collect();
-    vec![
-        ("uniform", uniform),
-        ("presorted", presorted),
-        ("reversed", reversed),
-        ("skewed", skewed),
-    ]
-}
-
-fn bench_mergesort_vs_radix(c: &mut Criterion) {
-    // Ablation: comparison mergesort vs LSD radix on the same u64 keys
-    // across input distributions. Radix should win by a wide margin on
-    // uniform keys — the reason DCEL construction packs endpoints into
-    // radix-sortable u64 keys — while the distribution sweep shows where
-    // the gap narrows (low-magnitude keys drop radix passes; sorted
-    // inputs do not rescue merge sort, its pass count is fixed).
-    let device = Device::new();
-    let mut group = c.benchmark_group("mergesort_vs_radix");
-    group.sample_size(10);
-    let n = 1usize << 19;
-    group.throughput(Throughput::Elements(n as u64));
-    for (dist, data) in sort_distributions(n) {
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        type SortFn = fn(&Device, &mut Vec<u64>);
-        let algos: [(&str, SortFn); 2] = [
-            ("merge_sort", |d, keys| d.merge_sort(keys)),
-            ("radix_sort", |d, keys| d.sort_u64(keys)),
-        ];
-        for (algo, sort) in algos {
-            let mut check = data.clone();
-            sort(&device, &mut check);
-            assert_eq!(check, expected, "{algo}/{dist}: wrong sort output");
-            // One JSONL line per contender lands in $EMG_BENCH_JSON via
-            // the harness, so the sort war can be compared next to the
-            // scan_war rows across machines.
-            group.bench_function(BenchmarkId::new(algo, dist), |b| {
-                b.iter(|| {
-                    let mut d = data.clone();
-                    sort(&device, &mut d);
-                    d
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-fn bench_lbs(c: &mut Criterion) {
-    let device = Device::new();
-    let mut group = c.benchmark_group("load_balanced_search");
-    group.sample_size(10);
-    // Power-law-ish segment sizes: a few giant segments among many tiny
-    // ones — the shape LBS exists to handle.
-    let segments = 1usize << 16;
-    let mut offsets = vec![0u32];
-    for s in 0..segments {
-        let size = if s % 1024 == 0 { 4096 } else { 12 };
-        offsets.push(offsets.last().unwrap() + size);
-    }
-    let total = *offsets.last().unwrap() as u64;
-    group.throughput(Throughput::Elements(total));
-    group.bench_function("skewed_64Kseg", |b| {
-        b.iter(|| device.load_balanced_search(&offsets));
-    });
-    group.finish();
-}
-
-fn bench_reduce_by_key(c: &mut Criterion) {
-    let device = Device::new();
-    let mut group = c.benchmark_group("reduce_by_key");
-    group.sample_size(10);
-    let n = 1usize << 20;
-    let keys: Vec<u32> = (0..n).map(|i| (i / 16) as u32).collect();
-    let vals: Vec<u64> = pseudo_random(n, 7);
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("run16_1M", |b| {
-        b.iter(|| device.reduce_by_key(&keys, &vals, 0u64, |x, y| x + y));
-    });
-    group.finish();
-}
-
-fn bench_histogram(c: &mut Criterion) {
-    // Ablation: shared-atomic vs privatized accumulation, uniform (cold
-    // bins) and single-hot-bin (max contention) distributions.
-    let device = Device::new();
-    let mut group = c.benchmark_group("histogram");
-    group.sample_size(10);
-    let n = 1usize << 20;
-    let bins = 256;
-    let uniform: Vec<u32> = pseudo_random(n, 8)
-        .iter()
-        .map(|&v| (v % 256) as u32)
-        .collect();
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("atomic_uniform", |b| {
-        b.iter(|| device.histogram_atomic(n, bins, |i| uniform[i] as usize));
-    });
-    group.bench_function("privatized_uniform", |b| {
-        b.iter(|| device.histogram_privatized(n, bins, |i| uniform[i] as usize));
-    });
-    group.bench_function("atomic_hot", |b| {
-        b.iter(|| device.histogram_atomic(n, bins, |_| 0));
-    });
-    group.bench_function("privatized_hot", |b| {
-        b.iter(|| device.histogram_privatized(n, bins, |_| 0));
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_scan,
     bench_sort,
     bench_segreduce,
-    bench_compact,
-    bench_merge,
-    bench_mergesort_vs_radix,
-    bench_lbs,
-    bench_reduce_by_key,
-    bench_histogram
+    bench_compact
 );
 criterion_main!(benches);

@@ -36,8 +36,9 @@ pub fn mean_std(samples: &[Duration]) -> (f64, f64) {
 }
 
 /// Appends one JSON-lines perf record to the file named by
-/// `$EMG_BENCH_JSON`, if set — the same convention the vendored criterion
-/// uses, so experiment sweeps and microbench records land in one file.
+/// `$EMG_BENCH_JSON` (read through [`gpu_sim::env::bench_json_path`]) —
+/// the same convention the vendored criterion uses, so experiment sweeps
+/// and microbench records land in one file.
 /// When `elements` is given and the mean is positive, an `elems_per_sec`
 /// throughput field is derived so sweeps are comparable across scales.
 /// Failures to write are silently ignored: a perf record must never fail a
@@ -64,12 +65,9 @@ pub fn emit_bench_json_fields(
     elements: Option<u64>,
     extra: &[(&str, f64)],
 ) {
-    let Ok(path) = std::env::var("EMG_BENCH_JSON") else {
+    let Some(path) = gpu_sim::env::bench_json_path() else {
         return;
     };
-    if path.is_empty() {
-        return;
-    }
     fn escape(s: &str) -> String {
         s.replace('\\', "\\\\").replace('"', "\\\"")
     }
@@ -271,7 +269,7 @@ mod tests {
     #[test]
     fn bench_json_skipped_without_env() {
         // With EMG_BENCH_JSON unset this must be a silent no-op.
-        if std::env::var("EMG_BENCH_JSON").is_err() {
+        if gpu_sim::env::bench_json_path().is_none() {
             emit_bench_json("g", "b", 1e-3, 1e-4, 3, Some(100));
         }
     }

@@ -3,8 +3,8 @@
 //! The paper's pipeline (§4.1) stands on a single substrate — the
 //! union-find hooking CC of [`crate::cc`], which emits a spanning forest as
 //! a byproduct — and so does this crate: [`crate::bridges_tv`],
-//! [`crate::bridges_hybrid`], [`crate::twoecc`] and the `emg serve`
-//! catalog all build their forest with [`UnrootedForest::build`].
+//! [`crate::bridges_hybrid`] and the `emg serve` catalog all build their
+//! forest with [`UnrootedForest::build`].
 //! DESIGN.md §6 records the measurement that made it the only substrate.
 //!
 //! Construction is two-staged: [`UnrootedForest::build`] yields the tree

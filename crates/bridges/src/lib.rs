@@ -19,8 +19,7 @@
 //!
 //! Beyond the paper's scope, [`bcc`] completes Tarjan–Vishkin's original
 //! algorithm — auxiliary-graph biconnected-component labeling and
-//! articulation points — and [`twoecc`] decomposes into 2-edge-connected
-//! components via the paper's bridge-removal reduction.
+//! articulation points.
 //!
 //! ```
 //! use bridges::{bridges_dfs, bridges_tv};
@@ -52,7 +51,6 @@ pub mod hybrid;
 pub mod result;
 pub mod segment_tree;
 pub mod tv;
-pub mod twoecc;
 
 pub use articulation::articulation_points_dfs;
 pub use bcc::{
@@ -67,4 +65,3 @@ pub use hybrid::bridges_hybrid;
 pub use result::{BridgesError, BridgesResult};
 pub use segment_tree::SegmentTree;
 pub use tv::bridges_tv;
-pub use twoecc::{two_edge_connected_components, TwoEccDecomposition};

@@ -20,11 +20,7 @@
 //!    optimization ("perform all the following prefix sum calculations on
 //!    the Euler tour by using a fast scan primitive on the array").
 //!
-//! Around the pipeline: [`aggregates`] generalizes the scans to arbitrary
-//! subtree/root-path statistics, [`cpu`] is the sequential oracle, and
-//! [`dynamic`] extends the same tour representation to *dynamic* trees —
-//! link/cut forests with O(log n) connectivity and subtree aggregates
-//! (the paper's reference \[57\]).
+//! Around the pipeline, [`cpu`] is the sequential oracle.
 //!
 //! ```
 //! use euler_tour::{EulerTour, TreeStats};
@@ -43,18 +39,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregates;
 pub mod cpu;
 pub mod dcel;
-pub mod dynamic;
 pub mod list;
 pub mod ranking;
 pub mod stats;
 pub mod tour;
 
-pub use aggregates::SubtreeAggregator;
 pub use dcel::{twin, Dcel};
-pub use dynamic::{EulerTourForest, ForestError};
 pub use list::EulerList;
 pub use ranking::{
     default_sublist_target, list_prefix_sum, rank_into, rank_wei_jaja_into,

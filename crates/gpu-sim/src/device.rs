@@ -970,9 +970,9 @@ impl<'a, T> SharedSlice<'a, T> {
     /// Raw base pointer of the underlying slice.
     ///
     /// For callers that carve the slice into *disjoint* sub-slices owned by
-    /// different virtual threads (per-run sorts, tiled merges). The usual
-    /// contract applies: ranges formed from this pointer must not overlap
-    /// across threads within one launch.
+    /// different virtual threads (the per-block chunks of [`Device::map`]).
+    /// The usual contract applies: ranges formed from this pointer must not
+    /// overlap across threads within one launch.
     pub fn as_ptr(&self) -> *mut T {
         self.ptr
     }

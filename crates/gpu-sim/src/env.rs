@@ -159,7 +159,9 @@ pub fn parse_positive_knob(var: &str, default: u64) -> u64 {
 }
 
 /// The benchmark JSONL sink path (`EMG_BENCH_JSON`), if recording is
-/// enabled. Centralized here so the bench harness shares the registry.
+/// enabled (unset or empty means off). The bench harness reads the knob
+/// only through here; the vendored criterion, which cannot depend on this
+/// crate, applies the same rule itself.
 pub fn bench_json_path() -> Option<std::path::PathBuf> {
     std::env::var_os(EMG_BENCH_JSON)
         .filter(|v| !v.is_empty())

@@ -27,12 +27,11 @@
 //! assert_eq!(prefix[3], 0 + 1 + 4);
 //! ```
 //!
-//! The primitive suite mirrors moderngpu's: radix [`sort`], generic
-//! [`scan`] and [`reduce`], segmented reduce and segmented scan
-//! ([`segreduce`]), stream compaction ([`compact`]), merge-path [`merge`]
-//! and mergesort, load-balanced search and interval expand ([`lbs`]),
-//! reduce-by-key ([`rbk`]) and histograms ([`histogram`]), with kernel
-//! and work-item accounting in [`metrics`].
+//! The primitive suite covers the part of moderngpu the pipelines call:
+//! radix [`sort`] (DCEL construction only), generic [`scan`] and
+//! [`reduce`], segmented reduce ([`segreduce`]) and stream compaction
+//! ([`compact`]), plus the segmented scan that the scan-war experiment
+//! pins, with kernel and work-item accounting in [`metrics`].
 //!
 //! Multi-launch pipelines draw their scratch buffers from the device
 //! memory plane ([`arena`]): a size-bucketed pool with RAII handles
@@ -79,12 +78,8 @@ pub mod compact;
 pub mod device;
 pub mod env;
 pub mod fault;
-pub mod histogram;
 pub mod launch_graph;
-pub mod lbs;
-pub mod merge;
 pub mod metrics;
-pub mod rbk;
 pub mod reduce;
 pub mod sanitize;
 pub mod scan;
@@ -101,5 +96,4 @@ pub use launch_graph::{
     Node, Region,
 };
 pub use metrics::{Metrics, MetricsSnapshot, PhaseTimer};
-pub use rbk::ReducedRuns;
 pub use sanitize::{AccessKind, Finding, FindingKind, SanitizeMode};

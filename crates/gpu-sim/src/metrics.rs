@@ -30,7 +30,7 @@ pub struct Metrics {
     pub bytes_reused: AtomicU64,
     /// Modeled global-memory bytes read by device primitives (the traffic
     /// plane). Only the *data plane* counts: each named primitive (scan,
-    /// sort, reduce, segreduce, compact, histogram, gather/scatter) records
+    /// sort, reduce, segreduce, compact, gather/scatter) records
     /// the O(n) arrays it streams, while O(blocks) descriptor/bookkeeping
     /// arrays and per-block "shared memory" staging are excluded so the
     /// number is pool-width-independent and CI can gate it. Fused

@@ -99,96 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_matches_sorted_concat(
-        mut a in proptest::collection::vec(any::<u32>(), 0..2000),
-        mut b in proptest::collection::vec(any::<u32>(), 0..2000),
-    ) {
-        let device = small_device();
-        a.sort_unstable();
-        b.sort_unstable();
-        let got = device.merge(&a, &b);
-        let mut expected = a.clone();
-        expected.extend_from_slice(&b);
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn merge_sort_matches_std(mut data in proptest::collection::vec(any::<i32>(), 0..4000)) {
-        let device = small_device();
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        device.merge_sort(&mut data);
-        prop_assert_eq!(data, expected);
-    }
-
-    #[test]
-    fn merge_sort_pairs_stable(keys in proptest::collection::vec(0u32..8, 0..3000)) {
-        let device = small_device();
-        let mut k = keys.clone();
-        let mut v: Vec<u32> = (0..keys.len() as u32).collect();
-        device.merge_sort_pairs(&mut k, &mut v);
-        for i in 0..k.len() {
-            prop_assert_eq!(keys[v[i] as usize], k[i]);
-            if i > 0 && k[i - 1] == k[i] {
-                prop_assert!(v[i - 1] < v[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn lbs_inverts_offsets(sizes in proptest::collection::vec(0u32..40, 1..200)) {
-        let device = small_device();
-        let mut offsets = vec![0u32];
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s);
-        }
-        let seg_of = device.load_balanced_search(&offsets);
-        prop_assert_eq!(seg_of.len(), *offsets.last().unwrap() as usize);
-        for (i, &seg) in seg_of.iter().enumerate() {
-            prop_assert!(offsets[seg as usize] as usize <= i);
-            prop_assert!(i < offsets[seg as usize + 1] as usize);
-        }
-    }
-
-    #[test]
-    fn sorted_search_matches_partition_point(
-        mut needles in proptest::collection::vec(any::<u32>(), 0..1500),
-        mut haystack in proptest::collection::vec(any::<u32>(), 0..1500),
-    ) {
-        let device = small_device();
-        needles.sort_unstable();
-        haystack.sort_unstable();
-        let got = device.sorted_search_lower(&needles, &haystack);
-        for (i, &g) in got.iter().enumerate() {
-            let expected = haystack.partition_point(|&h| h < needles[i]) as u32;
-            prop_assert_eq!(g, expected);
-        }
-    }
-
-    #[test]
-    fn reduce_by_key_matches_naive(keys in proptest::collection::vec(0u32..12, 0..3000)) {
-        let device = small_device();
-        let vals: Vec<u64> = (0..keys.len() as u64).collect();
-        let got = device.reduce_by_key(&keys, &vals, 0u64, |a, b| a + b);
-        // Sequential oracle.
-        let mut ek: Vec<u32> = Vec::new();
-        let mut ev: Vec<u64> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if i == 0 || keys[i - 1] != k {
-                ek.push(k);
-                ev.push(vals[i]);
-            } else {
-                *ev.last_mut().unwrap() += vals[i];
-            }
-        }
-        prop_assert_eq!(got.keys, ek);
-        prop_assert_eq!(got.values, ev);
-        // Offsets partition the input.
-        prop_assert_eq!(*got.offsets.last().unwrap() as usize, keys.len());
-    }
-
-    #[test]
     fn segscan_matches_chunked_scan(
         values in proptest::collection::vec(0u64..1000, 0..2000),
         seg_len in 1usize..40
@@ -207,15 +117,6 @@ proptest! {
                 prop_assert_eq!(got[i], acc);
             }
         }
-    }
-
-    #[test]
-    fn histogram_variants_agree(values in proptest::collection::vec(0u32..64, 0..4000)) {
-        let device = small_device();
-        let a = device.histogram_atomic(values.len(), 64, |i| values[i] as usize);
-        let p = device.bincount_u32(&values, 64);
-        prop_assert_eq!(&a, &p);
-        prop_assert_eq!(a.iter().sum::<u64>(), values.len() as u64);
     }
 
     #[test]

@@ -135,28 +135,6 @@ fn sort_seq_paths_record_full_taxonomy() {
 }
 
 #[test]
-fn histogram_counts_bin_evaluations_and_output_bins() {
-    let device = dev(4);
-    let n = 2000usize;
-    let bins = 16usize;
-    let d = measure(&device, |d| {
-        let _ = d.histogram_privatized(n, bins, |i| i % bins);
-    });
-    // Launches: private-row clear, accumulate, column-sum.
-    assert_eq!(d.kernel_launches, 3);
-    assert_eq!(d.bytes_read, 4 * n as u64);
-    assert_eq!(d.bytes_written, 8 * bins as u64);
-    // The degenerate shape still launches (a device-side clear) so the
-    // taxonomy does not silently change at n = 0.
-    let d = measure(&device, |d| {
-        let _ = d.histogram_privatized(0, bins, |i| i);
-    });
-    assert_eq!(d.kernel_launches, 1);
-    assert_eq!(d.bytes_read, 0);
-    assert_eq!(d.bytes_written, 0);
-}
-
-#[test]
 fn segreduce_counts_slots_offsets_and_segments() {
     let device = dev(4);
     let values: Vec<u32> = (0..40).collect();
@@ -167,18 +145,6 @@ fn segreduce_counts_slots_offsets_and_segments() {
     assert_eq!(d.kernel_launches, 1);
     assert_eq!(d.bytes_read, 40 * 4 + 9 * 4);
     assert_eq!(d.bytes_written, 8 * 4);
-}
-
-#[test]
-fn merge_streams_each_element_once() {
-    let device = dev(4);
-    let a: Vec<u32> = (0..300).map(|i| 2 * i).collect();
-    let b: Vec<u32> = (0..300).map(|i| 2 * i + 1).collect();
-    let d = measure(&device, |d| {
-        let _ = d.merge(&a, &b);
-    });
-    assert_eq!(d.bytes_read, 600 * 4);
-    assert_eq!(d.bytes_written, 600 * 4);
 }
 
 #[test]

@@ -233,23 +233,34 @@ impl Csr {
         }
     }
 
-    /// Reassembles a CSR from its raw arrays (the shape `emgbin` caches
-    /// store), validating every structural invariant — a corrupt cache
-    /// must produce an error, not a CSR that panics later.
+    /// Reassembles the CSR of `edges` from its raw arrays (the shape
+    /// `emgbin` caches store), validating every structural invariant — a
+    /// corrupt cache must produce an error, not a CSR that panics later or
+    /// describes another graph.
     ///
     /// # Errors
     /// Describes the first violated invariant: offset monotonicity/bounds,
-    /// array length mismatches, or out-of-range neighbor/edge ids.
+    /// array length mismatches, out-of-range neighbor/edge ids, or a slot
+    /// that disagrees with `edges` — every edge id must occupy one slot in
+    /// each endpoint's run, pointing at the other endpoint (a self-loop
+    /// occupies two slots in its own run).
     pub fn from_raw_parts(
         offsets: Vec<u32>,
         neighbors: Vec<NodeId>,
         edge_ids: Vec<EdgeId>,
-        num_edges: usize,
+        edges: &EdgeList,
     ) -> Result<Self, String> {
         if offsets.is_empty() {
             return Err("offsets array is empty (needs num_nodes + 1 entries)".into());
         }
         let n = offsets.len() - 1;
+        if n != edges.num_nodes() {
+            return Err(format!(
+                "offsets describe {n} nodes but the edge list has {}",
+                edges.num_nodes()
+            ));
+        }
+        let num_edges = edges.num_edges();
         if offsets[0] != 0 {
             return Err(format!("offsets[0] = {} (expected 0)", offsets[0]));
         }
@@ -279,6 +290,28 @@ impl Csr {
         }
         if let Some(&bad) = edge_ids.iter().find(|&&e| e as usize >= num_edges) {
             return Err(format!("edge id {bad} out of range for {num_edges} edges"));
+        }
+        // Slot (v, w, e) fills one side of edge e = (a, b): v = a, w = b or
+        // v = b, w = a. The lengths check above leaves exactly 2m slots for
+        // the 2m sides, so if no side is filled twice, each is filled once.
+        let mut filled = vec![0u8; num_edges];
+        for (v, run) in offsets.windows(2).enumerate() {
+            for slot in run[0] as usize..run[1] as usize {
+                let (w, e) = (neighbors[slot] as usize, edge_ids[slot] as usize);
+                let (a, b) = edges.edges()[e];
+                let (a, b) = (a as usize, b as usize);
+                let side = &mut filled[e];
+                if v == a && w == b && *side & 1 == 0 {
+                    *side |= 1;
+                } else if v == b && w == a && *side & 2 == 0 {
+                    *side |= 2;
+                } else {
+                    return Err(format!(
+                        "slot {slot} (node {v}, neighbor {w}) does not fill a free side \
+                         of edge {e} = ({a}, {b})"
+                    ));
+                }
+            }
         }
         Ok(Self {
             offsets,
@@ -514,38 +547,53 @@ mod tests {
 
     #[test]
     fn raw_parts_round_trip_and_validation() {
-        let csr = Csr::from_edge_list(&triangle_plus_tail());
+        let graph = triangle_plus_tail();
+        let csr = Csr::from_edge_list(&graph);
         let rebuilt = Csr::from_raw_parts(
             csr.offsets().to_vec(),
             csr.raw_neighbors().to_vec(),
             csr.raw_edge_ids().to_vec(),
-            csr.num_edges(),
+            &graph,
         )
         .unwrap();
         assert_eq!(rebuilt, csr);
 
-        // Each invariant violation is caught.
-        assert!(Csr::from_raw_parts(vec![], vec![], vec![], 0)
-            .unwrap_err()
-            .contains("empty"));
-        assert!(Csr::from_raw_parts(vec![1, 2], vec![0, 0], vec![0, 0], 1)
-            .unwrap_err()
-            .contains("offsets[0]"));
-        assert!(Csr::from_raw_parts(vec![0, 2, 1], vec![0], vec![0], 1)
-            .unwrap_err()
-            .contains("monotone"));
-        assert!(Csr::from_raw_parts(vec![0, 1], vec![0, 0], vec![0, 0], 1)
-            .unwrap_err()
-            .contains("arc slots"));
-        assert!(Csr::from_raw_parts(vec![0, 2], vec![0], vec![0, 0], 1)
-            .unwrap_err()
-            .contains("lengths"));
-        assert!(Csr::from_raw_parts(vec![0, 2], vec![0, 9], vec![0, 0], 1)
-            .unwrap_err()
-            .contains("neighbor id 9"));
-        assert!(Csr::from_raw_parts(vec![0, 2], vec![0, 0], vec![0, 7], 1)
-            .unwrap_err()
-            .contains("edge id 7"));
+        // Each invariant violation is caught. `loop1` is one node with a
+        // self-loop, whose two arcs both sit in node 0's run.
+        let loop1 = EdgeList::new(1, vec![(0, 0)]);
+        let err = |offsets: Vec<u32>, neighbors: Vec<u32>, edge_ids: Vec<u32>, g: &EdgeList| {
+            Csr::from_raw_parts(offsets, neighbors, edge_ids, g).unwrap_err()
+        };
+        assert!(Csr::from_raw_parts(vec![0, 2], vec![0, 0], vec![0, 0], &loop1).is_ok());
+        assert!(err(vec![], vec![], vec![], &EdgeList::empty(0)).contains("empty"));
+        assert!(err(vec![0, 2, 2], vec![0, 0], vec![0, 0], &loop1).contains("2 nodes"));
+        assert!(err(vec![1, 2], vec![0, 0], vec![0, 0], &loop1).contains("offsets[0]"));
+        let loop2 = EdgeList::new(2, vec![(0, 0)]);
+        assert!(err(vec![0, 2, 1], vec![0], vec![0], &loop2).contains("monotone"));
+        assert!(err(vec![0, 1], vec![0, 0], vec![0, 0], &loop1).contains("arc slots"));
+        assert!(err(vec![0, 2], vec![0], vec![0, 0], &loop1).contains("lengths"));
+        assert!(err(vec![0, 2], vec![0, 9], vec![0, 0], &loop1).contains("neighbor id 9"));
+        assert!(err(vec![0, 2], vec![0, 0], vec![0, 7], &loop1).contains("edge id 7"));
+        // Parallel edges each listed twice on one side: every slot names a
+        // real incidence, but edge 0 never reaches node 1's run.
+        let parallel = EdgeList::new(2, vec![(0, 1), (0, 1)]);
+        assert!(
+            Csr::from_raw_parts(vec![0, 2, 4], vec![1, 1, 0, 0], vec![0, 1, 0, 1], &parallel)
+                .is_ok()
+        );
+        assert!(
+            err(vec![0, 2, 4], vec![1, 1, 0, 0], vec![0, 0, 1, 1], &parallel)
+                .contains("does not fill")
+        );
+        // A self-loop fills its two sides from its own run, and no more.
+        let loop_tail = EdgeList::new(2, vec![(0, 0), (0, 1)]);
+        assert!(err(
+            vec![0, 3, 4],
+            vec![0, 0, 0, 0],
+            vec![0, 0, 0, 1],
+            &loop_tail
+        )
+        .contains("does not fill"));
     }
 
     #[test]

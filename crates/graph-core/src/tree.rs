@@ -172,17 +172,6 @@ impl Tree {
         }
         d
     }
-
-    /// The path from `v` up to and including the root. O(depth).
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +193,6 @@ mod tests {
         assert_eq!(t.parent(1), Some(2));
         assert_eq!(t.parent(0), None);
         assert_eq!(t.depth_of(5), 2);
-        assert_eq!(t.path_to_root(1), vec![1, 2, 0]);
     }
 
     #[test]

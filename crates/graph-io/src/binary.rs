@@ -195,8 +195,9 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 /// [`ParseError`] (whole-file) on bad magic/version, truncation, checksum
-/// mismatch, or out-of-range endpoints — a corrupt cache must never yield
-/// a silently different graph.
+/// mismatch, out-of-range endpoints, or an embedded CSR that does not
+/// match the edge list — a corrupt cache must never yield a silently
+/// different graph.
 pub fn read(bytes: &[u8]) -> Result<(ParsedGraph, Option<Csr>), ParseError> {
     if !is_emgbin(bytes) {
         return Err(ParseError::file("not an emgbin file (bad magic)"));
@@ -247,7 +248,7 @@ pub fn read(bytes: &[u8]) -> Result<(ParsedGraph, Option<Csr>), ParseError> {
             )));
         }
     }
-    let edges: Vec<(u32, u32)> = src.into_iter().zip(dst).collect();
+    let graph = EdgeList::new(n, src.into_iter().zip(dst).collect());
     let original_ids = if flags & FLAG_ORIGINAL_IDS != 0 {
         let ids = r.u64s(n, "original ids")?;
         if ids.len() != n {
@@ -262,7 +263,7 @@ pub fn read(bytes: &[u8]) -> Result<(ParsedGraph, Option<Csr>), ParseError> {
         let neighbors = r.u32s(2 * m, "CSR neighbors")?;
         let edge_ids = r.u32s(2 * m, "CSR edge ids")?;
         Some(
-            Csr::from_raw_parts(offsets, neighbors, edge_ids, m)
+            Csr::from_raw_parts(offsets, neighbors, edge_ids, &graph)
                 .map_err(|e| ParseError::file(format!("emgbin CSR section invalid: {e}")))?,
         )
     } else {
@@ -275,7 +276,7 @@ pub fn read(bytes: &[u8]) -> Result<(ParsedGraph, Option<Csr>), ParseError> {
         )));
     }
     let parsed = ParsedGraph {
-        graph: EdgeList::new(n, edges),
+        graph,
         original_ids,
     };
     Ok((parsed, csr))
@@ -361,6 +362,39 @@ mod tests {
         let fixed = checksum(&bad[..32], &bad[HEADER_LEN..]);
         bad[32..40].copy_from_slice(&fixed.to_le_bytes());
         assert!(read(&bad).unwrap_err().message.contains("trailing"));
+    }
+
+    #[test]
+    fn rejects_a_csr_from_another_graph() {
+        // Same n and m, checksum valid: the triangle-plus-tail edges with
+        // a 4-cycle's adjacency. Loading it would hand the bridge
+        // pipelines a CSR that describes the cycle.
+        let p = sample();
+        let cycle = EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let bytes = to_bytes(&p, Some(&Csr::from_edge_list(&cycle)));
+        let err = read(&bytes).unwrap_err();
+        assert!(err.message.contains("CSR section invalid"), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_edge_ids_swapped_inside_one_run() {
+        // Node 2's run lists three distinct edges; swapping two of their
+        // ids keeps every offset, length and id range valid.
+        let p = sample();
+        let csr = Csr::from_edge_list(&p.graph);
+        let mut edge_ids = csr.raw_edge_ids().to_vec();
+        let run = csr.offsets()[2] as usize;
+        assert_ne!(edge_ids[run], edge_ids[run + 1]);
+        edge_ids.swap(run, run + 1);
+        let mut bytes = to_bytes(&p, Some(&csr));
+        let at = bytes.len() - 4 * edge_ids.len();
+        for (i, e) in edge_ids.iter().enumerate() {
+            bytes[at + 4 * i..at + 4 * i + 4].copy_from_slice(&e.to_le_bytes());
+        }
+        let fixed = checksum(&bytes[..32], &bytes[HEADER_LEN..]);
+        bytes[32..40].copy_from_slice(&fixed.to_le_bytes());
+        let err = read(&bytes).unwrap_err();
+        assert!(err.message.contains("CSR section invalid"), "{err:?}");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! plus the RMQ/segment-tree baseline of the paper's §3.1 preliminary
 //! experiment ([`RmqLca`]), a brute-force oracle ([`BruteLca`]), and the
 //! extensions beyond the paper's lineup: the full Bender–Farach design
-//! space ([`SparseRmqLca`], [`BlockRmqLca`]), a device-parallel
-//! sparse-table RMQ ([`GpuRmqLca`]) and tree path queries
-//! ([`TreePaths`]: distances, k-th ancestors, paths).
+//! space ([`SparseRmqLca`], [`BlockRmqLca`]) and a device-parallel
+//! sparse-table RMQ ([`GpuRmqLca`]).
 //!
 //! ```
 //! use graph_core::Tree;
@@ -39,7 +38,6 @@ pub mod inlabel;
 pub mod naive;
 pub mod offline;
 pub mod par;
-pub mod paths;
 pub mod rmq;
 pub mod seq;
 pub mod sparse;
@@ -52,7 +50,6 @@ pub use inlabel::InlabelTables;
 pub use naive::NaiveGpuLca;
 pub use offline::offline_tarjan_lca;
 pub use par::MulticoreInlabelLca;
-pub use paths::TreePaths;
 pub use rmq::RmqLca;
 pub use seq::SequentialInlabelLca;
 pub use sparse::{BlockRmqLca, SparseRmqLca};

@@ -66,26 +66,4 @@ fn main() {
     println!("  Inlabel query time: {t_inlabel:?}");
     println!("  Naive   query time: {t_naive:?}");
     println!("(on shallow trees the naive walker is competitive — Figure 5's left edge)");
-
-    // The packaged path API: batched distances in one call, plus the
-    // evolutionary chain between two specific taxa.
-    let paths = lca::TreePaths::preprocess(&device, &tree).expect("preprocess");
-    let mut batch = vec![0u32; q];
-    let t = Instant::now();
-    paths.distance_batch(&queries, &mut batch);
-    println!(
-        "\nTreePaths::distance_batch: {q} distances in {:?}",
-        t.elapsed()
-    );
-    assert_eq!(batch, distances, "distance formula and TreePaths agree");
-
-    let (a, b) = queries[0];
-    let chain = paths.path(a, b);
-    println!(
-        "lineage between taxa {a} and {b}: {} nodes through ancestor {}",
-        chain.len(),
-        paths.lca(a, b)
-    );
-    let mid = paths.kth_on_path(a, b, paths.distance(a, b) / 2).unwrap();
-    println!("midpoint of that lineage: taxon {mid}");
 }

@@ -46,7 +46,7 @@ pub mod prelude {
         bcc_tv, bridges_ck_device, bridges_ck_rayon, bridges_dfs, bridges_hybrid, bridges_tv,
         BccResult, BridgesResult,
     };
-    pub use euler_tour::{EulerTour, EulerTourForest, TreeStats};
+    pub use euler_tour::{EulerTour, TreeStats};
     pub use gpu_sim::{Device, DeviceConfig};
     pub use graph_core::{Csr, EdgeList, Tree};
     pub use graph_io::read_edge_list;
@@ -56,6 +56,6 @@ pub mod prelude {
     };
     pub use lca::{
         BlockRmqLca, BruteLca, GpuInlabelLca, GpuRmqLca, LcaAlgorithm, MulticoreInlabelLca,
-        NaiveGpuLca, RmqLca, SequentialInlabelLca, SparseRmqLca, TreePaths,
+        NaiveGpuLca, RmqLca, SequentialInlabelLca, SparseRmqLca,
     };
 }

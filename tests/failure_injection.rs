@@ -3,7 +3,7 @@
 //! adopt must fail loudly and precisely, not corrupt or hang.
 
 use euler_meets_gpu::bridges::{self, BridgesError};
-use euler_meets_gpu::euler_tour::{dynamic::ForestError, EulerTour, EulerTourForest, TourError};
+use euler_meets_gpu::euler_tour::{EulerTour, TourError};
 use euler_meets_gpu::graph_io;
 use euler_meets_gpu::prelude::*;
 use graph_core::ids::INVALID_NODE;
@@ -92,26 +92,6 @@ fn tour_rejects_cycle_disguised_as_tree() {
     let device = Device::new();
     let err = EulerTour::build_from_edges(&device, 4, &[(0, 1), (1, 2), (2, 0)], 0).unwrap_err();
     assert_eq!(err, TourError::NotASpanningTree);
-}
-
-#[test]
-fn dynamic_forest_full_error_surface() {
-    let mut f = EulerTourForest::new(3);
-    assert_eq!(f.link(0, 0).unwrap_err(), ForestError::SelfLoop);
-    assert_eq!(f.link(0, 9).unwrap_err(), ForestError::VertexOutOfRange);
-    assert_eq!(f.cut(0, 1).unwrap_err(), ForestError::NoSuchEdge);
-    f.link(0, 1).unwrap();
-    f.link(1, 2).unwrap();
-    assert_eq!(f.link(2, 0).unwrap_err(), ForestError::AlreadyConnected);
-    assert_eq!(f.subtree_sum(0, 2).unwrap_err(), ForestError::NoSuchEdge);
-    assert_eq!(
-        f.subtree_sum(9, 0).unwrap_err(),
-        ForestError::VertexOutOfRange
-    );
-    // Errors must not have corrupted anything.
-    assert_eq!(f.component_size(0), 3);
-    f.cut(0, 1).unwrap();
-    assert_eq!(f.component_size(0), 1);
 }
 
 // ----- bridges -----------------------------------------------------------

@@ -200,34 +200,6 @@ proptest! {
     }
 
     #[test]
-    fn dynamic_forest_subtree_sums_match_static_tour(tree in arb_tree(120)) {
-        // Link the static tree's edges into the dynamic forest with value 1
-        // per vertex: subtree_sum(v, parent(v)) must equal the static Euler
-        // tour's subtree_size(v) — the dynamic and batch pipelines agree.
-        use euler_meets_gpu::euler_tour::EulerTourForest;
-        let device = Device::new();
-        let n = tree.num_nodes();
-        let mut forest = EulerTourForest::new(n);
-        for v in 0..n as u32 {
-            forest.set_value(v, 1);
-        }
-        for (u, v) in tree.edges() {
-            forest.link(u, v).unwrap();
-        }
-        let tour = EulerTour::build(&device, &tree).unwrap();
-        let stats = TreeStats::compute(&device, &tour);
-        for v in 1..n as u32 {
-            let p = tree.parent(v).unwrap();
-            prop_assert_eq!(
-                forest.subtree_sum(v, p).unwrap(),
-                stats.subtree_size[v as usize] as i64,
-                "subtree of {}", v
-            );
-        }
-        prop_assert_eq!(forest.component_size(0), n);
-    }
-
-    #[test]
     fn permuted_trees_answer_permuted_queries(tree in arb_tree(150), seed in 0u64..500) {
         // Relabeling the tree must relabel all LCA answers consistently.
         let permuted = graphgen::permute_labels(&tree, seed);
