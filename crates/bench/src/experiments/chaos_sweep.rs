@@ -166,7 +166,6 @@ pub fn run(cfg: &Config) {
     // admission-control path a chance to fire under the burstier levels.
     let batch = BatchConfig {
         max_batch: 256,
-        max_delay: Duration::from_micros(200),
         max_pending: 2048,
     };
     let device_cfg = DeviceConfig {

@@ -2,8 +2,8 @@
 //! pays preprocessing (parse, CSR, Euler tour, inlabel tables) on every
 //! invocation; `emg serve` pays it once and amortizes it across queries,
 //! which is the whole economic argument for the daemon. This sweep
-//! quantifies the other half of that trade: what the coalescing window
-//! costs in latency and buys in throughput.
+//! quantifies the other half of that trade: the latency a request pays
+//! and the throughput the daemon reaches, up to and past saturation.
 //!
 //! The load is **open-loop**: each client thread schedules request `i` at
 //! `start + i / offered_qps` and sends it as soon as the schedule (and the
@@ -13,12 +13,19 @@
 //! a loopback socket — framing, handshake, batcher, and device launches
 //! all included.
 //!
-//! Per (kind, offered-qps) cell the table reports achieved throughput and
-//! the p50/p95/p99 request latency; the final row folds in the server's
-//! own batch-size accounting (size vs deadline flushes, mean pairs per
-//! launch). With `EMG_BENCH_JSON=<path>` each cell appends a JSON-lines
-//! record carrying those fields plus an `errors` count — the CI perf-smoke
-//! gate requires nonzero samples and zero errors.
+//! The offered levels climb until achieved throughput falls below the
+//! offered rate. Because each connection has at most one request in
+//! flight, no level can exceed `clients / latency` (Little's law); each
+//! row prints that bound from its p50, so the saturation point reads as a
+//! latency figure, not a device capacity.
+//!
+//! Per (kind, offered-qps) cell the table reports achieved throughput, the
+//! p50/p95/p99 request latency and the bound; the final row folds in the
+//! server's own batch-size accounting (size-capped flushes, flushes that
+//! emptied the queue, mean pairs per launch). With `EMG_BENCH_JSON=<path>`
+//! each cell appends a JSON-lines record carrying those fields plus an
+//! `errors` count — the CI perf-smoke gate requires nonzero samples and
+//! zero errors.
 
 use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, mean_std, Table};
@@ -35,8 +42,9 @@ const PAIRS_PER_REQUEST: usize = 8;
 const CLIENTS: usize = 4;
 /// Wall-clock length of each load level.
 const LEVEL_DURATION: Duration = Duration::from_millis(300);
-/// Offered load levels, requests/second across all clients.
-const OFFERED_QPS: &[f64] = &[500.0, 2000.0, 8000.0];
+/// Offered load levels, requests/second across all clients; the top
+/// levels lie past saturation.
+const OFFERED_QPS: &[f64] = &[500.0, 2000.0, 8000.0, 16000.0, 32000.0, 64000.0];
 
 /// The `p`-th percentile of an already-sorted latency sample.
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -137,11 +145,9 @@ pub fn run(cfg: &Config) {
         .expect("writing the ba fixture");
 
     // Explicit knobs (not from_env) so the sweep is reproducible however
-    // the host environment is set: a 200us window keeps the deadline
-    // visible at low load without dominating the run.
+    // the host environment is set.
     let config = BatchConfig {
         max_batch: 256,
-        max_delay: Duration::from_micros(200),
         ..BatchConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", &catalog, config).expect("binding the sweep server");
@@ -152,6 +158,7 @@ pub fn run(cfg: &Config) {
         "Serving plane: open-loop load through the emg serve protocol",
         &[
             "kind", "graph", "offered", "requests", "errors", "achieved", "p50", "p95", "p99",
+            "bound",
         ],
     );
     let cells: &[(QueryKind, &str)] = &[
@@ -170,6 +177,8 @@ pub fn run(cfg: &Config) {
                 percentile(&sorted, 0.95),
                 percentile(&sorted, 0.99),
             );
+            // Little's law with one request in flight per connection.
+            let bound = CLIENTS as f64 / p50.as_secs_f64().max(1e-9);
             table.row(vec![
                 kind.name().to_string(),
                 graph.to_string(),
@@ -180,6 +189,7 @@ pub fn run(cfg: &Config) {
                 fmt_us(p50),
                 fmt_us(p95),
                 fmt_us(p99),
+                format!("{bound:.0}/s"),
             ]);
             let (mean, std) = mean_std(&sorted);
             emit_bench_json_fields(
@@ -196,6 +206,7 @@ pub fn run(cfg: &Config) {
                     ("p50_us", p50.as_secs_f64() * 1e6),
                     ("p95_us", p95.as_secs_f64() * 1e6),
                     ("p99_us", p99.as_secs_f64() * 1e6),
+                    ("bound_qps", bound),
                 ],
             );
         }
@@ -203,13 +214,13 @@ pub fn run(cfg: &Config) {
     table.print();
     let _ = table.write_csv(&cfg.out_dir, "qps_sweep");
 
-    // The server's own accounting: how full the coalescing window ran.
+    // The server's own accounting: how full the flushes ran.
     let mut client = Client::connect(&addr).expect("connecting for stats");
     let stats = client.stats().expect("reading server stats");
     let mean_batch = stats.queries as f64 / stats.batches.max(1) as f64;
     println!(
         "batcher: {} pairs over {} launches (mean batch {:.1}, max {}); \
-         {} size-capped flushes, {} deadline flushes",
+         {} size-capped flushes, {} that emptied the queue",
         stats.queries,
         stats.batches,
         mean_batch,
@@ -243,8 +254,11 @@ pub fn run(cfg: &Config) {
         .expect("accept loop failed");
     let _ = std::fs::remove_dir_all(&catalog);
     println!(
-        "expected shape: p50 tracks the coalescing deadline at low load and\n\
-         the device launch rate at high load; mean batch size grows with\n\
-         offered qps as concurrent clients land in the same flush window.\n"
+        "expected shape: achieved follows offered until the top levels, where\n\
+         it falls short and levels off below the bound (clients / p50): with\n\
+         one request in flight per connection, latency caps throughput\n\
+         (Little's law). p50 stays near one loopback round trip at every level;\n\
+         launches hold more than one request's pairs only once requests start\n\
+         to queue behind a running flush.\n"
     );
 }

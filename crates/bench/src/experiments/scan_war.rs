@@ -1,10 +1,10 @@
 //! Scan war: launch and modeled-traffic pins for the two-pass scan core and
 //! the pipelines built on it.
 //!
-//! * **primitive shapes** — scans, a compaction and a segmented scan, each
-//!   cross-checked bit for bit against a single-worker run of the same
-//!   shape; the pure scan's cost is asserted exactly: 2 launches, 2 reads
-//!   and 1 write per element (the reduce pass and the downsweep);
+//! * **primitive shapes** — two scans and a compaction, each cross-checked
+//!   bit for bit against a single-worker run of the same shape; the pure
+//!   scan's cost is asserted exactly: 2 launches, 2 reads and 1 write per
+//!   element (the reduce pass and the downsweep);
 //! * **pipelines** — CSR build, connected components, TV/hybrid bridges
 //!   and inlabel LCA, whose launch counts and modeled bytes CI diffs
 //!   against the checked-in `ci/launch_baseline.json`.
@@ -156,17 +156,6 @@ pub fn run(cfg: &Config) {
     });
     pin_shape(&mut table, "compact_half", n as u64, repeats, |d| {
         d.compact_indices(n, |i| i % 2 == 0)
-    });
-    let seg_offsets: Vec<u32> = (0..=(n / 8) as u32)
-        .map(|s| s * 8)
-        .chain(if n.is_multiple_of(8) {
-            None
-        } else {
-            Some(n as u32)
-        })
-        .collect();
-    pin_shape(&mut table, "segscan_add_u64", n as u64, repeats, |d| {
-        d.segmented_add_scan_u64(&input, &seg_offsets)
     });
 
     // ---- pipeline launch accounting ------------------------------------

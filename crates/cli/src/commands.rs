@@ -408,13 +408,12 @@ pub fn cmd_convert(args: &Args) -> Result<String, String> {
     ))
 }
 
-/// `emg serve <catalog-dir> [--addr host:port|unix:/path] [--batch N]
-/// [--deadline-us U]`
+/// `emg serve <catalog-dir> [--addr host:port|unix:/path] [--batch N]`
 ///
 /// Loads every graph file in `<catalog-dir>` into an epoch-1 snapshot and
 /// serves the DESIGN.md §12 protocol until a client sends `Shutdown`. The
-/// coalescing knobs default to `EMG_SERVE_BATCH` / `EMG_SERVE_DEADLINE_US`
-/// from the environment; the flags override them for this run.
+/// per-flush pair cap defaults to `EMG_SERVE_BATCH` from the environment;
+/// `--batch` overrides it for this run.
 ///
 /// The bound address is announced on stderr *before* the accept loop
 /// starts (stdout is the post-shutdown report), so scripts using an
@@ -434,8 +433,6 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     if config.max_batch == 0 {
         return Err("--batch must be positive".into());
     }
-    let deadline_us: u64 = args.opt_parse("deadline-us", config.max_delay.as_micros() as u64)?;
-    config.max_delay = Duration::from_micros(deadline_us);
     // Startup failures (unreadable dir, empty catalog, bad graph file,
     // bind refusal) are configuration errors: a clean one-line diagnostic
     // and a nonzero exit, never a panic or a half-started daemon.
@@ -444,10 +441,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     let graphs = server.catalog().list();
     let bound = server.local_addr();
     eprintln!(
-        "emg serve: {} graphs from {dir} on {bound} (batch {}, deadline {:?})",
+        "emg serve: {} graphs from {dir} on {bound} (batch {}, flush when the worker is free)",
         graphs.len(),
-        config.max_batch,
-        config.max_delay
+        config.max_batch
     );
     for g in &graphs {
         eprintln!(
@@ -543,7 +539,7 @@ pub fn cmd_client(args: &Args) -> Result<String, String> {
             .unwrap();
             writeln!(
                 out,
-                "flushes: {} size-capped, {} deadline",
+                "flushes: {} size-capped, {} emptied the queue",
                 s.size_flushes, s.deadline_flushes
             )
             .unwrap();

@@ -2,32 +2,33 @@
 //!
 //! Every client session submits its validated query jobs here instead of
 //! launching directly. A single worker thread drains the queue in
-//! **flushes**: it sleeps until the first job arrives, then keeps
-//! admitting jobs until either the pending pair count reaches
-//! [`BatchConfig::max_batch`] (a *size flush*) or
-//! [`BatchConfig::max_delay`] has elapsed since the flush opened (a
-//! *deadline flush*), whichever comes first — the classic
-//! latency-vs-throughput coalescing window. Each flush groups its jobs by
-//! (snapshot, kind) and answers every group with **one** batched device
-//! launch ([`Snapshot::answer_batch`]), then splits the answer array back
-//! per request. The flush discipline and its two knobs (`EMG_SERVE_BATCH`,
-//! `EMG_SERVE_DEADLINE_US`) are specified in DESIGN.md §12.4.
+//! **flushes**, and it is *work-conserving*: it sleeps only while the
+//! queue is empty. When it wakes it takes queued jobs in FIFO order until
+//! their pairs reach [`BatchConfig::max_batch`] (a *size flush*) or the
+//! queue is empty, always taking at least one job. Jobs that arrive while
+//! a flush runs form the next one, so batches grow with load and an idle
+//! server answers at once. Each flush groups its jobs by (snapshot, kind)
+//! and answers every group with **one** batched device launch
+//! ([`Snapshot::answer_batch`]), then splits the answer array back per
+//! request. The flush discipline and its knob (`EMG_SERVE_BATCH`) are
+//! specified in DESIGN.md §12.4.
 //!
 //! Jobs hold an `Arc<Snapshot>` pinned at submit time, so a catalog reload
 //! mid-flush never tears a batch: the batch answers against the epoch the
 //! session validated, and the response carries that epoch.
 //!
 //! Two robustness layers guard the queue (DESIGN.md §13): **admission
-//! control** — past [`BatchConfig::max_pending`] pending pairs a new
-//! submission is refused with [`ErrorCode::Overloaded`] and a
-//! `retry_after_ms` hint instead of growing the queue without bound — and
-//! **panic isolation** — each per-(snapshot, kind) launch runs under
-//! `catch_unwind`, so a poisoned batch answers its own requesters with
-//! `Internal` while the worker (and the daemon) keep serving.
+//! control** — once pairs are pending, a submission that would take them
+//! past [`BatchConfig::max_pending`] is refused with
+//! [`ErrorCode::Overloaded`] and a `retry_after_ms` hint instead of growing
+//! the queue without bound — and **panic isolation** — each
+//! per-(snapshot, kind) launch runs under `catch_unwind`, so a poisoned
+//! batch answers its own requesters with `Internal` while the worker (and
+//! the daemon) keep serving.
 
 use crate::catalog::{ServeError, Snapshot};
 use crate::protocol::{overloaded_message, ErrorCode, QueryKind, ServerStats};
-use gpu_sim::env::{parse_positive_knob, EMG_SERVE_BATCH, EMG_SERVE_DEADLINE_US, EMG_SERVE_QUEUE};
+use gpu_sim::env::{parse_positive_knob, EMG_SERVE_BATCH, EMG_SERVE_QUEUE};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -35,47 +36,30 @@ use std::time::{Duration, Instant};
 
 /// Default pending-pair cap per flush.
 pub const DEFAULT_MAX_BATCH: u64 = 1024;
-/// Default coalescing deadline in microseconds.
-pub const DEFAULT_DEADLINE_US: u64 = 500;
 /// Default admission-control bound on pending pairs across the whole
-/// queue (64 windows of the default batch size — deep enough for bursts,
+/// queue (64 flushes of the default batch size — deep enough for bursts,
 /// bounded enough that a stalled device cannot buffer unbounded memory).
 pub const DEFAULT_MAX_PENDING: u64 = 65_536;
 
-/// The coalescing knobs.
+/// The batching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Flush as soon as this many query pairs are pending.
+    /// A flush stops taking jobs once it holds this many query pairs.
     pub max_batch: usize,
-    /// Flush this long after the first pending job, even if the batch is
-    /// not full.
-    pub max_delay: Duration,
-    /// Admission control: refuse new submissions with
-    /// [`ErrorCode::Overloaded`] once this many pairs are pending
-    /// (DESIGN.md §13.3).
+    /// Admission control: while pairs are pending, refuse a submission
+    /// that would take them past this bound with
+    /// [`ErrorCode::Overloaded`] (DESIGN.md §13.3).
     pub max_pending: usize,
 }
 
 impl BatchConfig {
-    /// Reads `EMG_SERVE_BATCH`, `EMG_SERVE_DEADLINE_US`, and
-    /// `EMG_SERVE_QUEUE` from the environment (registry-validated; a typo
-    /// panics, unset means the defaults).
+    /// Reads `EMG_SERVE_BATCH` and `EMG_SERVE_QUEUE` from the environment
+    /// (registry-validated; a typo panics, unset means the defaults).
     pub fn from_env() -> Self {
         BatchConfig {
             max_batch: parse_positive_knob(EMG_SERVE_BATCH, DEFAULT_MAX_BATCH) as usize,
-            max_delay: Duration::from_micros(parse_positive_knob(
-                EMG_SERVE_DEADLINE_US,
-                DEFAULT_DEADLINE_US,
-            )),
             max_pending: parse_positive_knob(EMG_SERVE_QUEUE, DEFAULT_MAX_PENDING) as usize,
         }
-    }
-
-    /// The backoff hint an `Overloaded` refusal carries: two coalescing
-    /// windows, at least one millisecond — by then the flush that was
-    /// pending at refusal time has drained.
-    fn retry_after_ms(&self) -> u64 {
-        (self.max_delay.as_millis() as u64 * 2).max(1)
     }
 }
 
@@ -83,10 +67,17 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: DEFAULT_MAX_BATCH as usize,
-            max_delay: Duration::from_micros(DEFAULT_DEADLINE_US),
             max_pending: DEFAULT_MAX_PENDING as usize,
         }
     }
+}
+
+/// The backoff hint an `Overloaded` refusal carries: twice the wall time
+/// of the last flush, at least one millisecond — by then the flush running
+/// at refusal time and the one after it have drained.
+fn retry_hint_ms(last_flush: Duration) -> u64 {
+    let twice_us = 2 * last_flush.as_micros();
+    (twice_us.div_ceil(1000) as u64).max(1)
 }
 
 /// What a flushed query resolves to: the answering epoch plus one word per
@@ -118,6 +109,9 @@ struct Counters {
     timeouts: u64,
     overloads: u64,
     panics_isolated: u64,
+    /// Wall time of the last flush up to its last launch, the basis of
+    /// the `Overloaded` hint.
+    last_flush: Duration,
 }
 
 struct Shared {
@@ -181,20 +175,19 @@ impl Batcher {
         // Admission control: past the pending-pair bound the request is
         // refused — never enqueued — with a hint for when to come back.
         // Refusing at the door bounds queue memory and keeps latency for
-        // admitted requests within a few coalescing windows.
-        let config = &self.shared.config;
-        if queue.pending_pairs + pairs.len() > config.max_pending {
-            let message = overloaded_message(
-                queue.pending_pairs,
-                config.max_pending,
-                config.retry_after_ms(),
-            );
+        // admitted requests within a few flushes. An idle queue admits any
+        // request, so one larger than the bound (a frame holds up to
+        // `MAX_FRAME_LEN` bytes of pairs) is answered in a flush of its own
+        // instead of being refused forever.
+        let max_pending = self.shared.config.max_pending;
+        let pending = queue.pending_pairs;
+        if pending > 0 && pending + pairs.len() > max_pending {
             drop(queue);
-            self.shared
-                .stats
-                .lock()
-                .expect("stats lock poisoned")
-                .overloads += 1;
+            let mut stats = self.shared.stats.lock().expect("stats lock poisoned");
+            stats.overloads += 1;
+            let hint = retry_hint_ms(stats.last_flush);
+            drop(stats);
+            let message = overloaded_message(pending, max_pending, hint);
             let _ = reply.send(Err((ErrorCode::Overloaded, message)));
             return rx;
         }
@@ -265,50 +258,42 @@ impl Drop for Batcher {
 }
 
 fn worker_loop(shared: &Shared) {
-    loop {
-        let (jobs, size_flush) = match collect_flush(shared) {
-            Some(f) => f,
-            None => return,
-        };
+    while let Some((jobs, size_flush)) = collect_flush(shared) {
         run_flush(shared, jobs, size_flush);
     }
 }
 
-/// Blocks until a flush is due, then drains it. Returns the drained jobs
-/// and whether the size cap (vs the deadline) triggered the flush; `None`
-/// when the batcher is stopped and drained.
+/// Sleeps while the queue is empty, then takes the next flush: queued jobs
+/// in FIFO order until their pairs reach the size cap or the queue runs
+/// out, at least one job either way. Returns the jobs and whether the cap
+/// (rather than an emptied queue) ended the flush; `None` once the batcher
+/// is stopped and drained.
 fn collect_flush(shared: &Shared) -> Option<(Vec<Job>, bool)> {
     let mut queue = shared.queue.lock().expect("batcher lock poisoned");
-    // Phase 1: sleep until the first job (or shutdown).
     while queue.jobs.is_empty() {
         if queue.stopped {
             return None;
         }
         queue = shared.wakeup.wait(queue).expect("batcher lock poisoned");
     }
-    // Phase 2: the coalescing window — admit more jobs until the size cap
-    // or the deadline.
-    let deadline = Instant::now() + shared.config.max_delay;
-    while queue.pending_pairs < shared.config.max_batch && !queue.stopped {
-        let now = Instant::now();
-        if now >= deadline {
+    let cap = shared.config.max_batch;
+    let mut jobs = Vec::new();
+    let mut pairs = 0;
+    while let Some(job) = queue.jobs.pop_front() {
+        pairs += job.pairs.len();
+        jobs.push(job);
+        if pairs >= cap {
             break;
         }
-        let (q, _timeout) = shared
-            .wakeup
-            .wait_timeout(queue, deadline - now)
-            .expect("batcher lock poisoned");
-        queue = q;
     }
-    let size_flush = queue.pending_pairs >= shared.config.max_batch;
-    let jobs: Vec<Job> = queue.jobs.drain(..).collect();
-    queue.pending_pairs = 0;
-    Some((jobs, size_flush))
+    queue.pending_pairs -= pairs;
+    Some((jobs, pairs >= cap))
 }
 
 /// Answers one flush: group by (snapshot, kind), one launch per group,
 /// split the answers back per job.
 fn run_flush(shared: &Shared, jobs: Vec<Job>, size_flush: bool) {
+    let started = Instant::now();
     // Group jobs by snapshot identity and kind. Arc pointer identity is
     // the right key: two epochs of the same graph are distinct snapshots
     // and must not share a launch.
@@ -325,7 +310,7 @@ fn run_flush(shared: &Shared, jobs: Vec<Job>, size_flush: bool) {
 
     // Record the flush reason before any reply goes out, so a client that
     // reads its answer and immediately asks for stats sees this flush.
-    if !order.is_empty() {
+    {
         let mut c = shared.stats.lock().expect("stats lock poisoned");
         if size_flush {
             c.size_flushes += 1;
@@ -357,11 +342,11 @@ fn run_flush(shared: &Shared, jobs: Vec<Job>, size_flush: bool) {
         let answers = match launched {
             Ok(answers) => answers,
             Err(panic) => {
-                shared
-                    .stats
-                    .lock()
-                    .expect("stats lock poisoned")
-                    .panics_isolated += 1;
+                {
+                    let mut c = shared.stats.lock().expect("stats lock poisoned");
+                    c.panics_isolated += 1;
+                    c.last_flush = started.elapsed();
+                }
                 let reason = panic_message(panic.as_ref());
                 for job in group {
                     let _ = job.reply.send(Err((
@@ -383,6 +368,9 @@ fn run_flush(shared: &Shared, jobs: Vec<Job>, size_flush: bool) {
                 c.batch_hist.resize(bucket + 1, 0);
             }
             c.batch_hist[bucket] += 1;
+            // Set before this group's replies go out, so a client that
+            // reads its answer and is then refused gets this flush's hint.
+            c.last_flush = started.elapsed();
         }
 
         let mut offset = 0;
@@ -412,27 +400,36 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use gpu_sim::DeviceConfig;
     use std::path::PathBuf;
 
-    fn tree_catalog(tag: &str) -> (Catalog, PathBuf) {
+    /// A fault spec that keeps the worker busy: every launch spins 200 ms,
+    /// so jobs submitted while a flush runs queue behind it.
+    const BUSY: &str = "delay:us=200000";
+
+    /// A one-graph catalog (`tree6`) whose serving device injects
+    /// `faults` (snapshot builds run with faults paused, so only flushes
+    /// pay them).
+    fn tree_catalog(tag: &str, faults: &str) -> (Catalog, PathBuf) {
         let dir = std::env::temp_dir().join(format!("emg-batcher-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("tree6.txt"), "0\t1\n0\t2\n0\t3\n1\t4\n1\t5\n").unwrap();
-        (Catalog::open(&dir).unwrap(), dir)
+        let device_cfg = DeviceConfig {
+            faults: faults.parse().unwrap(),
+            ..DeviceConfig::default()
+        };
+        (Catalog::open_with(&dir, device_cfg).unwrap(), dir)
     }
 
     #[test]
     fn coalesces_concurrent_submissions_into_fewer_launches() {
-        let (catalog, dir) = tree_catalog("coalesce");
+        let (catalog, dir) = tree_catalog("coalesce", BUSY);
         let snap = catalog.get("tree6").unwrap();
-        let batcher = Batcher::new(BatchConfig {
-            max_batch: 1024,
-            max_delay: Duration::from_millis(20),
-            ..BatchConfig::default()
-        });
-        // Many tiny submissions inside one coalescing window.
-        let receivers: Vec<_> = (0..16)
+        let batcher = Batcher::new(BatchConfig::default());
+        // The first job's flush keeps the worker busy; the jobs submitted
+        // meanwhile queue behind it and leave together in the next flush.
+        let receivers: Vec<_> = (0..17)
             .map(|_| batcher.submit(Arc::clone(&snap), QueryKind::Lca, vec![(4, 5), (2, 3)]))
             .collect();
         for rx in receivers {
@@ -441,11 +438,9 @@ mod tests {
             assert_eq!(answers, vec![1, 0]);
         }
         let stats = batcher.stats();
-        assert_eq!(stats.queries, 32);
-        // All 16 jobs were submitted before the 20ms window closed, so
-        // they coalesced into far fewer launches than jobs.
-        assert!(stats.batches < 16, "batches = {}", stats.batches);
-        assert!(stats.max_batch >= 4);
+        assert_eq!(stats.queries, 34);
+        assert!(stats.batches < 17, "batches = {}", stats.batches);
+        assert!(stats.max_batch >= 16, "max batch = {}", stats.max_batch);
         assert_eq!(
             stats.batch_hist.iter().sum::<u64>(),
             stats.batches,
@@ -456,31 +451,39 @@ mod tests {
 
     #[test]
     fn size_cap_flushes_without_waiting_for_the_deadline() {
-        let (catalog, dir) = tree_catalog("sizecap");
+        let (catalog, dir) = tree_catalog("sizecap", BUSY);
         let snap = catalog.get("tree6").unwrap();
         let batcher = Batcher::new(BatchConfig {
             max_batch: 4,
-            // A deadline long enough that only the size cap can explain a
-            // prompt flush.
-            max_delay: Duration::from_secs(5),
             ..BatchConfig::default()
         });
-        let start = Instant::now();
-        let rx = batcher.submit(
-            Arc::clone(&snap),
-            QueryKind::Connectivity,
-            vec![(0, 1), (1, 2), (2, 3), (3, 4)],
-        );
-        let (_, answers) = rx.recv().unwrap().unwrap();
-        assert_eq!(answers, vec![1, 1, 1, 1]);
-        assert!(start.elapsed() < Duration::from_secs(2), "deadline flush?");
-        assert!(batcher.stats().size_flushes >= 1);
+        // Six 2-pair jobs queue behind a busy worker; the cap splits them
+        // into flushes of at most 4 pairs instead of one flush of 12.
+        let receivers: Vec<_> = (0..6)
+            .map(|_| {
+                batcher.submit(
+                    Arc::clone(&snap),
+                    QueryKind::Connectivity,
+                    vec![(0, 1), (2, 3)],
+                )
+            })
+            .collect();
+        for rx in receivers {
+            let (_, answers) = rx.recv().unwrap().unwrap();
+            assert_eq!(answers, vec![1, 1]);
+        }
+        let stats = batcher.stats();
+        assert_eq!(stats.queries, 12);
+        assert_eq!(stats.max_batch, 4, "the cap bounds one flush");
+        assert!(stats.size_flushes >= 2, "{stats:?}");
+        // One (snapshot, kind) group per flush: every launch is one flush.
+        assert_eq!(stats.size_flushes + stats.deadline_flushes, stats.batches);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_pairs_answer_immediately() {
-        let (catalog, dir) = tree_catalog("empty");
+        let (catalog, dir) = tree_catalog("empty", "off");
         let snap = catalog.get("tree6").unwrap();
         let batcher = Batcher::new(BatchConfig::default());
         let rx = batcher.submit(snap, QueryKind::Lca, Vec::new());
@@ -493,17 +496,19 @@ mod tests {
 
     #[test]
     fn stop_drains_queued_jobs() {
-        let (catalog, dir) = tree_catalog("stop");
+        let (catalog, dir) = tree_catalog("stop", BUSY);
         let snap = catalog.get("tree6").unwrap();
         let batcher = Batcher::new(BatchConfig {
-            max_batch: 1 << 20,
-            max_delay: Duration::from_secs(5),
+            max_batch: 1,
             ..BatchConfig::default()
         });
-        let rx = batcher.submit(Arc::clone(&snap), QueryKind::Lca, vec![(4, 5)]);
+        // The first job keeps the worker busy, so the second is still
+        // queued when stop arrives.
+        let in_flight = batcher.submit(Arc::clone(&snap), QueryKind::Lca, vec![(4, 5)]);
+        let queued = batcher.submit(Arc::clone(&snap), QueryKind::Lca, vec![(2, 3)]);
         batcher.stop();
-        let (_, answers) = rx.recv().unwrap().unwrap();
-        assert_eq!(answers, vec![1]);
+        assert_eq!(in_flight.recv().unwrap().unwrap().1, vec![1]);
+        assert_eq!(queued.recv().unwrap().unwrap().1, vec![0]);
         // Submissions after stop are refused, not dropped.
         let rx = batcher.submit(snap, QueryKind::Lca, vec![(4, 5)]);
         assert_eq!(rx.recv().unwrap().unwrap_err().0, ErrorCode::Internal);
@@ -514,46 +519,58 @@ mod tests {
     fn config_from_env_defaults() {
         let cfg = BatchConfig::from_env();
         assert_eq!(cfg.max_batch, DEFAULT_MAX_BATCH as usize);
-        assert_eq!(cfg.max_delay, Duration::from_micros(DEFAULT_DEADLINE_US));
         assert_eq!(cfg.max_pending, DEFAULT_MAX_PENDING as usize);
     }
 
     #[test]
     fn admission_control_refuses_past_the_pending_bound() {
-        let (catalog, dir) = tree_catalog("overload");
+        let (catalog, dir) = tree_catalog("overload", BUSY);
         let snap = catalog.get("tree6").unwrap();
-        // A long deadline holds the first submission in the coalescing
-        // window, so the queue is demonstrably occupied when the second
-        // arrives and trips the 4-pair bound.
+        // One job per flush, at most 4 pairs pending.
         let batcher = Batcher::new(BatchConfig {
-            max_batch: 1 << 20,
-            max_delay: Duration::from_secs(5),
+            max_batch: 1,
             max_pending: 4,
         });
-        let admitted = batcher.submit(
-            Arc::clone(&snap),
-            QueryKind::Connectivity,
-            vec![(0, 1), (1, 2), (2, 3)],
-        );
-        let refused = batcher.submit(
-            Arc::clone(&snap),
-            QueryKind::Connectivity,
-            vec![(0, 1), (1, 2)],
-        );
+        let submit = |pairs: Vec<(u32, u32)>| {
+            batcher.submit(Arc::clone(&snap), QueryKind::Connectivity, pairs)
+        };
+        // A completed flush gives the retry hint its measurement.
+        assert_eq!(submit(vec![(0, 1)]).recv().unwrap().unwrap().1, vec![1]);
+        // One job in flight keeps the worker busy while three pairs queue
+        // behind it; two more would pass the 4-pair bound.
+        let in_flight = submit(vec![(0, 1)]);
+        let queued = submit(vec![(0, 1), (1, 2), (2, 3)]);
+        let refused = submit(vec![(0, 1), (1, 2)]);
         let (code, message) = refused.recv().unwrap().unwrap_err();
         assert_eq!(code, ErrorCode::Overloaded);
         let hint = crate::protocol::retry_after_ms(&message);
-        assert!(
-            hint.is_some_and(|ms| ms >= 1),
-            "hint missing in {message:?}"
-        );
+        // Twice the last flush, which spun at least 200 ms in its launch.
+        assert!(hint.is_some_and(|ms| ms >= 400), "hint in {message:?}");
         assert_eq!(batcher.stats().overloads, 1);
-        // The refused request was never enqueued; the admitted one drains
+        // The refused request was never enqueued; the admitted ones drain
         // normally on stop.
         batcher.stop();
-        let (_, answers) = admitted.recv().unwrap().unwrap();
-        assert_eq!(answers, vec![1, 1, 1]);
-        assert_eq!(batcher.stats().queries, 3);
+        assert_eq!(in_flight.recv().unwrap().unwrap().1, vec![1]);
+        assert_eq!(queued.recv().unwrap().unwrap().1, vec![1, 1, 1]);
+        assert_eq!(batcher.stats().queries, 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn request_larger_than_the_pending_bound_is_admitted_when_idle() {
+        let (catalog, dir) = tree_catalog("oversized", "off");
+        let snap = catalog.get("tree6").unwrap();
+        let batcher = Batcher::new(BatchConfig {
+            max_batch: 1024,
+            max_pending: 4,
+        });
+        // Six pairs against a bound of four: refusing would refuse this
+        // request forever, so an idle queue admits it.
+        let pairs = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)];
+        let rx = batcher.submit(Arc::clone(&snap), QueryKind::Connectivity, pairs);
+        let (_, answers) = rx.recv().unwrap().unwrap();
+        assert_eq!(answers, vec![1; 6]);
+        assert_eq!(batcher.stats().overloads, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,8 +17,8 @@
 //!   versioning), normatively specified in DESIGN.md §12;
 //! * [`catalog`] — snapshot construction and the epoch/reload lifecycle;
 //! * [`batcher`] — the request coalescer: concurrent sessions' queries
-//!   merge into single device launches, flushed on a size cap or a
-//!   deadline;
+//!   merge into single device launches, flushed as soon as the worker is
+//!   free and capped in size;
 //! * [`server`] — the listener and per-connection sessions;
 //! * [`client`] — the blocking client the CLI's `emg client` and the
 //!   qps sweep drive, plus the retrying wrapper the chaos sweep drives.

@@ -232,9 +232,11 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: u64,
-    /// Batches flushed because the size cap was reached.
+    /// Flushes that reached the size cap.
     pub size_flushes: u64,
-    /// Batches flushed because the deadline expired first.
+    /// Flushes that emptied the queue before reaching the size cap. The
+    /// name is kept from the retired coalescing window: the wire layout is
+    /// append-only (DESIGN.md §12.3).
     pub deadline_flushes: u64,
     /// Power-of-two batch-size histogram (`hist[i]` counts batches of
     /// size in `[2^i, 2^(i+1))`).

@@ -68,16 +68,13 @@ impl TestServer {
             faults,
             ..DeviceConfig::default()
         };
-        // A short coalescing window keeps one sequential client's queries
-        // in one-launch batches (launch index == query index).
-        let batch = BatchConfig {
-            max_delay: Duration::from_micros(200),
-            ..BatchConfig::default()
-        };
+        // The batcher flushes as soon as its worker is free, so one
+        // sequential client's queries run one launch each (launch index ==
+        // query index).
         let server = Server::bind_with(
             "127.0.0.1:0",
             &dir,
-            batch,
+            BatchConfig::default(),
             device_cfg,
             SessionLimits::default(),
         )

@@ -224,12 +224,12 @@ fn concurrent_clients_coalesce_and_stay_exact() {
             .collect(),
     );
     let dir = write_catalog("concurrent", &graphs);
-    // A wide window so concurrent submissions actually coalesce.
+    // A cap above all four clients' queued pairs (4 × 64), so requests
+    // that queue behind a running flush leave in one flush.
     let (addr, server) = spawn_server(
         &dir,
         BatchConfig {
             max_batch: 4096,
-            max_delay: std::time::Duration::from_millis(2),
             ..BatchConfig::default()
         },
     );

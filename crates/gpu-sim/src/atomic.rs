@@ -54,30 +54,6 @@ pub fn as_atomic_u64(slice: &mut [u64]) -> &[AtomicU64] {
     unsafe { &*(slice as *mut [u64] as *const [AtomicU64]) }
 }
 
-/// `atomicMin` on a `u32` cell (relaxed ordering, CUDA-style).
-#[inline]
-pub fn atomic_min_u32(cell: &AtomicU32, value: u32) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value < cur {
-        match cell.compare_exchange_weak(cur, value, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
-}
-
-/// `atomicMax` on a `u32` cell (relaxed ordering, CUDA-style).
-#[inline]
-pub fn atomic_max_u32(cell: &AtomicU32, value: u32) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    while value > cur {
-        match cell.compare_exchange_weak(cur, value, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
-    }
-}
-
 macro_rules! atomic_view {
     ($name:ident, $cell:ty, $elem:ty, $ctor:ident, $cast:ident) => {
         /// A tracked CUDA-style atomic view over an exclusive integer
@@ -232,40 +208,6 @@ macro_rules! atomic_view {
 atomic_view!(AtomicViewU32, AtomicU32, u32, as_atomic_u32, atomic_u32);
 atomic_view!(AtomicViewU64, AtomicU64, u64, as_atomic_u64, atomic_u64);
 
-/// A shareable `f64` accumulator built on `AtomicU64` bit casts.
-///
-/// Used by benchmark harnesses to accumulate timings from parallel regions;
-/// not meant for high-contention inner loops.
-#[derive(Debug, Default)]
-pub struct AtomicF64Cell(AtomicU64);
-
-impl AtomicF64Cell {
-    /// Creates a cell holding `value`.
-    pub fn new(value: f64) -> Self {
-        Self(AtomicU64::new(value.to_bits()))
-    }
-
-    /// Reads the current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Adds `delta` with a CAS loop.
-    pub fn add(&self, delta: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,34 +241,5 @@ mod tests {
             view[0].fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(data[0], 10_000);
-    }
-
-    #[test]
-    fn atomic_min_max_converge() {
-        let mut lo = vec![u32::MAX; 1];
-        let mut hi = vec![0u32; 1];
-        let lo_view = as_atomic_u32(&mut lo);
-        let hi_view = as_atomic_u32(&mut hi);
-        (0..5_000u32).into_par_iter().for_each(|i| {
-            atomic_min_u32(&lo_view[0], i);
-            atomic_max_u32(&hi_view[0], i);
-        });
-        assert_eq!(lo[0], 0);
-        assert_eq!(hi[0], 4_999);
-    }
-
-    #[test]
-    fn atomic_min_no_op_when_larger() {
-        let mut v = vec![5u32];
-        let view = as_atomic_u32(&mut v);
-        atomic_min_u32(&view[0], 9);
-        assert_eq!(v[0], 5);
-    }
-
-    #[test]
-    fn f64_cell_accumulates_in_parallel() {
-        let cell = AtomicF64Cell::new(0.0);
-        (0..1000).into_par_iter().for_each(|_| cell.add(0.5));
-        assert!((cell.get() - 500.0).abs() < 1e-9);
     }
 }

@@ -30,16 +30,11 @@ pub const EMG_SANITIZE: &str = "EMG_SANITIZE";
 pub const EMG_BENCH_JSON: &str = "EMG_BENCH_JSON";
 /// Launch-graph capture plane selector; see [`crate::launch_graph`].
 pub const EMG_CAPTURE: &str = "EMG_CAPTURE";
-/// Query-server batch-size cap: the coalescing queue flushes a batch to
-/// the device once this many queries are pending (a positive integer;
+/// Query-server batch-size cap: one flush of the batching queue takes
+/// queued queries until it holds this many pairs (a positive integer;
 /// read by the `emg-server` crate, registered here so every `EMG_*` knob
 /// shares one contract and one documentation table).
 pub const EMG_SERVE_BATCH: &str = "EMG_SERVE_BATCH";
-/// Query-server flush deadline in microseconds: a queued query waits at
-/// most this long for co-batched company before the batch is flushed to
-/// the device anyway (a positive integer; read by the `emg-server`
-/// crate).
-pub const EMG_SERVE_DEADLINE_US: &str = "EMG_SERVE_DEADLINE_US";
 /// Deterministic fault-injection spec; see [`crate::fault`]. A
 /// comma-separated clause list such as
 /// `launch_panic:p=0.01:seed=42,alloc_fail:after=100:every=37,delay:us=500`;
@@ -72,11 +67,7 @@ pub const KNOBS: &[(&str, &str)] = &[
     (EMG_CAPTURE, "launch-graph capture: off|on"),
     (
         EMG_SERVE_BATCH,
-        "emg serve: flush a query batch at this many pending queries",
-    ),
-    (
-        EMG_SERVE_DEADLINE_US,
-        "emg serve: flush a query batch after this many microseconds",
+        "emg serve: cap one flush of queued queries at this many pairs",
     ),
     (
         EMG_FAULT,
@@ -127,14 +118,12 @@ pub fn parse_knob(var: &str, value: &str) -> Result<String, String> {
                 Ok(format!("jsonl sink {value:?}"))
             }
         }
-        EMG_SERVE_BATCH
-        | EMG_SERVE_DEADLINE_US
-        | EMG_SERVE_IDLE_MS
-        | EMG_SERVE_IO_TIMEOUT_MS
-        | EMG_SERVE_QUEUE => match value.trim().parse::<u64>() {
-            Ok(v) if v > 0 => Ok(format!("{var}={v}")),
-            _ => Err(format!("expected a positive integer, got {value:?}")),
-        },
+        EMG_SERVE_BATCH | EMG_SERVE_IDLE_MS | EMG_SERVE_IO_TIMEOUT_MS | EMG_SERVE_QUEUE => {
+            match value.trim().parse::<u64>() {
+                Ok(v) if v > 0 => Ok(format!("{var}={v}")),
+                _ => Err(format!("expected a positive integer, got {value:?}")),
+            }
+        }
         EMG_FAULT => crate::fault::FaultConfig::from_str(value).map(|c| format!("faults {c}")),
         other => Err(format!("unknown EMG knob {other:?}")),
     }
@@ -176,7 +165,7 @@ mod tests {
     /// [`parse_knob`], accepts its documented defaults, and rejects typos.
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 9, "new knob? register it in env.rs");
+        assert_eq!(KNOBS.len(), 8, "new knob? register it in env.rs");
         for (var, _help) in KNOBS {
             // A typo must be a hard error for every enum knob; the one
             // free-form knob (a path) instead rejects the empty string.
@@ -214,14 +203,12 @@ mod tests {
         assert!(parse_knob(EMG_BENCH_JSON, "").is_err());
         for v in ["1", "64", "4096"] {
             parse_knob(EMG_SERVE_BATCH, v).unwrap();
-            parse_knob(EMG_SERVE_DEADLINE_US, v).unwrap();
             parse_knob(EMG_SERVE_IDLE_MS, v).unwrap();
             parse_knob(EMG_SERVE_IO_TIMEOUT_MS, v).unwrap();
             parse_knob(EMG_SERVE_QUEUE, v).unwrap();
         }
         for v in ["0", "-3", "lots", "1.5"] {
             assert!(parse_knob(EMG_SERVE_BATCH, v).is_err(), "{v:?}");
-            assert!(parse_knob(EMG_SERVE_DEADLINE_US, v).is_err(), "{v:?}");
             assert!(parse_knob(EMG_SERVE_QUEUE, v).is_err(), "{v:?}");
         }
         for v in [

@@ -30,8 +30,7 @@
 //! The primitive suite covers the part of moderngpu the pipelines call:
 //! radix [`sort`] (DCEL construction only), generic [`scan`] and
 //! [`reduce`], segmented reduce ([`segreduce`]) and stream compaction
-//! ([`compact`]), plus the segmented scan that the scan-war experiment
-//! pins, with kernel and work-item accounting in [`metrics`].
+//! ([`compact`]), with kernel and work-item accounting in [`metrics`].
 //!
 //! Multi-launch pipelines draw their scratch buffers from the device
 //! memory plane ([`arena`]): a size-bucketed pool with RAII handles
@@ -88,7 +87,7 @@ pub mod sort;
 
 pub use arena::ArenaError;
 pub use arena::{ArenaPod, ArenaVec, DeviceArena, ScratchGuard};
-pub use atomic::{as_atomic_u32, as_atomic_u64, AtomicF64Cell, AtomicViewU32, AtomicViewU64};
+pub use atomic::{as_atomic_u32, as_atomic_u64, AtomicViewU32, AtomicViewU64};
 pub use device::{CaptureScope, Device, DeviceConfig, DeviceHandle, KernelLabel, SharedSlice};
 pub use fault::{FaultConfig, FaultPause, FaultPlane};
 pub use launch_graph::{

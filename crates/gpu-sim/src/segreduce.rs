@@ -11,7 +11,6 @@
 //! degrees, which matches the behaviour (not the micro-optimizations) of
 //! GPU segreduce kernels.
 
-use crate::arena::ArenaPod;
 use crate::device::Device;
 
 impl Device {
@@ -129,90 +128,6 @@ impl Device {
     pub fn segmented_max_u32(&self, values: &[u32], offsets: &[u32]) -> Vec<u32> {
         self.segmented_reduce(values, offsets, 0u32, |a, b| a.max(b))
     }
-
-    /// Per-segment inclusive scan — the `moderngpu segscan` substitute.
-    ///
-    /// `out[i]` is the `op`-prefix (seeded with `identity`) of the segment
-    /// containing `i`, up to and including `i`. Implemented as the classic
-    /// *flagged scan*: the fused map-scan runs over `(head_flag, value)`
-    /// pairs whose combiner resets accumulation at segment heads — head
-    /// flags being the associativity trick that makes segmented scans a
-    /// single unsegmented scan. Head flags and the pair array come from
-    /// the device arena.
-    ///
-    /// # Panics
-    /// Same contract as [`Device::segmented_reduce`].
-    pub fn segmented_scan_inclusive<T, F>(
-        &self,
-        values: &[T],
-        offsets: &[u32],
-        identity: T,
-        op: F,
-    ) -> Vec<T>
-    where
-        T: ArenaPod + Default,
-        F: Fn(T, T) -> T + Sync,
-    {
-        assert!(
-            !offsets.is_empty(),
-            "segscan: offsets must contain at least one boundary"
-        );
-        assert_eq!(
-            *offsets.last().unwrap() as usize,
-            values.len(),
-            "segscan: last offset must equal values.len()"
-        );
-        let n = values.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Head flags (1 at the first slot of every non-empty segment).
-        // Traffic: the flag array is written once and each boundary is read
-        // once; the flagged pair scan below accounts for itself.
-        self.metrics()
-            .record_traffic((offsets.len() as u64) * 4, 4 * n as u64);
-        let mut head = self.alloc_filled(n, 0u32);
-        for w in offsets.windows(2) {
-            if w[0] < w[1] {
-                head[w[0] as usize] = 1;
-            }
-        }
-        debug_assert_eq!(head[0], 1, "first non-empty segment must start at 0");
-        let head = &head;
-        let mut scanned = self.alloc_pooled::<(u32, T)>(n);
-        // The flagged pair scan reads the head flags and values through its
-        // generator closure — invisible to the tracked layer, so declared.
-        self.capture_read(&head[..]);
-        self.capture_read(values);
-        self.map_scan_inclusive_into(
-            n,
-            |i| (head[i], values[i]),
-            &mut scanned,
-            (0u32, identity),
-            |a, b| {
-                if b.0 == 1 {
-                    b
-                } else {
-                    (a.0, op(a.1, b.1))
-                }
-            },
-        );
-        let scanned = &scanned;
-        self.capture_read(&scanned[..]);
-        // Unzip: one pair read and one value write per slot.
-        self.metrics().record_traffic(
-            (n * size_of::<(u32, T)>()) as u64,
-            std::mem::size_of_val(values) as u64,
-        );
-        let mut out = vec![T::default(); n];
-        self.map(&mut out, |i| scanned[i].1);
-        out
-    }
-
-    /// Per-segment inclusive sums of `u64` values.
-    pub fn segmented_add_scan_u64(&self, values: &[u64], offsets: &[u32]) -> Vec<u64> {
-        self.segmented_scan_inclusive(values, offsets, 0u64, |a, b| a + b)
-    }
 }
 
 #[cfg(test)]
@@ -279,70 +194,5 @@ mod tests {
         assert_eq!(mins.len(), 10_001);
         assert_eq!(mins[1], 0);
         assert_eq!(mins[10_000], 9_999);
-    }
-
-    #[test]
-    fn segscan_small_example() {
-        let device = Device::new();
-        let values = [1u64, 2, 3, 4, 5, 6];
-        let offsets = [0u32, 2, 2, 5, 6];
-        let got = device.segmented_add_scan_u64(&values, &offsets);
-        assert_eq!(got, [1, 3, 3, 7, 12, 6]);
-    }
-
-    #[test]
-    fn segscan_single_segment_equals_global_scan() {
-        let device = Device::new();
-        let values: Vec<u64> = (0..50_000).map(|i| i % 17).collect();
-        let offsets = [0u32, 50_000];
-        let got = device.segmented_add_scan_u64(&values, &offsets);
-        let expect = device.add_scan_inclusive_u64(&values);
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn segscan_all_singletons_is_identity_copy() {
-        let device = Device::new();
-        let values: Vec<u64> = (0..10_000).collect();
-        let offsets: Vec<u32> = (0..=10_000).collect();
-        let got = device.segmented_add_scan_u64(&values, &offsets);
-        assert_eq!(got, values);
-    }
-
-    #[test]
-    fn segscan_matches_per_segment_reference() {
-        let device = Device::new();
-        // Irregular sizes including empties.
-        let sizes = [0u32, 3, 1, 0, 7, 2, 0, 0, 11, 1];
-        let mut offsets = vec![0u32];
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s);
-        }
-        let n = *offsets.last().unwrap() as usize;
-        let values: Vec<u64> = (0..n as u64).map(|v| v * 3 + 1).collect();
-        let got = device.segmented_add_scan_u64(&values, &offsets);
-        for w in offsets.windows(2) {
-            let mut acc = 0;
-            for i in w[0] as usize..w[1] as usize {
-                acc += values[i];
-                assert_eq!(got[i], acc);
-            }
-        }
-    }
-
-    #[test]
-    fn segscan_empty_values() {
-        let device = Device::new();
-        let got = device.segmented_add_scan_u64(&[], &[0, 0, 0]);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn segscan_generic_max() {
-        let device = Device::new();
-        let values = [3u32, 1, 4, 1, 5, 9, 2, 6];
-        let offsets = [0u32, 4, 8];
-        let got = device.segmented_scan_inclusive(&values, &offsets, 0u32, |a, b| a.max(b));
-        assert_eq!(got, [3, 3, 4, 4, 5, 9, 9, 9]);
     }
 }

@@ -99,27 +99,6 @@ proptest! {
     }
 
     #[test]
-    fn segscan_matches_chunked_scan(
-        values in proptest::collection::vec(0u64..1000, 0..2000),
-        seg_len in 1usize..40
-    ) {
-        let device = small_device();
-        let n = values.len();
-        let mut offsets: Vec<u32> = (0..=n / seg_len).map(|s| (s * seg_len) as u32).collect();
-        if *offsets.last().unwrap() as usize != n {
-            offsets.push(n as u32);
-        }
-        let got = device.segmented_add_scan_u64(&values, &offsets);
-        for w in offsets.windows(2) {
-            let mut acc = 0;
-            for i in w[0] as usize..w[1] as usize {
-                acc += values[i];
-                prop_assert_eq!(got[i], acc);
-            }
-        }
-    }
-
-    #[test]
     fn scatter_then_gather_roundtrip(n in 1usize..3000, seed in any::<u64>()) {
         let device = small_device();
         // Random permutation from the seed.

@@ -1,11 +1,11 @@
 //! The device scan core against a sequential reference: every primitive
-//! built on the two-pass prefix-sum core (scans, fused scans, segmented
-//! scans, compaction, radix-sort offsets, CSR offsets) must be
-//! **bit-identical** to a plain left fold written in this file — across
-//! operators, element types, adversarial lengths (block/chunk
-//! boundaries), pool widths 1, 2 and 4, pooling on and off, and under the
-//! full sanitizer with zero findings. The two engines compared are the
-//! device core and that host-side fold; any divergence is a device bug.
+//! built on the two-pass prefix-sum core (scans, fused scans, compaction,
+//! radix-sort offsets, CSR offsets) must be **bit-identical** to a plain
+//! left fold written in this file — across operators, element types,
+//! adversarial lengths (block/chunk boundaries), pool widths 1, 2 and 4,
+//! pooling on and off, and under the full sanitizer with zero findings.
+//! The two engines compared are the device core and that host-side fold;
+//! any divergence is a device bug.
 
 use gpu_sim::{Device, DeviceConfig, SanitizeMode};
 use proptest::prelude::*;
@@ -125,8 +125,8 @@ fn min_max_scans_bit_identical_u32() {
 
 #[test]
 fn pair_scans_bit_identical() {
-    // The segscan's flagged-pair shape: a non-commutative operator over a
-    // padded (u32, u64) pair.
+    // Pins the scan core under a non-commutative operator: a flagged
+    // pair, (u32, u64) with padding, whose flag restarts the running sum.
     let op = |a: (u32, u64), b: (u32, u64)| {
         if b.0 == 1 {
             b
@@ -154,30 +154,6 @@ fn exclusive_with_total_bit_identical() {
         assert_matches_reference(&expected, |d| {
             d.scan_exclusive_with_total(&input, 0u32, add)
         });
-    }
-}
-
-#[test]
-fn segscan_bit_identical() {
-    for &n in ADVERSARIAL_LENGTHS {
-        let values = input_u64(n).iter().map(|v| v % 1_000).collect::<Vec<_>>();
-        // Irregular segment boundaries, including empties.
-        let mut offsets = vec![0u32];
-        let mut at = 0usize;
-        let mut step = 1usize;
-        while at < n {
-            at = usize::min(at + step % 7, n);
-            step = step.wrapping_mul(3).wrapping_add(1);
-            offsets.push(at as u32);
-        }
-        if *offsets.last().unwrap() as usize != n {
-            offsets.push(n as u32);
-        }
-        let expected: Vec<u64> = offsets
-            .windows(2)
-            .flat_map(|w| fold_inclusive(&values[w[0] as usize..w[1] as usize], 0, |a, b| a + b))
-            .collect();
-        assert_matches_reference(&expected, |d| d.segmented_add_scan_u64(&values, &offsets));
     }
 }
 
@@ -245,9 +221,6 @@ fn scan_core_is_clean_under_full_sanitizer() {
     let _ = device.compact_indices(5000, |i| i % 7 != 0);
     let mut keys = input_u64(5000);
     device.sort_u64(&mut keys);
-    let offsets: Vec<u32> = (0..=1000u32).map(|s| s * 5).collect();
-    let vals = input_u64(5000).iter().map(|v| v % 100).collect::<Vec<_>>();
-    let _ = device.segmented_add_scan_u64(&vals, &offsets);
     assert!(
         device.take_findings().is_empty(),
         "the scan core must be sanitizer-clean"

@@ -34,6 +34,7 @@
 //!    `pub const NAME: &str = "EMG_...";` item) must appear, backticked,
 //!    in the README's consolidated env-var table (the region between the
 //!    `<!-- env-table:begin -->` / `<!-- env-table:end -->` markers), and
+//!    every backticked `EMG_*` name in that table must be registered; and
 //!    every `DESIGN.md §N` reference in workspace `.rs` files must point
 //!    at an existing `## N.` section of `DESIGN.md` — docs that name a
 //!    knob or section that does not exist are worse than no docs.
@@ -267,7 +268,9 @@ fn lint_design_refs(
 
 /// Rule 9a: every `pub const NAME: &str = "EMG_...";` knob in the gpu-sim
 /// env registry must appear (backticked) in the README's env-var table,
-/// delimited by [`ENV_TABLE_BEGIN`] / [`ENV_TABLE_END`].
+/// delimited by [`ENV_TABLE_BEGIN`] / [`ENV_TABLE_END`], and every
+/// backticked `EMG_*` name in that table must be registered, so a retired
+/// knob's row cannot outlive it.
 fn lint_env_table(root: &Path, findings: &mut Vec<Finding>) {
     let env_rs = root.join("crates/gpu-sim/src/env.rs");
     let Ok(text) = fs::read_to_string(&env_rs) else {
@@ -296,11 +299,11 @@ fn lint_env_table(root: &Path, findings: &mut Vec<Finding>) {
     }
     let readme = root.join("README.md");
     let readme_text = fs::read_to_string(&readme).unwrap_or_default();
-    let table = match (
+    let (begin, table) = match (
         readme_text.find(ENV_TABLE_BEGIN),
         readme_text.find(ENV_TABLE_END),
     ) {
-        (Some(b), Some(e)) if b < e => &readme_text[b..e],
+        (Some(b), Some(e)) if b < e => (b, &readme_text[b..e]),
         _ => {
             findings.push(finding_at(
                 root,
@@ -315,18 +318,40 @@ fn lint_env_table(root: &Path, findings: &mut Vec<Finding>) {
             return;
         }
     };
-    for (line, knob) in knobs {
+    for (line, knob) in &knobs {
         if !table.contains(&format!("`{knob}`")) {
             findings.push(finding_at(
                 root,
                 &env_rs,
-                line,
+                *line,
                 "env-table",
                 format!(
                     "`{knob}` is registered in gpu-sim::env but missing from the README \
                      env-var table (between the env-table markers)"
                 ),
             ));
+        }
+    }
+    let begin_line = readme_text[..begin].matches('\n').count() + 1;
+    for (i, row) in table.lines().enumerate() {
+        // Odd-numbered pieces of a backtick split are the quoted spans.
+        for quoted in row.split('`').skip(1).step_by(2) {
+            let name: String = quoted
+                .chars()
+                .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                .collect();
+            if name.starts_with("EMG_") && !knobs.iter().any(|(_, knob)| *knob == name) {
+                findings.push(finding_at(
+                    root,
+                    &readme,
+                    begin_line + i,
+                    "env-table",
+                    format!(
+                        "`{name}` is in the README env-var table but not registered in \
+                         gpu-sim::env (a retired knob's row?)"
+                    ),
+                ));
+            }
         }
     }
 }

@@ -270,6 +270,30 @@ fn unregistered_env_knob_in_readme_is_flagged() {
 }
 
 #[test]
+fn stale_env_table_row_is_flagged() {
+    let ws = TempWorkspace::new("envstale");
+    ws.write(
+        "crates/gpu-sim/src/lib.rs",
+        "#![deny(unsafe_op_in_unsafe_fn)]\npub mod env;\n",
+    );
+    ws.write(
+        "crates/gpu-sim/src/env.rs",
+        "/// Live knob.\npub const EMG_LIVE: &str = \"EMG_LIVE\";\n",
+    );
+    ws.write(
+        "README.md",
+        "# demo\n<!-- env-table:begin -->\n| `EMG_LIVE` | `on` | a knob |\n\
+         | `EMG_RETIRED` | `500` | a deleted knob |\n<!-- env-table:end -->\n",
+    );
+    let f = lint_workspace(&ws.root);
+    let env_findings: Vec<_> = f.iter().filter(|x| x.rule == "env-table").collect();
+    assert_eq!(env_findings.len(), 1, "{f:?}");
+    assert!(env_findings[0].message.contains("EMG_RETIRED"), "{f:?}");
+    assert!(env_findings[0].path.ends_with("README.md"), "{f:?}");
+    assert_eq!(env_findings[0].line, 4, "should point at the stale row");
+}
+
+#[test]
 fn missing_env_table_markers_are_flagged() {
     let ws = TempWorkspace::new("envmarkers");
     ws.write(
