@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for the gpu-sim primitives (the moderngpu
-//! substitutes): scan, radix sort, segmented reduce and compaction.
+//! substitutes): scan, segmented reduce and compaction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gpu_sim::Device;
@@ -26,43 +26,6 @@ fn bench_scan(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("inclusive_u64", n), &n, |b, _| {
             b.iter(|| device.add_scan_inclusive_u64(&data));
-        });
-    }
-    group.finish();
-}
-
-fn bench_sort(c: &mut Criterion) {
-    let device = Device::new();
-    let mut group = c.benchmark_group("radix_sort");
-    group.sample_size(10);
-    for n in [1usize << 16, 1 << 20] {
-        let data = pseudo_random(n, 2);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("pairs_u64_u32", n), &n, |b, _| {
-            b.iter(|| {
-                let mut keys = data.clone();
-                let mut vals: Vec<u32> = (0..n as u32).collect();
-                device.sort_pairs_u64_u32(&mut keys, &mut vals);
-                keys
-            });
-        });
-        // The native 32-bit path against the old widen-through-u64 route:
-        // the native path must be no slower (it halves per-pass traffic).
-        let data32: Vec<u32> = data.iter().map(|&k| k as u32).collect();
-        group.bench_with_input(BenchmarkId::new("u32_native", n), &n, |b, _| {
-            b.iter(|| {
-                let mut keys = data32.clone();
-                device.sort_u32(&mut keys);
-                keys
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("u32_widened_u64", n), &n, |b, _| {
-            b.iter(|| {
-                let mut wide: Vec<u64> = data32.iter().map(|&k| k as u64).collect();
-                device.sort_u64(&mut wide);
-                let keys: Vec<u32> = wide.iter().map(|&k| k as u32).collect();
-                keys
-            });
         });
     }
     group.finish();
@@ -95,11 +58,5 @@ fn bench_compact(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_scan,
-    bench_sort,
-    bench_segreduce,
-    bench_compact
-);
+criterion_group!(benches, bench_scan, bench_segreduce, bench_compact);
 criterion_main!(benches);

@@ -7,9 +7,17 @@
 //! consecutive B entries share a tail node unless a group ends, in which
 //! case `next` wraps to the group's first entry (array `first`). This is
 //! exactly Figure 2 of the paper.
+//!
+//! The paper gets B from "the costly sorting" of all half-edges. Here B is
+//! the CSR placement of the tree edges ([`Csr::from_pairs_on`]): a
+//! counting sort of the half-edges by tail, then a sort of each tail's run
+//! by head, with ties (parallel edges) broken by edge id. That is the
+//! lexicographic order of the stably sorted A, so `next` and `first` are
+//! the same bit for bit.
 
 use gpu_sim::Device;
-use graph_core::ids::{pack_edge, NodeId, INVALID_NODE};
+use graph_core::ids::{NodeId, INVALID_NODE};
+use graph_core::Csr;
 
 /// Twin of a half-edge: the opposite direction of the same undirected edge.
 #[inline]
@@ -44,15 +52,26 @@ impl Dcel {
     /// Builds the DCEL from an unordered collection of undirected edges.
     ///
     /// Follows §2.1: create A (implicitly — `twin` is `xor 1` and the
-    /// endpoints live in `tails`/`heads`), radix-sort a copy into B keeping
-    /// cross-pointers, then derive `next` and `first`.
+    /// endpoints live in `tails`/`heads`), place the half-edges in B's
+    /// order with the CSR placement, map each B slot to its half-edge id,
+    /// then derive `next` and `first` in one slot-parallel launch.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is not below `num_nodes`, or on a self-loop:
+    /// both its half-edges would take one id. A forest has none, and
+    /// [`crate::EulerTour`] rejects them before it builds.
     pub fn build(device: &Device, num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let m = edges.len();
-        let h = 2 * m;
+        assert!(
+            edges.iter().all(|&(u, v)| u != v),
+            "a DCEL edge set holds no self-loop"
+        );
+        let h = 2 * edges.len();
 
         // Array A: half-edge endpoints.
         let mut tails = vec![0 as NodeId; h];
         let mut heads = vec![0 as NodeId; h];
+        device.capture_fresh(&tails[..]);
+        device.capture_fresh(&heads[..]);
         {
             let _k = device.kernel_label("dcel_tails");
             device.capture_read(edges);
@@ -78,67 +97,59 @@ impl Dcel {
             });
         }
 
-        // Array B: lexicographically sorted copy, carrying half-edge ids as
-        // the cross-pointers back into A. Both arrays are scratch — pooled.
-        let mut keys = {
-            let _k = device.kernel_label("dcel_pack_keys");
-            device.capture_read(&tails);
-            device.capture_read(&heads);
-            device.alloc_pooled_map(h, |e| pack_edge(tails[e], heads[e]))
+        // Array B: slot s of the placement holds the arc (tail x, neighbor)
+        // of edge id j, which is half-edge 2j when the neighbor is the
+        // edge's second endpoint and 2j + 1 otherwise. Each slot's word
+        // packs (x, half-edge), so the link finds run boundaries by
+        // comparing adjacent slots' tails instead of gathering them.
+        // Scratch — pooled.
+        let csr = Csr::from_pairs_on(device, num_nodes, edges);
+        let offsets = csr.offsets();
+        let slots = {
+            let _k = device.kernel_label("dcel_slot_half_edges");
+            let (neighbors, edge_ids) = (csr.raw_neighbors(), csr.raw_edge_ids());
+            device.capture_read(neighbors);
+            device.capture_read(edge_ids);
+            device.capture_read(edges);
+            device.alloc_pooled_map(h, |s| {
+                let j = edge_ids[s];
+                let (u, v) = edges[j as usize];
+                let (x, he) = if neighbors[s] == v {
+                    (u, 2 * j)
+                } else {
+                    (v, 2 * j + 1)
+                };
+                (u64::from(x) << 32) | u64::from(he)
+            })
         };
-        let mut sorted_he = {
-            let _k = device.kernel_label("dcel_iota");
-            device.alloc_pooled_map(h, |i| i as u32)
-        };
-        device.sort_pairs_u64_u32(&mut keys, &mut sorted_he);
 
-        // first[x] = half-edge at the first B position of x's group. Group
-        // boundaries come from the sorted keys themselves (consecutive B
-        // entries share a tail iff their keys share high words) — no
-        // indirection back into A.
+        // Link: each slot writes next[] at its half-edge (the slots hold
+        // every half-edge once, so each target has one writer): the next
+        // slot's half-edge, or the run's first at the run's end. The run's
+        // first slot also writes first[x].
+        let mut next = vec![0u32; h];
         let mut first = vec![INVALID_NODE; num_nodes];
+        device.capture_fresh(&next[..]);
         device.capture_fresh(&first[..]);
         {
-            let _k = device.kernel_label("dcel_group_first");
-            device.capture_read(&keys[..]);
-            device.capture_read(&sorted_he[..]);
-            // One group-first position per node value.
-            let first_shared = device.shared(&mut first);
-            let sorted_ref = &sorted_he;
-            let keys_ref = &keys;
-            device.for_each(h, |i| {
-                let he = sorted_ref[i];
-                let x = (keys_ref[i] >> 32) as NodeId;
-                let is_group_first = i == 0 || (keys_ref[i - 1] >> 32) as NodeId != x;
-                if is_group_first {
-                    first_shared.write(x as usize, he);
-                }
-            });
-        }
-
-        // next[e]: successor of e in its tail's cyclic outgoing list.
-        let mut next = vec![0u32; h];
-        device.capture_fresh(&next[..]);
-        {
-            let _k = device.kernel_label("dcel_next_links");
-            device.capture_read(&keys[..]);
-            device.capture_read(&sorted_he[..]);
-            device.capture_read(&first);
-            // Each B position i writes next[] at a distinct half-edge id
-            // (sorted_he is a permutation).
+            let _k = device.kernel_label("dcel_link");
+            device.capture_read(&slots[..]);
+            device.capture_read(offsets);
             let next_shared = device.shared(&mut next);
-            let sorted_ref = &sorted_he;
-            let keys_ref = &keys;
-            let first_ref = &first;
-            device.for_each(h, |i| {
-                let he = sorted_ref[i];
-                let x = (keys_ref[i] >> 32) as NodeId;
-                let nxt = if i + 1 < h && (keys_ref[i + 1] >> 32) as NodeId == x {
-                    sorted_ref[i + 1]
+            let first_shared = device.shared(&mut first);
+            let slots = &slots;
+            let tail = |s: usize| (slots[s] >> 32) as usize;
+            device.for_each(h, |s| {
+                let (x, he) = (tail(s), slots[s] as u32);
+                let after = if s + 1 < h && tail(s + 1) == x {
+                    s + 1
                 } else {
-                    first_ref[x as usize]
+                    offsets[x] as usize
                 };
-                next_shared.write(he as usize, nxt);
+                next_shared.write(he as usize, slots[after] as u32);
+                if s == 0 || tail(s - 1) != x {
+                    first_shared.write(x, he);
+                }
             });
         }
 
@@ -263,5 +274,11 @@ mod tests {
         let dcel = Dcel::build(&device, 1, &[]);
         assert_eq!(dcel.num_half_edges(), 0);
         assert_eq!(dcel.first[0], INVALID_NODE);
+    }
+
+    #[test]
+    #[should_panic(expected = "no self-loop")]
+    fn self_loop_is_rejected() {
+        Dcel::build(&Device::new(), 2, &[(0, 1), (1, 1)]);
     }
 }

@@ -40,6 +40,7 @@ impl EulerList {
         // succ(e) = next(twin(e)), computed in one kernel; the predecessor
         // of the head is found on the fly and its succ set to NIL afterwards.
         let mut succ = vec![0u32; h];
+        device.capture_fresh(&succ[..]);
         {
             let _k = device.kernel_label("tour_succ");
             device.capture_read(&dcel.next);

@@ -35,6 +35,7 @@ pub enum Ranker {
 /// half-edge `e` on the tour, `0` for the head.
 pub fn rank(device: &Device, list: &EulerList, ranker: Ranker) -> Vec<u32> {
     let mut out = vec![0u32; list.len()];
+    device.capture_fresh(&out[..]);
     rank_into(device, list, ranker, &mut out);
     out
 }

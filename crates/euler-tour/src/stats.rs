@@ -1,13 +1,15 @@
 //! Tree statistics as scans over the Euler tour array.
 //!
-//! With the tour in array form (one list ranking, §2.2), each statistic is
-//! one scan plus one scatter kernel:
+//! With the tour in array form (one list ranking, §2.2), all statistics
+//! come from one scan and one scatter kernel:
 //!
-//! * **preorder** — down-edges weigh 1, up-edges 0; the prefix sum at the
-//!   down-edge into `v` is `preorder(v) - 1` (we use 1-based preorder, as
-//!   Schieber–Vishkin require);
-//! * **level** — down-edges weigh +1, up-edges −1; the prefix sum at the
-//!   down-edge into `v` is `level(v)` (root = 0);
+//! * **preorder** — down-edges weigh 1, up-edges 0; the inclusive prefix
+//!   sum `D(p)` at the down-edge into `v` (tour position `p`) is
+//!   `preorder(v) - 1` (we use 1-based preorder, as Schieber–Vishkin
+//!   require);
+//! * **level** — the ±1 prefix sum at the same edge: of the `p + 1` edges
+//!   up to `p`, `D(p)` go down and the rest up, so
+//!   `level(v) = 2·D(p) − p − 1` (root = 0) with no second scan;
 //! * **subtree size** — no scan needed: the tour enters `v` at position `p`
 //!   and leaves at `q = rank(twin)`, and `size(v) = (q − p + 1) / 2`;
 //! * **parent** — the tail of the down-edge into `v`.
@@ -32,8 +34,8 @@ pub struct TreeStats {
 }
 
 impl TreeStats {
-    /// Computes all statistics from a built tour with four kernels and two
-    /// scans.
+    /// Computes all statistics from a built tour with one flag kernel, one
+    /// scan and one scatter kernel.
     pub fn compute(device: &Device, tour: &EulerTour) -> TreeStats {
         let n = tour.num_nodes();
         if n == 1 {
@@ -58,23 +60,13 @@ impl TreeStats {
         };
         let down = &down;
 
-        // Preorder: fused transform + inclusive scan of down flags — no
+        // D: fused transform + inclusive scan of down flags — no
         // materialized weight array, scratch from the arena. The flags feed
-        // the generator closure, so each scan declares the read.
-        let mut pre_scan = device.alloc_pooled::<u64>(h);
+        // the generator closure, so the scan declares the read. D counts
+        // down-edges, at most n − 1, so u32 holds it.
+        let mut pre_scan = device.alloc_pooled::<u32>(h);
         device.capture_read(&down[..]);
-        device.map_scan_inclusive_into(h, |p| down[p] as u64, &mut pre_scan, 0u64, |a, b| a + b);
-
-        // Level: fused transform + inclusive scan of ±1.
-        let mut level_scan = device.alloc_pooled::<i64>(h);
-        device.capture_read(&down[..]);
-        device.map_scan_inclusive_into(
-            h,
-            |p| if down[p] == 1 { 1i64 } else { -1i64 },
-            &mut level_scan,
-            0i64,
-            |a, b| a + b,
-        );
+        device.map_scan_inclusive_into(h, |p| down[p] as u32, &mut pre_scan, 0u32, |a, b| a + b);
 
         let mut preorder = vec![0u32; n];
         let mut subtree_size = vec![0u32; n];
@@ -90,10 +82,9 @@ impl TreeStats {
 
         {
             let _k = device.kernel_label("tree_stats_scatter");
-            // Closure-side inputs: flags, both scans, and the tour arrays.
+            // Closure-side inputs: flags, the scan, and the tour arrays.
             device.capture_read(&down[..]);
             device.capture_read(&pre_scan[..]);
-            device.capture_read(&level_scan[..]);
             device.capture_read(order);
             device.capture_read(rank);
             // Each non-root node has exactly one down-edge, so targets are
@@ -104,15 +95,17 @@ impl TreeStats {
             let parent_shared = device.shared(&mut parent);
             let down_ref = &down;
             let pre_scan_ref = &pre_scan;
-            let level_scan_ref = &level_scan;
             device.for_each(h, |p| {
                 if down_ref[p] == 1 {
                     let e = order[p];
                     let v = dcel.heads[e as usize] as usize;
                     let q = rank[twin(e) as usize];
-                    pre_shared.write(v, pre_scan_ref[p] as u32 + 1);
+                    let d = pre_scan_ref[p];
+                    pre_shared.write(v, d + 1);
                     size_shared.write(v, (q - p as u32).div_ceil(2));
-                    level_shared.write(v, level_scan_ref[p] as u32);
+                    // 2·D(p) can pass u32::MAX on a tree of over 2^31
+                    // nodes; the level itself cannot.
+                    level_shared.write(v, (2 * u64::from(d) - p as u64 - 1) as u32);
                     parent_shared.write(v, dcel.tails[e as usize]);
                 }
             });

@@ -177,6 +177,7 @@ impl EulerTour {
             device.alloc_pooled_map(h, |i| i as u32)
         };
         let mut order = vec![0u32; h];
+        device.capture_fresh(&order[..]);
         device.scatter(&mut order, &rank_arr, &src);
 
         Ok(Self {

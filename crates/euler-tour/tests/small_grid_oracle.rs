@@ -1,21 +1,26 @@
 //! Euler tours and tree statistics on a small grid — 64-thread blocks and
-//! a 16-element sequential threshold, so ranking, order inversion and the
-//! preorder/size/level scans take their multi-block parallel paths — must
-//! equal the sequential DFS oracle.
+//! a 16-element sequential threshold, so the CSR placement, ranking, order
+//! inversion and the preorder scan take their multi-block parallel paths —
+//! must equal the sequential DFS oracle, and the DCEL must equal the
+//! paper's sorted-half-edge construction done on the host.
 
 use euler_tour::cpu::sequential_stats;
-use euler_tour::{EulerTour, TreeStats};
+use euler_tour::{Dcel, EulerTour, TreeStats};
 use gpu_sim::{Device, DeviceConfig};
 use graph_core::ids::INVALID_NODE;
 use graph_core::Tree;
 
-fn small_grid() -> Device {
+fn small_grid_of(threads: usize) -> Device {
     Device::with_config(DeviceConfig {
-        threads: Some(4),
+        threads: Some(threads),
         block_size: 64,
         seq_threshold: 16,
         ..Default::default()
     })
+}
+
+fn small_grid() -> Device {
+    small_grid_of(4)
 }
 
 /// Deterministic scraggly tree: node v hangs off a pseudo-random
@@ -39,5 +44,81 @@ fn tour_and_stats_match_sequential_on_a_small_grid() {
         let stats = TreeStats::compute(&device, &tour);
         stats.validate().unwrap();
         assert_eq!(stats, sequential_stats(&tree), "n={n}");
+    }
+}
+
+/// The paper's §2.1 construction on the host, independent of the device
+/// code: sort all half-edges by (tail, head), with the half-edge id
+/// breaking ties as a stable sort of A would, then link each tail's group
+/// cyclically. Returns `(next, first)`.
+fn reference_dcel(num_nodes: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut sorted: Vec<(u32, u32, u32)> = edges
+        .iter()
+        .zip(0u32..)
+        .flat_map(|(&(u, v), j)| [(u, v, 2 * j), (v, u, 2 * j + 1)])
+        .collect();
+    sorted.sort_unstable();
+    let mut first = vec![INVALID_NODE; num_nodes];
+    for (i, &(x, _, he)) in sorted.iter().enumerate() {
+        if i == 0 || sorted[i - 1].0 != x {
+            first[x as usize] = he;
+        }
+    }
+    let mut next = vec![0u32; sorted.len()];
+    for (i, &(x, _, he)) in sorted.iter().enumerate() {
+        next[he as usize] = match sorted.get(i + 1) {
+            Some(&(y, _, after)) if y == x => after,
+            _ => first[x as usize],
+        };
+    }
+    (next, first)
+}
+
+/// `tree`'s edges in a scrambled order, each flipped with probability 1/2:
+/// the DCEL's input is an unordered collection of undirected edges.
+fn scrambled_edges(tree: &Tree, seed: u64) -> Vec<(u32, u32)> {
+    let mut edges = tree.edges();
+    let mut state = seed;
+    for i in (1..edges.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        edges.swap(i, (state >> 33) as usize % (i + 1));
+        if state >> 63 == 1 {
+            let (u, v) = edges[i];
+            edges[i] = (v, u);
+        }
+    }
+    edges
+}
+
+#[test]
+fn dcel_matches_the_host_sorted_half_edges() {
+    let star: Vec<(u32, u32)> = (1..700u32)
+        .map(|v| if v % 3 == 0 { (v, 0) } else { (0, v) })
+        .collect();
+    let path: Vec<(u32, u32)> = (1..700u32)
+        .map(|v| if v % 2 == 0 { (v, v - 1) } else { (v - 1, v) })
+        .collect();
+    let mut shapes = vec![
+        (1, vec![]),
+        (2, vec![(0, 1)]),
+        (2, vec![(1, 0)]),
+        // A parallel-edge pair, in both orientations: ties between equal
+        // (tail, head) keys fall to the half-edge id.
+        (2, vec![(0, 1), (1, 0)]),
+        (2, vec![(1, 0), (1, 0)]),
+        (700, star),
+        (700, path),
+    ];
+    for (n, seed) in [(65, 1), (300, 2), (1500, 3), (20_000, 4)] {
+        shapes.push((n, scrambled_edges(&scraggly_tree(n), seed)));
+    }
+    for threads in [1, 4] {
+        let device = small_grid_of(threads);
+        for (n, edges) in &shapes {
+            let dcel = Dcel::build(&device, *n, edges);
+            let (next, first) = reference_dcel(*n, edges);
+            assert_eq!(dcel.next, next, "next: n={n}, width {threads}");
+            assert_eq!(dcel.first, first, "first: n={n}, width {threads}");
+        }
     }
 }

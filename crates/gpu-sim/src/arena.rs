@@ -1,7 +1,7 @@
 //! The device memory plane: a size-bucketed buffer pool with RAII handles.
 //!
 //! The paper's pipelines are short chains of dense array primitives (scan,
-//! sort, gather/scatter) launched over and over — list-ranking rounds,
+//! gather/scatter, compaction) launched over and over — list-ranking rounds,
 //! CC hooking passes, inlabel construction. A real GPU runtime amortizes
 //! device allocations across launches (CUB's `DeviceAllocator`, cudf's
 //! pool resource); heap-allocating fresh `Vec`s per launch instead pays

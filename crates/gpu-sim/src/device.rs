@@ -18,7 +18,7 @@
 //! not).
 //!
 //! Every launch — `for_each`, `map`, and the hand-scheduled phases of the
-//! scan, sort, compaction and reduce primitives — crosses one seam: an RAII
+//! scan, compaction and reduce primitives — crosses one seam: an RAII
 //! launch guard opened by `Device::launch`. Opening it counts the launch in
 //! [`Metrics`], runs the [fault plane](crate::fault)'s hook before any other
 //! plane opens (so an injected panic unwinds past a clean device), then
@@ -92,7 +92,7 @@ impl Default for DeviceConfig {
 /// A simulated GPU device.
 ///
 /// Cheap to share by reference; all kernel entry points take `&self`.
-/// Primitives (scan, sort, reduce, segmented reduce, compaction) are
+/// Primitives (scan, reduce, segmented reduce, compaction) are
 /// implemented in sibling modules as inherent methods on `Device`.
 pub struct Device {
     pool: Option<rayon::ThreadPool>,
@@ -396,8 +396,8 @@ impl Device {
         }
     }
 
-    /// Chunk length for chunk-per-block primitives (scan, reduce, radix
-    /// sort, compact): at least one [`DeviceConfig::block_size`], and at
+    /// Chunk length for chunk-per-block primitives (scan, reduce,
+    /// compact): at least one [`DeviceConfig::block_size`], and at
     /// most ~4 chunks per pool worker, so the sequential middle phases
     /// (block-offset scans) stay negligible while every real worker has
     /// blocks to claim.

@@ -498,7 +498,7 @@ mod tests {
         let keys: Vec<u32> = (0..n as u32)
             .map(|i| i.wrapping_mul(2_654_435_761))
             .collect();
-        let (mut out, mut sorted) = (vec![0u32; n], keys.clone());
+        let mut out = vec![0u32; n];
         let check = |what: &str, op: &mut dyn FnMut()| {
             let before = device.metrics().snapshot();
             op();
@@ -517,7 +517,6 @@ mod tests {
         check("reduce", &mut || {
             device.reduce(&keys, 0, u32::max);
         });
-        check("radix sort", &mut || device.sort_u32(&mut sorted));
         check("compaction", &mut || {
             device.compact_indices(n, |i| keys[i].is_multiple_of(3));
         });

@@ -20,12 +20,12 @@
 //!   [`crate::Device::atomic_u32`] notes its region and kind against the
 //!   launch it ran in (the same machinery racecheck attribution uses, so
 //!   capture is pool-width-independent by construction);
-//! * **primitive declarations** — the device primitives (scan, sort,
+//! * **primitive declarations** — the device primitives (scan, reduce,
 //!   gather, scatter, ...) access their operands through untracked raw
 //!   slices internally, so each declares its user-facing inputs and
 //!   outputs on a capture scope that every launch it issues inherits.
-//!   Primitive-internal scratch (radix ping-pong buffers, per-block
-//!   scan sums) is deliberately *not* declared: the graph models
+//!   Primitive-internal scratch (per-block scan sums, compaction
+//!   counts) is deliberately *not* declared: the graph models
 //!   pipeline-level dataflow, not intra-primitive plumbing.
 //!
 //! Closure-captured inputs (the generator of a fused `map_scan`, a

@@ -28,9 +28,10 @@
 //! ```
 //!
 //! The primitive suite covers the part of moderngpu the pipelines call:
-//! radix [`sort`] (DCEL construction only), generic [`scan`] and
-//! [`reduce`], segmented reduce ([`segreduce`]) and stream compaction
-//! ([`compact`]), with kernel and work-item accounting in [`metrics`].
+//! generic [`scan`] and [`reduce`], segmented reduce ([`segreduce`]) and
+//! stream compaction ([`compact`]), with kernel and work-item accounting
+//! in [`metrics`]. The paper's one sort, of the Euler tour's half-edges,
+//! is the CSR placement's counting sort in `graph-core`.
 //!
 //! Multi-launch pipelines draw their scratch buffers from the device
 //! memory plane ([`arena`]): a size-bucketed pool with RAII handles
@@ -59,7 +60,7 @@
 //!
 //! The three planes meet the device at one seam ([`device`]): every
 //! launch — [`Device::for_each`], [`Device::map`], and the hand-scheduled
-//! phases of the scan, sort, compaction and reduce primitives — opens one
+//! phases of the scan, compaction and reduce primitives — opens one
 //! RAII launch guard, which counts it in [`metrics`], runs the fault hook
 //! first, opens the capture node and the sanitizer launch, and closes both
 //! when it drops, also when a kernel panics. On the access side, each
@@ -83,7 +84,6 @@ pub mod reduce;
 pub mod sanitize;
 pub mod scan;
 pub mod segreduce;
-pub mod sort;
 
 pub use arena::ArenaError;
 pub use arena::{ArenaPod, ArenaVec, DeviceArena, ScratchGuard};

@@ -19,7 +19,7 @@ pub struct Metrics {
     pub kernel_launches: AtomicU64,
     /// Total virtual threads executed across all launches (the *work*).
     pub work_items: AtomicU64,
-    /// Number of primitive invocations (scan, sort, reduce, ...).
+    /// Number of primitive invocations (scan, reduce, compaction, ...).
     pub primitive_calls: AtomicU64,
     /// Scratch bytes fetched freshly from the system allocator by the
     /// device arena (block size classes, not raw request sizes). A hot
@@ -30,7 +30,7 @@ pub struct Metrics {
     pub bytes_reused: AtomicU64,
     /// Modeled global-memory bytes read by device primitives (the traffic
     /// plane). Only the *data plane* counts: each named primitive (scan,
-    /// sort, reduce, segreduce, compact, gather/scatter) records
+    /// reduce, segreduce, compact, gather/scatter) records
     /// the O(n) arrays it streams, while O(blocks) descriptor/bookkeeping
     /// arrays and per-block "shared memory" staging are excluded so the
     /// number is pool-width-independent and CI can gate it. Fused

@@ -4,7 +4,7 @@
 //! array scan primitive is much faster than list ranking (7–8× per \[64\]), so
 //! an Euler tour should be list-ranked *once* and every subsequent statistic
 //! computed by scans over the resulting array. One core backs every entry
-//! point (and the compaction and radix-sort offsets built on it):
+//! point (and the compaction and CSR offsets built on it):
 //! the classic three-phase blocked algorithm — per-block reduce, exclusive
 //! scan of block sums, per-block downsweep — the moderngpu/CUB structure
 //! the paper uses. It costs 2 launches and ~2 reads + 1 write per element;

@@ -110,25 +110,6 @@ fn segreduce_bit_identical() {
 }
 
 #[test]
-fn sort_bit_identical_across_thread_counts() {
-    let (d1, d4) = devices();
-    for n in [1usize << 12, 150_000] {
-        // Duplicate-heavy keys make stability observable through payloads.
-        let keys: Vec<u64> = pseudo_random(n, 3).iter().map(|k| k % 512).collect();
-        let vals: Vec<u32> = (0..n as u32).collect();
-
-        let (mut k1, mut v1) = (keys.clone(), vals.clone());
-        d1.sort_pairs_u64_u32(&mut k1, &mut v1);
-        let (mut k4, mut v4) = (keys.clone(), vals.clone());
-        d4.sort_pairs_u64_u32(&mut k4, &mut v4);
-        assert_eq!(k1, k4, "sorted keys diverge at n={n}");
-        assert_eq!(v1, v4, "stable payload order diverges at n={n}");
-
-        assert_eq!(d1.argsort_u64(&keys), d4.argsort_u64(&keys));
-    }
-}
-
-#[test]
 fn reduce_and_compact_bit_identical() {
     let (d1, d4) = devices();
     let n = 200_000;

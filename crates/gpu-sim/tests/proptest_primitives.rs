@@ -19,30 +19,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sort_matches_std(mut keys in proptest::collection::vec(any::<u64>(), 0..4000)) {
-        let device = small_device();
-        let mut expected = keys.clone();
-        expected.sort_unstable();
-        device.sort_u64(&mut keys);
-        prop_assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn sort_pairs_stable(keys in proptest::collection::vec(0u64..16, 0..3000)) {
-        let device = small_device();
-        let mut k = keys.clone();
-        let mut v: Vec<u32> = (0..keys.len() as u32).collect();
-        device.sort_pairs_u64_u32(&mut k, &mut v);
-        // Payload tracks its key and equal keys keep input order.
-        for i in 0..k.len() {
-            prop_assert_eq!(keys[v[i] as usize], k[i]);
-            if i > 0 && k[i - 1] == k[i] {
-                prop_assert!(v[i - 1] < v[i]);
-            }
-        }
-    }
-
-    #[test]
     fn scan_matches_reference(input in proptest::collection::vec(0u64..1_000_000, 0..4000)) {
         let device = small_device();
         let inc = device.add_scan_inclusive_u64(&input);

@@ -1,6 +1,6 @@
 //! The device scan core against a sequential reference: every primitive
 //! built on the two-pass prefix-sum core (scans, fused scans, compaction,
-//! radix-sort offsets, CSR offsets) must be **bit-identical** to a plain
+//! CSR offsets) must be **bit-identical** to a plain
 //! left fold written in this file — across operators, element types,
 //! adversarial lengths (block/chunk boundaries), pool widths 1, 2 and 4,
 //! pooling on and off, and under the full sanitizer with zero findings.
@@ -175,25 +175,6 @@ fn compact_bit_identical() {
 }
 
 #[test]
-fn radix_sort_bit_identical() {
-    // The radix offsets ride the scan core; sorted output and payload
-    // permutation must equal a stable sort by key.
-    for &n in ADVERSARIAL_LENGTHS {
-        let keys = input_u64(n);
-        let vals: Vec<u32> = (0..n as u32).collect();
-        let mut pairs: Vec<(u64, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-        pairs.sort_by_key(|&(k, _)| k);
-        let expected: (Vec<u64>, Vec<u32>) = pairs.into_iter().unzip();
-        assert_matches_reference(&expected, |d| {
-            let mut k = keys.clone();
-            let mut v = vals.clone();
-            d.sort_pairs_u64_u32(&mut k, &mut v);
-            (k, v)
-        });
-    }
-}
-
-#[test]
 fn csr_offsets_bit_identical() {
     // The degree-histogram → exclusive-scan shape of CSR construction.
     for &n in ADVERSARIAL_LENGTHS {
@@ -219,8 +200,6 @@ fn scan_core_is_clean_under_full_sanitizer() {
     let _ = device.scan_inclusive(&input, 0u64, |a, b| a.wrapping_add(b));
     let _ = device.scan_exclusive(&input, 0u64, |a, b| a.wrapping_add(b));
     let _ = device.compact_indices(5000, |i| i % 7 != 0);
-    let mut keys = input_u64(5000);
-    device.sort_u64(&mut keys);
     assert!(
         device.take_findings().is_empty(),
         "the scan core must be sanitizer-clean"

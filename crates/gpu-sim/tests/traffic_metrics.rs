@@ -112,29 +112,6 @@ fn gather_scatter_count_index_and_element() {
 }
 
 #[test]
-fn sort_seq_paths_record_full_taxonomy() {
-    let device = dev(4);
-    // u32 path, below the sequential threshold.
-    let d = measure(&device, |d| {
-        let mut keys = vec![5u32, 3, 1, 4, 2];
-        d.sort_u32(&mut keys);
-    });
-    assert_eq!(d.kernel_launches, 1);
-    assert_eq!(d.bytes_read, 20);
-    assert_eq!(d.bytes_written, 20);
-    // u64 path, including the n = 1 degenerate sort.
-    for n in [1usize, 10] {
-        let d = measure(&device, |d| {
-            let mut keys: Vec<u64> = (0..n as u64).rev().collect();
-            d.sort_u64(&mut keys);
-        });
-        assert_eq!(d.kernel_launches, 1, "n={n}");
-        assert_eq!(d.bytes_read, 8 * n as u64, "n={n}");
-        assert_eq!(d.bytes_written, 8 * n as u64, "n={n}");
-    }
-}
-
-#[test]
 fn segreduce_counts_slots_offsets_and_segments() {
     let device = dev(4);
     let values: Vec<u32> = (0..40).collect();

@@ -100,15 +100,24 @@ impl Csr {
     /// # Panics
     /// Panics if the graph has more than `u32::MAX / 2` edges.
     pub fn from_edge_list_on(device: &Device, edges: &EdgeList) -> Self {
-        let n = edges.num_nodes();
-        let m = edges.num_edges();
+        Self::from_pairs_on(device, edges.num_nodes(), edges.edges())
+    }
+
+    /// [`Csr::from_edge_list_on`] over borrowed pairs: callers that hold
+    /// their edges as a slice (the Euler tour's DCEL) need no
+    /// [`EdgeList`] copy.
+    ///
+    /// # Panics
+    /// Panics if the graph has more than `u32::MAX / 2` edges or an
+    /// endpoint is not below `n`.
+    pub fn from_pairs_on(device: &Device, n: usize, pairs: &[(NodeId, NodeId)]) -> Self {
+        let m = pairs.len();
         assert!(m <= (u32::MAX / 2) as usize, "graph too large for u32 CSR");
 
         // Phase 1: per-source directed-arc counts (each undirected edge is
         // two arcs). Arena-backed so the scratch has a deterministic
         // lifetime in the captured launch graph.
         let mut counts = device.alloc_filled(n, 0u32);
-        let pairs = edges.edges();
         {
             let _k = device.kernel_label("csr_count_arcs");
             device.capture_read(pairs);
@@ -124,8 +133,11 @@ impl Csr {
 
         // Phase 2: offsets = exclusive scan of the counts, padded by one
         // zero so the scan writes all n + 1 slots (offsets[n] = total) in
-        // place — no append, no realloc.
+        // place — no append, no realloc. Every output is a plain heap
+        // buffer, which capture identifies by base pointer: each is
+        // declared fresh where it is allocated.
         let mut offsets = vec![0u32; n + 1];
+        device.capture_fresh(&offsets[..]);
         let total = {
             let counts_ref = &counts[..];
             device.capture_read(counts_ref);
@@ -140,12 +152,10 @@ impl Csr {
         drop(counts);
         debug_assert_eq!(total as usize, 2 * m);
 
-        // The packed words are allocated last, as a plain heap buffer
-        // freed at return: an arena block would stay resident through the
-        // caller's pipeline and raise its peak memory (DESIGN.md §7).
+        // The packed words are a plain heap buffer freed at return: an
+        // arena block would stay resident through the caller's pipeline
+        // and raise its peak memory (DESIGN.md §7).
         let arcs = 2 * m;
-        let mut neighbors = vec![0 as NodeId; arcs];
-        let mut edge_ids = vec![0 as EdgeId; arcs];
         let mut words = vec![0u64; arcs];
         device.capture_fresh(&words[..]);
 
@@ -214,6 +224,10 @@ impl Csr {
 
         // Phase 5: unpack — neighbors from the high halves, edge ids from
         // the low halves.
+        let mut neighbors = vec![0 as NodeId; arcs];
+        let mut edge_ids = vec![0 as EdgeId; arcs];
+        device.capture_fresh(&neighbors[..]);
+        device.capture_fresh(&edge_ids[..]);
         let words = &words[..];
         {
             let _k = device.kernel_label("csr_unpack_neighbors");
