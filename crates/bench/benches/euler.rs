@@ -60,7 +60,8 @@ fn bench_scan_vs_list_ranking(c: &mut Criterion) {
     group.bench_function("rank_once_then_scans", |b| {
         b.iter(|| {
             // One Wei–JáJá ranking, then three array scans in tour order.
-            let rank = euler_tour::ranking::rank(&device, &list, Ranker::WeiJaJa);
+            let rank = euler_tour::ranking::rank(&device, &list, Ranker::WeiJaJa)
+                .expect("a tree's tour is one path");
             let mut order = vec![0u32; h];
             let src: Vec<u32> = (0..h as u32).collect();
             device.scatter(&mut order, &rank, &src);

@@ -250,13 +250,19 @@ pub fn run(cfg: &Config) {
     let h = list.len() as u64;
     let wyllie = |device: &Device| {
         let mut out = vec![0u32; list.len()];
-        rank_wyllie_into(device, &list, &mut out);
+        assert!(
+            rank_wyllie_into(device, &list, &mut out),
+            "a tree's tour is one path"
+        );
         out
     };
     run_pipeline(&mut table, "wyllie_rounds", h, repeats, wyllie, same);
     let wei_jaja = |device: &Device| {
         let mut out = vec![0u32; list.len()];
-        rank_wei_jaja_into(device, &list, &mut out);
+        assert!(
+            rank_wei_jaja_into(device, &list, &mut out),
+            "a tree's tour is one path"
+        );
         out
     };
     run_pipeline(&mut table, "wei_jaja", h, repeats, wei_jaja, same);

@@ -14,7 +14,9 @@
 //! 3. **One list ranking** (§2.2, [`ranking`]): convert the list into an
 //!    *array* of edges in tour order. We provide the sequential baseline,
 //!    Wyllie pointer jumping (O(n log n) work) and the GPU-optimized
-//!    Wei–JáJá algorithm (O(n) work) the paper uses.
+//!    Wei–JáJá algorithm (O(n) work) the paper uses. Each also reports
+//!    whether the list was one path over every half-edge, which, with
+//!    every node touched by an edge, proves the input a spanning tree.
 //! 4. **Array scans** ([`stats`]): preorder numbers, subtree sizes, node
 //!    levels and parents via the fast scan primitive — the paper's key
 //!    optimization ("perform all the following prefix sum calculations on

@@ -15,6 +15,14 @@
 //! The paper reports that on GPUs array scans are 7–8× faster than list
 //! ranking, which motivates ranking **once** and scanning arrays thereafter;
 //! `benches/list_ranking.rs` reproduces the comparison.
+//!
+//! Every ranker also reports whether the list was **one path over every
+//! element**, from work it does anyway: the sequential walk counts what it
+//! visits, Wyllie watches every pointer reach the end, and Wei–JáJá's
+//! phase 2 checks that its chain of sublists terminates after exactly `n`
+//! elements. A list built from a DCEL whose edges are not a spanning tree
+//! fails that test, so [`crate::EulerTour`] rejects such inputs from the
+//! verdict without a pass of its own. On `false` the output is unspecified.
 
 use crate::list::{EulerList, NIL};
 use gpu_sim::Device;
@@ -32,21 +40,22 @@ pub enum Ranker {
 }
 
 /// Ranks `list` with the chosen algorithm: `rank[e]` = position of
-/// half-edge `e` on the tour, `0` for the head.
-pub fn rank(device: &Device, list: &EulerList, ranker: Ranker) -> Vec<u32> {
+/// half-edge `e` on the tour, `0` for the head. `None` when the list is
+/// not one path over every half-edge.
+pub fn rank(device: &Device, list: &EulerList, ranker: Ranker) -> Option<Vec<u32>> {
     let mut out = vec![0u32; list.len()];
     device.capture_fresh(&out[..]);
-    rank_into(device, list, ranker, &mut out);
-    out
+    rank_into(device, list, ranker, &mut out).then_some(out)
 }
 
 /// [`rank`] into a caller buffer — with the round/scratch buffers drawn
 /// from the device arena, repeated rankings allocate nothing at steady
-/// state.
+/// state. Returns whether the list was one path over every element.
 ///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
-pub fn rank_into(device: &Device, list: &EulerList, ranker: Ranker, out: &mut [u32]) {
+#[must_use]
+pub fn rank_into(device: &Device, list: &EulerList, ranker: Ranker, out: &mut [u32]) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
     match ranker {
         Ranker::Sequential => rank_sequential_into(list, out),
@@ -125,50 +134,59 @@ pub fn list_prefix_sum(device: &Device, list: &EulerList, weights: &[i64]) -> Ve
     prefix
 }
 
-/// Sequential list ranking by walking the successor pointers.
-pub fn rank_sequential(list: &EulerList) -> Vec<u32> {
+/// Sequential list ranking by walking the successor pointers; `None` when
+/// the list is not one path over every element.
+pub fn rank_sequential(list: &EulerList) -> Option<Vec<u32>> {
     let mut rank = vec![0u32; list.len()];
-    rank_sequential_into(list, &mut rank);
-    rank
+    rank_sequential_into(list, &mut rank).then_some(rank)
 }
 
-/// [`rank_sequential`] into a caller buffer.
+/// [`rank_sequential`] into a caller buffer. Returns whether the walk
+/// from the head reached the end after visiting exactly `n` elements.
 ///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
-pub fn rank_sequential_into(list: &EulerList, out: &mut [u32]) {
+#[must_use]
+pub fn rank_sequential_into(list: &EulerList, out: &mut [u32]) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
+    let n = list.len();
     let mut e = list.head;
-    let mut r = 0u32;
-    while e != NIL {
-        out[e as usize] = r;
+    let mut r = 0usize;
+    // A broken list (non-spanning edge set) reaches the end early; the
+    // bound keeps a walk that never reaches it finite.
+    while e != NIL && r < n {
+        out[e as usize] = r as u32;
         r += 1;
         e = list.succ[e as usize];
     }
-    // A broken list (non-spanning edge set) visits fewer than n elements;
-    // callers detect that through the permutation check in `EulerTour`.
+    e == NIL && r == n
 }
 
-/// Wyllie's pointer-jumping list ranking.
+/// Wyllie's pointer-jumping list ranking; `None` when the list is not one
+/// path over every element.
 ///
 /// Each element tracks its distance to the list end; every round doubles the
 /// jump length. Double-buffered so rounds are bulk-synchronous kernels.
-pub fn rank_wyllie(device: &Device, list: &EulerList) -> Vec<u32> {
+pub fn rank_wyllie(device: &Device, list: &EulerList) -> Option<Vec<u32>> {
     let mut rank = vec![0u32; list.len()];
-    rank_wyllie_into(device, list, &mut rank);
-    rank
+    rank_wyllie_into(device, list, &mut rank).then_some(rank)
 }
 
 /// [`rank_wyllie`] into a caller buffer; the four round buffers come from
 /// the device arena, so repeated rankings allocate nothing at steady state.
 ///
+/// Returns whether every pointer reached the end within the round bound.
+/// An Euler list's successors are a permutation with one link cut, so
+/// that holds exactly when no cycle is left beside the one path.
+///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
-pub fn rank_wyllie_into(device: &Device, list: &EulerList, out: &mut [u32]) {
+#[must_use]
+pub fn rank_wyllie_into(device: &Device, list: &EulerList, out: &mut [u32]) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
     let n = list.len();
     if n == 0 {
-        return;
+        return true;
     }
     // dist[e] = number of hops from e to the end of the list (tail = 0).
     let mut dist = {
@@ -181,9 +199,10 @@ pub fn rank_wyllie_into(device: &Device, list: &EulerList, out: &mut [u32]) {
     let mut dist_new = device.alloc_pooled::<u32>(n);
     let mut next_new = device.alloc_pooled::<u32>(n);
     // ⌈log₂ n⌉ + 1 rounds suffice for a valid list; the hard bound keeps the
-    // loop finite on broken (non-spanning) inputs, which the caller then
-    // rejects via its permutation check.
+    // loop finite on broken (non-spanning) inputs, whose cycles never
+    // reach the end.
     let max_rounds = (usize::BITS - (n - 1).leading_zeros()) as usize + 1;
+    let mut converged = false;
     for _round in 0..max_rounds {
         // One jump round: rank/next double-buffered to keep the kernel pure.
         {
@@ -216,8 +235,12 @@ pub fn rank_wyllie_into(device: &Device, list: &EulerList, out: &mut [u32]) {
         // Converged when every pointer reached the end; NIL == u32::MAX, so
         // the minimum equals NIL exactly when all entries are NIL.
         if device.reduce_min_u32(&next) == NIL {
+            converged = true;
             break;
         }
+    }
+    if !converged {
+        return false;
     }
     // rank from head = (n - 1) - dist_to_tail.
     let dist = &dist;
@@ -226,6 +249,7 @@ pub fn rank_wyllie_into(device: &Device, list: &EulerList, out: &mut [u32]) {
         device.capture_read(&dist[..]);
         device.map(out, |e| (n as u32 - 1) - dist[e]);
     }
+    true
 }
 
 /// Default Wei–JáJá sublist-count target for a list of `n` elements.
@@ -248,28 +272,29 @@ pub fn default_sublist_target(device: &Device, n: usize) -> usize {
     (n / 64).clamp(floor, ceil).min(n)
 }
 
-/// Wei–JáJá GPU-optimized list ranking (Helman–JáJá sublist scheme).
-pub fn rank_wei_jaja(device: &Device, list: &EulerList) -> Vec<u32> {
+/// Wei–JáJá GPU-optimized list ranking (Helman–JáJá sublist scheme);
+/// `None` when the list is not one path over every element.
+pub fn rank_wei_jaja(device: &Device, list: &EulerList) -> Option<Vec<u32>> {
     let mut rank = vec![0u32; list.len()];
-    rank_wei_jaja_into(device, list, &mut rank);
-    rank
+    rank_wei_jaja_into(device, list, &mut rank).then_some(rank)
 }
 
 /// [`rank_wei_jaja`] into a caller buffer; all phase buffers come from the
-/// device arena (zero allocation at steady state).
+/// device arena (zero allocation at steady state). Returns whether the
+/// list was one path over every element.
 ///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
-pub fn rank_wei_jaja_into(device: &Device, list: &EulerList, out: &mut [u32]) {
+#[must_use]
+pub fn rank_wei_jaja_into(device: &Device, list: &EulerList, out: &mut [u32]) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
     let n = list.len();
     if n == 0 {
-        return;
+        return true;
     }
     // Small lists gain nothing from the machinery.
     if n <= device.config().seq_threshold {
-        rank_sequential_into(list, out);
-        return;
+        return rank_sequential_into(list, out);
     }
     let s_target = default_sublist_target(device, n);
     rank_wei_jaja_with_sublists_into(device, list, s_target, out)
@@ -277,29 +302,34 @@ pub fn rank_wei_jaja_into(device: &Device, list: &EulerList, out: &mut [u32]) {
 
 /// [`rank_wei_jaja`] with an explicit sublist-count target — the tuning
 /// knob of \[64\] (too few sublists starve workers, too many inflate the
-/// sequential phase 2); `benches/list_ranking.rs` sweeps it.
-pub fn rank_wei_jaja_with_sublists(device: &Device, list: &EulerList, s_target: usize) -> Vec<u32> {
+/// sequential phase 2); `benches/list_ranking.rs` sweeps it. `None` when
+/// the list is not one path over every element.
+pub fn rank_wei_jaja_with_sublists(
+    device: &Device,
+    list: &EulerList,
+    s_target: usize,
+) -> Option<Vec<u32>> {
     let mut rank = vec![0u32; list.len()];
-    if !rank.is_empty() {
-        rank_wei_jaja_with_sublists_into(device, list, s_target, &mut rank);
-    }
-    rank
+    rank_wei_jaja_with_sublists_into(device, list, s_target, &mut rank).then_some(rank)
 }
 
-/// [`rank_wei_jaja_with_sublists`] into a caller buffer.
+/// [`rank_wei_jaja_with_sublists`] into a caller buffer. Returns phase 2's
+/// verdict: whether the chain of sublists from the head terminated after
+/// exactly `n` elements.
 ///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
+#[must_use]
 pub fn rank_wei_jaja_with_sublists_into(
     device: &Device,
     list: &EulerList,
     s_target: usize,
     out: &mut [u32],
-) {
+) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
     let n = list.len();
     if n == 0 {
-        return;
+        return true;
     }
     let s_target = s_target.clamp(1, n);
 
@@ -326,8 +356,8 @@ pub fn rank_wei_jaja_with_sublists_into(
     // splitter (or the list end), recording local ranks and the sublist id.
     // On a valid list the walks partition 0..n, overwriting every entry —
     // the n-sized buffers need no initialization pass. Broken inputs are
-    // detected after phase 2 and the output poisoned, so the unwritten
-    // (pool-recycled) entries are never exposed.
+    // detected after phase 2, before phase 3 would read them, so the
+    // unwritten (pool-recycled) entries are never exposed.
     let mut local_rank = device.alloc_pooled::<u32>(n);
     let mut sublist_of = device.alloc_pooled::<u32>(n);
     let mut sublist_next = device.alloc_filled(s, NIL); // following sublist's splitter
@@ -404,13 +434,10 @@ pub fn rank_wei_jaja_with_sublists_into(
     // give two chain sublists the same successor, forcing a revisit and
     // hence non-termination; and full disjoint coverage leaves no
     // splitter outside the chain). Anything else means the successor
-    // structure is broken (non-spanning input): poison the output
-    // deterministically — every rank out of range — instead of exposing
-    // whatever the pooled phase buffers held. `EulerTour`'s permutation
-    // check then rejects reliably.
+    // structure is broken (non-spanning input): report it, leaving `out`
+    // untouched rather than combining what the pooled phase buffers held.
     if !terminated || acc as usize != n {
-        device.fill(out, NIL);
-        return;
+        return false;
     }
 
     // Phase 3 (parallel): final rank = sublist offset + local rank.
@@ -424,6 +451,7 @@ pub fn rank_wei_jaja_with_sublists_into(
         device.capture_read(&local_rank[..]);
         device.map(out, |e| offset[sublist_of[e] as usize] + local_rank[e]);
     }
+    true
 }
 
 #[cfg(test)]
@@ -449,7 +477,7 @@ mod tests {
     }
 
     fn assert_ranks_match(list: &EulerList, rank: &[u32]) {
-        let reference = rank_sequential(list);
+        let reference = rank_sequential(list).unwrap();
         assert_eq!(rank, &reference[..]);
     }
 
@@ -457,7 +485,7 @@ mod tests {
     fn sequential_ranks_are_positions() {
         let device = Device::new();
         let list = random_tree_list(&device, 100, 7);
-        let rank = rank_sequential(&list);
+        let rank = rank_sequential(&list).unwrap();
         let order = list.iter_order();
         for (pos, &e) in order.iter().enumerate() {
             assert_eq!(rank[e as usize] as usize, pos);
@@ -469,7 +497,7 @@ mod tests {
         let device = Device::new();
         for n in [2usize, 3, 17, 1000, 20_000] {
             let list = random_tree_list(&device, n, n as u64);
-            let rank = rank_wyllie(&device, &list);
+            let rank = rank_wyllie(&device, &list).unwrap();
             assert_ranks_match(&list, &rank);
         }
     }
@@ -479,7 +507,7 @@ mod tests {
         let device = Device::new();
         for n in [2usize, 3, 17, 1000, 20_000, 100_000] {
             let list = random_tree_list(&device, n, 3 * n as u64 + 1);
-            let rank = rank_wei_jaja(&device, &list);
+            let rank = rank_wei_jaja(&device, &list).unwrap();
             assert_ranks_match(&list, &rank);
         }
     }
@@ -492,7 +520,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
         let dcel = Dcel::build(&device, n, &edges);
         let list = EulerList::build(&device, &dcel, 0);
-        let rank = rank_wei_jaja(&device, &list);
+        let rank = rank_wei_jaja(&device, &list).unwrap();
         assert_ranks_match(&list, &rank);
     }
 
@@ -579,15 +607,15 @@ mod tests {
     fn into_variants_match_allocating() {
         let device = Device::new();
         let list = random_tree_list(&device, 30_000, 21);
-        let expect = rank_sequential(&list);
+        let expect = rank_sequential(&list).unwrap();
         let mut out = vec![0u32; list.len()];
-        rank_wyllie_into(&device, &list, &mut out);
+        assert!(rank_wyllie_into(&device, &list, &mut out));
         assert_eq!(out, expect);
         out.fill(0);
-        rank_wei_jaja_into(&device, &list, &mut out);
+        assert!(rank_wei_jaja_into(&device, &list, &mut out));
         assert_eq!(out, expect);
         out.fill(0);
-        rank_into(&device, &list, Ranker::WeiJaJa, &mut out);
+        assert!(rank_into(&device, &list, Ranker::WeiJaJa, &mut out));
         assert_eq!(out, expect);
     }
 
@@ -596,12 +624,12 @@ mod tests {
         let device = Device::new();
         let list = random_tree_list(&device, 60_000, 33);
         let mut out = vec![0u32; list.len()];
-        rank_wyllie_into(&device, &list, &mut out);
-        rank_wei_jaja_into(&device, &list, &mut out);
+        assert!(rank_wyllie_into(&device, &list, &mut out));
+        assert!(rank_wei_jaja_into(&device, &list, &mut out));
         let before = device.metrics().snapshot();
         for _ in 0..3 {
-            rank_wyllie_into(&device, &list, &mut out);
-            rank_wei_jaja_into(&device, &list, &mut out);
+            assert!(rank_wyllie_into(&device, &list, &mut out));
+            assert!(rank_wei_jaja_into(&device, &list, &mut out));
         }
         let d = device.metrics().snapshot().since(&before);
         assert_eq!(
@@ -636,7 +664,7 @@ mod tests {
         let list = random_tree_list(&device, 500, 9);
         let ones = vec![1i64; list.len()];
         let prefix = list_prefix_sum(&device, &list, &ones);
-        let rank = rank_sequential(&list);
+        let rank = rank_sequential(&list).unwrap();
         for e in 0..list.len() {
             assert_eq!(prefix[e], rank[e] as i64 + 1);
         }

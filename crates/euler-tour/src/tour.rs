@@ -5,7 +5,7 @@ use crate::dcel::{twin, Dcel};
 use crate::list::EulerList;
 use crate::ranking::{rank, Ranker};
 use gpu_sim::Device;
-use graph_core::ids::NodeId;
+use graph_core::ids::{NodeId, INVALID_NODE};
 use graph_core::Tree;
 
 /// Errors from Euler tour construction.
@@ -22,7 +22,8 @@ pub enum TourError {
         /// Edges required (`n - 1`).
         expected: usize,
     },
-    /// The edges do not form a spanning tree (detected as a broken tour).
+    /// The edges do not form a spanning tree (detected as a broken tour or
+    /// a node no edge touches).
     NotASpanningTree,
 }
 
@@ -131,47 +132,28 @@ impl EulerTour {
             }
         }
 
+        // The spanning-tree proof. The ranker reports whether the tour list
+        // is one path over all 2(n − 1) half-edges: then the DCEL's rotation
+        // system has one face, and the face walk only moves between edges
+        // that share a node, so every edge lies in one component. A node
+        // with no half-edge would sit outside it (`first` is INVALID_NODE,
+        // i.e. u32::MAX, exactly there), and with every node covered the
+        // n − 1 edges connect all n nodes: a spanning tree. One face alone
+        // is not enough — three parallel edges between two of four nodes
+        // form one face and leave two nodes isolated.
         let dcel = Dcel::build(device, num_nodes, edges);
-        if dcel.first[root as usize] == graph_core::ids::INVALID_NODE {
-            // Root isolated — certainly not spanning.
+        let uncovered = {
+            let _k = device.kernel_label("tour_node_coverage");
+            device.reduce_max_u32(&dcel.first) == INVALID_NODE
+        };
+        if uncovered {
             return Err(TourError::NotASpanningTree);
         }
         let list = EulerList::build(device, &dcel, root);
-        let rank_arr = rank(device, &list, ranker);
-
-        // Permutation check: if the edges were not a spanning tree, the
-        // successor structure decomposes into several cycles and the ranks
-        // cannot form a permutation of 0..2(n-1). Count buffer from the
-        // arena; min and max fused into one reduce launch.
-        let h = rank_arr.len();
-        let mut counts = device.alloc_filled(h, 0u32);
-        {
-            let _k = device.kernel_label("tour_permutation_check");
-            let counts_view = device.atomic_u32(&mut counts).benign(
-                "permutation check: colliding increments are the signal; fetch_add commutes",
-            );
-            let rank_ref = &rank_arr;
-            device.for_each(h, |e| {
-                let r = rank_ref[e] as usize;
-                if r < h {
-                    counts_view.fetch_add(r, 1);
-                }
-            });
-        }
-        let counts = &counts;
-        // The reduce's generator closure reads the count buffer.
-        device.capture_read(&counts[..]);
-        let (min, max) = device.map_reduce(
-            h,
-            |i| (counts[i], counts[i]),
-            (u32::MAX, 0u32),
-            |a, b| (a.0.min(b.0), a.1.max(b.1)),
-        );
-        if min != 1 || max != 1 {
-            return Err(TourError::NotASpanningTree);
-        }
+        let rank_arr = rank(device, &list, ranker).ok_or(TourError::NotASpanningTree)?;
 
         // Invert the ranking into the tour array (a permutation scatter).
+        let h = rank_arr.len();
         let src = {
             let _k = device.kernel_label("tour_iota");
             device.alloc_pooled_map(h, |i| i as u32)
@@ -327,6 +309,22 @@ mod tests {
         let err =
             EulerTour::build_from_edges(&device, 4, &[(0, 1), (1, 2), (0, 2)], 3).unwrap_err();
         assert_eq!(err, TourError::NotASpanningTree);
+    }
+
+    #[test]
+    fn one_face_with_isolated_nodes_is_rejected() {
+        // Three parallel edges between 0 and 3: the rotation system has one
+        // face over all six half-edges, so the tour list is one path, but
+        // nodes 1 and 2 have no edge. Only the coverage check rejects it.
+        let device = Device::new();
+        let edges = [(0, 3), (3, 0), (3, 0)];
+        let list = EulerList::build(&device, &Dcel::build(&device, 4, &edges), 0);
+        assert!(crate::ranking::rank_sequential(&list).is_some());
+        for ranker in [Ranker::Sequential, Ranker::Wyllie, Ranker::WeiJaJa] {
+            let err =
+                EulerTour::build_from_edges_with_ranker(&device, 4, &edges, 0, ranker).unwrap_err();
+            assert_eq!(err, TourError::NotASpanningTree, "{ranker:?}");
+        }
     }
 
     #[test]

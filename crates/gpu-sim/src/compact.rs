@@ -55,6 +55,9 @@ impl Device {
                 self.san_mark_written(&out[..]);
                 out
             } else {
+                // Both passes evaluate the predicate, so both declare its
+                // inputs.
+                self.cap_pending_to_scope();
                 let (offsets, total, chunk, blocks) = self.compact_offsets(n, &pred);
                 let mut out = self.alloc_pooled::<u32>(total);
                 self.compact_write(n, &pred, &offsets, chunk, blocks, &mut out);

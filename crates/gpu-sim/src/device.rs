@@ -354,6 +354,17 @@ impl Device {
         }
     }
 
+    /// Re-declares the pending next-launch annotations — the closure-side
+    /// inputs of a generator — on every launch of the open primitive scope.
+    /// For primitives that evaluate their generator in more than one
+    /// launch (the two-pass scan, the parallel compaction), whose later
+    /// launches read those inputs again.
+    pub(crate) fn cap_pending_to_scope(&self) {
+        if let Some(rec) = &self.rec {
+            rec.pending_to_scope();
+        }
+    }
+
     /// Attributes a write of `slice` to the launch that just ran — for
     /// primitives whose output buffer is allocated internally.
     pub(crate) fn cap_note_output<T>(&self, slice: &[T]) {

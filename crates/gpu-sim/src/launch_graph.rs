@@ -31,9 +31,11 @@
 //! Closure-captured inputs (the generator of a fused `map_scan`, a
 //! predicate's array) are invisible to both sources; call sites annotate
 //! them with [`crate::Device::capture_read`] / `capture_write`, which
-//! attach to the next launch. Host-side accesses through tracked views
-//! outside any launch accumulate into explicit `host` nodes, which also
-//! act as ordering points.
+//! attach to the next launch. A primitive that evaluates its generator in
+//! two launches (the two-pass scan, the parallel compaction) moves them
+//! onto its scope, so both launches declare the reads. Host-side accesses
+//! through tracked views outside any launch accumulate into explicit
+//! `host` nodes, which also act as ordering points.
 //!
 //! ## Region identity under pooling
 //!
@@ -341,6 +343,17 @@ impl Recorder {
         let mut st = self.state.lock();
         let region = Self::region_for_locked(&mut st, base, len, elem_bytes, ty);
         st.pending_next.push((region, mask));
+    }
+
+    /// Moves the pending `capture_read`/`capture_write` annotations onto
+    /// the innermost scope, so every launch issued while it is open
+    /// declares them, not only the next one (they stay pending when no
+    /// scope is open).
+    pub(crate) fn pending_to_scope(&self) {
+        let st = &mut *self.state.lock();
+        if let Some(top) = st.scopes.last_mut() {
+            top.accesses.append(&mut st.pending_next);
+        }
     }
 
     /// Names a region for readable graphs (applies to the live region at

@@ -213,6 +213,8 @@ impl Device {
         F: Fn(T, T) -> T + Sync,
     {
         debug_assert!(n > 0);
+        // Both passes evaluate the generator, so both declare its inputs.
+        self.cap_pending_to_scope();
         // Shared grid sizing caps blocks at a few per pool worker, so the
         // sequential phase-2 scan of block sums stays negligible while the
         // real worker count stays saturated.

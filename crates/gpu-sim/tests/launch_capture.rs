@@ -4,6 +4,7 @@
 //! (all shipped pipelines analyze clean) lives in the CLI integration
 //! suite, which drives the real pipelines at several pool widths.
 
+use gpu_sim::launch_graph::mask_reads;
 use gpu_sim::{
     CaptureMode, Device, DeviceConfig, FaultConfig, FindingKind, HazardKind, SanitizeMode,
 };
@@ -167,6 +168,44 @@ fn second_reader_disqualifies_fusion() {
         "{:?}",
         analysis.fusion_candidates
     );
+}
+
+/// A primitive that evaluates its generator in two launches declares the
+/// generator's inputs on both: the two-pass scan's downsweep and the
+/// parallel compaction's write pass read them again.
+#[test]
+fn two_pass_primitives_declare_generator_reads_on_both_launches() {
+    let device = capture_device();
+    // Past `seq_threshold`, so both primitives take their two-pass paths.
+    let n = 10_000usize;
+    let input: Vec<u64> = (0..n as u64).collect();
+    device.capture_name(&input[..], "gen_input");
+    let mut out = vec![0u64; n];
+    device.capture_read(&input[..]);
+    device.map_scan_inclusive_into(n, |i| input[i], &mut out, 0, |a, b| a + b);
+    let flags: Vec<u8> = (0..n).map(|i| u8::from(i % 3 == 0)).collect();
+    device.capture_name(&flags[..], "pred_input");
+    device.capture_read(&flags[..]);
+    let kept = device.compact_indices(n, |i| flags[i] == 1);
+    assert_eq!(kept.len(), n.div_ceil(3));
+
+    let graph = device.launch_graph().expect("capture is on");
+    for (label, name) in [("scan", "gen_input"), ("compact", "pred_input")] {
+        let id = graph
+            .regions
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("no region {name}"))
+            .id;
+        let launches: Vec<_> = graph.nodes.iter().filter(|n| n.label == label).collect();
+        assert_eq!(launches.len(), 2, "{label}: {launches:?}");
+        for node in launches {
+            assert!(
+                node.accesses.get(&id).is_some_and(|&m| mask_reads(m)),
+                "a {label} launch does not declare its generator's read: {node:?}"
+            );
+        }
+    }
 }
 
 #[test]

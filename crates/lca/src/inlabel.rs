@@ -15,17 +15,20 @@
 //!
 //! Construction is O(1) per node given the Euler-tour statistics, so the
 //! whole preprocessing is dominated by the tour itself — the paper's point.
+//! Inlabels and heads are one kernel each. The ascendants follow the
+//! *inlabel tree* (each path's head hangs below its parent's path) top
+//! down: a head's parent path has an inlabel with strictly more trailing
+//! zeros, because it is a proper *B*-ancestor. One launch per
+//! trailing-zero level, from ⌊log₂ n⌋ down to 0, therefore only reads
+//! finished entries, and since each value in `1..=n` has exactly one
+//! trailing-zero count the sweep costs `n` work items in total
+//! (see [`InlabelTables::from_stats_device`]).
 
 use euler_tour::TreeStats;
 use gpu_sim::device::SharedSlice;
 use gpu_sim::Device;
 use graph_core::ids::{NodeId, INVALID_NODE};
 use rayon::prelude::*;
-
-/// Number of pointer-jumping rounds that cover inlabel-tree chains:
-/// chains are at most 32 long (one per bit of a `u32` inlabel), and each
-/// round doubles the hop, so 6 rounds ≥ 64 hops.
-const ASCENDANT_JUMP_ROUNDS: usize = 6;
 
 /// The preprocessed Schieber–Vishkin tables; [`InlabelTables::query`]
 /// answers an LCA query in constant time.
@@ -55,13 +58,46 @@ pub fn inlabel_of(pre: u32, size: u32) -> u32 {
     (j >> k) << k
 }
 
+/// Number of inlabel values `l = (2k+1)·2^t ≤ n`, the level-`t` work of
+/// the ascendant sweep.
+#[inline]
+fn level_len(n: usize, t: u32) -> usize {
+    (n >> t).div_ceil(2)
+}
+
+/// Level-`t` work item `k` of the ascendant sweep: sets `asc[l]` for
+/// `l = (2k+1)·2^t` from the finished entry of its head's parent path,
+/// and leaves it unwritten when no node carries inlabel `l`.
+#[inline]
+fn sweep_ascendant(
+    k: usize,
+    t: u32,
+    head: &[NodeId],
+    inlabel: &[u32],
+    stats: &TreeStats,
+    asc: &SharedSlice<'_, u32>,
+) {
+    let l = (2 * k + 1) << t;
+    let h = head[l];
+    if h == INVALID_NODE {
+        return;
+    }
+    let above = match stats.parent[h as usize] {
+        INVALID_NODE => 0,
+        p => asc.read(inlabel[p as usize] as usize),
+    };
+    asc.write(l, (1 << t) | above);
+}
+
 impl InlabelTables {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.inlabel.len()
     }
 
-    /// Sequential construction (single-core CPU baseline).
+    /// Sequential construction (single-core CPU baseline). Its preorder
+    /// walk over the nodes shares no code with the level sweep of the
+    /// parallel builders, so the tests use it as their oracle.
     pub fn from_stats_seq(stats: &TreeStats) -> Self {
         let n = stats.num_nodes();
         let inlabel: Vec<u32> = (0..n)
@@ -103,7 +139,8 @@ impl InlabelTables {
         }
     }
 
-    /// Multicore construction with plain rayon loops (OpenMP substitute).
+    /// Multicore construction with plain rayon loops (OpenMP substitute):
+    /// the same top-down level sweep as [`InlabelTables::from_stats_device`].
     pub fn from_stats_rayon(stats: &TreeStats) -> Self {
         let n = stats.num_nodes();
         let inlabel: Vec<u32> = (0..n)
@@ -126,48 +163,14 @@ impl InlabelTables {
             });
         }
 
-        // Inlabel-tree parents and seed bits, then pointer jumping.
-        let mut ipar = vec![INVALID_NODE; n + 1];
         let mut asc = vec![0u32; n + 1];
-        ipar.par_iter_mut()
-            .zip(asc.par_iter_mut())
-            .enumerate()
-            .for_each(|(l, (ip, a))| {
-                let h = head[l];
-                if h != INVALID_NODE {
-                    *a = 1u32 << (l as u32).trailing_zeros();
-                    let p = stats.parent[h as usize];
-                    if p != INVALID_NODE {
-                        *ip = inlabel[p as usize];
-                    }
-                }
-            });
-        let mut ptr = ipar;
-        for _ in 0..ASCENDANT_JUMP_ROUNDS {
-            let asc_next: Vec<u32> = (0..n + 1)
-                .into_par_iter()
-                .map(|l| {
-                    let p = ptr[l];
-                    if p == INVALID_NODE {
-                        asc[l]
-                    } else {
-                        asc[l] | asc[p as usize]
-                    }
-                })
-                .collect();
-            let ptr_next: Vec<u32> = (0..n + 1)
-                .into_par_iter()
-                .map(|l| {
-                    let p = ptr[l];
-                    if p == INVALID_NODE {
-                        INVALID_NODE
-                    } else {
-                        ptr[p as usize]
-                    }
-                })
-                .collect();
-            asc = asc_next;
-            ptr = ptr_next;
+        {
+            let asc_shared = SharedSlice::new(&mut asc);
+            for t in (0..=n.ilog2()).rev() {
+                (0..level_len(n, t)).into_par_iter().for_each(|k| {
+                    sweep_ascendant(k, t, &head, &inlabel, stats, &asc_shared);
+                });
+            }
         }
 
         let ascendant: Vec<u32> = (0..n)
@@ -186,6 +189,18 @@ impl InlabelTables {
 
     /// Device (GPU-sim) construction: the same O(1)-per-node kernels the
     /// paper runs as CUDA kernels.
+    ///
+    /// The ascendant bitsets come from one top-down sweep over the inlabel
+    /// tree, one launch per trailing-zero level `t = ⌊log₂ n⌋ … 0`. Level
+    /// `t` covers the values `l = (2k+1)·2^t ≤ n` and sets
+    /// `asc[l] = 2^t | asc[inlabel(parent(head[l]))]` (just `2^t` at the
+    /// root's path). The head's parent lies on a path whose inlabel is a
+    /// proper ancestor of `l` in *B*, so its trailing-zero count is larger
+    /// and its entry was finished by an earlier level. Every value in
+    /// `1..=n` belongs to exactly one level, so the sweep is `n` work items
+    /// in `⌊log₂ n⌋ + 1` launches. Only head-bearing entries are ever read
+    /// (every inlabel value that occurs has a head), so the pooled `asc`
+    /// buffer needs no fill; `EMG_SANITIZE=full` checks that claim.
     pub fn from_stats_device(device: &Device, stats: &TreeStats) -> Self {
         let n = stats.num_nodes();
         let mut inlabel = vec![0u32; n];
@@ -218,74 +233,29 @@ impl InlabelTables {
             });
         }
 
-        // Inlabel-tree parent pointers and per-inlabel seed bits: round
-        // buffers for the pointer jumping below, all from the device arena.
-        let mut ipar = device.alloc_filled(n + 1, INVALID_NODE);
-        let mut asc = device.alloc_filled(n + 1, 0u32);
+        // Ascendant bits per inlabel value, level by level from the top.
+        let mut asc = device.alloc_pooled::<u32>(n + 1);
         {
-            let _k = device.kernel_label("inlabel_tree_seed");
-            // Each l is written once by its own virtual thread.
-            device.capture_read(&head);
-            device.capture_read(&inlabel);
-            device.capture_read(&stats.parent);
-            let ipar_shared = device.shared(&mut ipar);
+            let _k = device.kernel_label("inlabel_ascendant_level");
             let asc_shared = device.shared(&mut asc);
-            let inlabel_ref = &inlabel;
-            let head_ref = &head;
-            device.for_each(n + 1, |l| {
-                let h = head_ref[l];
-                if h != INVALID_NODE {
-                    asc_shared.write(l, 1u32 << (l as u32).trailing_zeros());
-                    match stats.parent[h as usize] {
-                        INVALID_NODE => {}
-                        p => ipar_shared.write(l, inlabel_ref[p as usize]),
-                    }
-                }
-            });
-        }
-
-        // Pointer jumping over the (≤ 32-deep) inlabel tree.
-        let mut ptr = ipar;
-        let mut asc_new = device.alloc_pooled::<u32>(n + 1);
-        let mut ptr_new = device.alloc_pooled::<u32>(n + 1);
-        for round in 0..ASCENDANT_JUMP_ROUNDS {
-            {
-                let _k = device.kernel_label("inlabel_jump_asc");
-                device.capture_read(&ptr[..]);
-                device.capture_read(&asc[..]);
-                device.map(&mut asc_new, |l| {
-                    let p = ptr[l];
-                    if p == INVALID_NODE {
-                        asc[l]
-                    } else {
-                        asc[l] | asc[p as usize]
-                    }
+            for t in (0..=n.ilog2()).rev() {
+                // The head, inlabel and parent tables feed the closure.
+                device.capture_read(&head);
+                device.capture_read(&inlabel);
+                device.capture_read(&stats.parent);
+                device.for_each(level_len(n, t), |k| {
+                    sweep_ascendant(k, t, &head, &inlabel, stats, &asc_shared);
                 });
-            }
-            std::mem::swap(&mut asc, &mut asc_new);
-            // The last round's pointer jump would never be read — skip it
-            // (found by the launch-graph dead-write pass).
-            if round + 1 < ASCENDANT_JUMP_ROUNDS {
-                let _k = device.kernel_label("inlabel_jump_ptr");
-                device.capture_read(&ptr[..]);
-                device.map(&mut ptr_new, |l| {
-                    let p = ptr[l];
-                    if p == INVALID_NODE {
-                        INVALID_NODE
-                    } else {
-                        ptr[p as usize]
-                    }
-                });
-                std::mem::swap(&mut ptr, &mut ptr_new);
             }
         }
 
         let mut ascendant = vec![0u32; n];
         {
             let _k = device.kernel_label("inlabel_ascendant");
-            device.capture_read(&asc[..]);
             device.capture_read(&inlabel);
-            device.map(&mut ascendant, |v| asc[inlabel[v] as usize]);
+            // Through the tracked view, so initcheck sees every read.
+            let asc_shared = device.shared(&mut asc);
+            device.map(&mut ascendant, |v| asc_shared.read(inlabel[v] as usize));
         }
 
         Self {
@@ -556,24 +526,72 @@ mod tests {
         }
     }
 
+    /// Parent array of one of the table test's shapes on `n` nodes, rooted
+    /// at 0 (`random_tree` is built apart: its labels are permuted).
+    fn shape_parents(shape: &str, n: usize) -> Vec<u32> {
+        let mut state = 0x1234_5678u64 ^ n as u64;
+        let mut step = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        let spine = n.div_ceil(2);
+        let mut parents = vec![INVALID_NODE; n];
+        for (v, p) in parents.iter_mut().enumerate().skip(1) {
+            *p = match shape {
+                "path" => v - 1,
+                "star" => 0,
+                // A path of ⌈n/2⌉ nodes, each carrying one leg.
+                "caterpillar" if v < spine => v - 1,
+                "caterpillar" => v - spine,
+                "complete_binary" => (v - 1) / 2,
+                "random_recursive" => (step() % v as u64) as usize,
+                other => unreachable!("unknown shape {other}"),
+            } as u32;
+        }
+        parents
+    }
+
+    /// The device and rayon builders match the sequential oracle bit for
+    /// bit at the level sweep's boundaries: sizes around 2^11
+    /// (`seq_threshold`), 2^12 (the block size) and 2^13, where the top
+    /// level gains a launch, on shapes from a path (one inlabel path per
+    /// power of two) to a star (every leaf its own path).
     #[test]
     fn all_backends_build_identical_tables() {
         let device = Device::new();
-        let mut parents = vec![INVALID_NODE; 3000];
-        for (v, p) in parents.iter_mut().enumerate().skip(1) {
-            *p = (v / 2) as u32;
+        let mut sizes = vec![1usize, 2, 3];
+        for k in [11, 12, 13] {
+            sizes.extend([(1usize << k) - 1, 1 << k, (1 << k) + 1]);
         }
-        let tree = Tree::from_parent_array(parents, 0).unwrap();
-        let stats = sequential_stats(&tree);
-        let a = InlabelTables::from_stats_seq(&stats);
-        let b = InlabelTables::from_stats_rayon(&stats);
-        let c = InlabelTables::from_stats_device(&device, &stats);
-        assert_eq!(a.inlabel, b.inlabel);
-        assert_eq!(a.inlabel, c.inlabel);
-        assert_eq!(a.ascendant, b.ascendant);
-        assert_eq!(a.ascendant, c.ascendant);
-        assert_eq!(a.head, b.head);
-        assert_eq!(a.head, c.head);
+        let shapes = [
+            "path",
+            "star",
+            "caterpillar",
+            "complete_binary",
+            "random_recursive",
+            "random_tree_grasp_1000",
+        ];
+        for &n in &sizes {
+            for shape in shapes {
+                let tree = if shape == "random_tree_grasp_1000" {
+                    graphgen::random_tree(n, Some(1000), n as u64)
+                } else {
+                    Tree::from_parent_array(shape_parents(shape, n), 0).unwrap()
+                };
+                let stats = sequential_stats(&tree);
+                let seq = InlabelTables::from_stats_seq(&stats);
+                let rayon = InlabelTables::from_stats_rayon(&stats);
+                let dev = InlabelTables::from_stats_device(&device, &stats);
+                for (name, t) in [("rayon", &rayon), ("device", &dev)] {
+                    let case = format!("{name}, {shape}, n = {n}");
+                    assert_eq!(t.inlabel, seq.inlabel, "inlabel: {case}");
+                    assert_eq!(t.ascendant, seq.ascendant, "ascendant: {case}");
+                    assert_eq!(t.head, seq.head, "head: {case}");
+                    assert_eq!(t.level, seq.level, "level: {case}");
+                    assert_eq!(t.parent, seq.parent, "parent: {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,10 @@ fn pipeline_stages_compose_on_random_trees() {
         let dcel = Dcel::build(&device, n, &tree.edges());
         let list = EulerList::build(&device, &dcel, tree.root());
         let oracle_rank = rank_sequential(&list);
+        assert!(
+            oracle_rank.is_some(),
+            "a tree's tour is one path (seed {seed})"
+        );
         for ranker in [Ranker::Sequential, Ranker::Wyllie, Ranker::WeiJaJa] {
             assert_eq!(
                 rank(&device, &list, ranker),

@@ -37,13 +37,13 @@ fn list_ranking_bit_identical_across_thread_counts() {
         let list4 = EulerList::build(&d4, &dcel4, tree.root());
 
         assert_eq!(
-            rank_wyllie(&d1, &list1),
-            rank_wyllie(&d4, &list4),
+            rank_wyllie(&d1, &list1).unwrap(),
+            rank_wyllie(&d4, &list4).unwrap(),
             "Wyllie ranks diverge (seed {seed})"
         );
         assert_eq!(
-            rank_wei_jaja(&d1, &list1),
-            rank_wei_jaja(&d4, &list4),
+            rank_wei_jaja(&d1, &list1).unwrap(),
+            rank_wei_jaja(&d4, &list4).unwrap(),
             "Wei-JaJa ranks diverge (seed {seed})"
         );
     }
