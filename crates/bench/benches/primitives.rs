@@ -39,9 +39,12 @@ fn bench_segreduce(c: &mut Criterion) {
     let values: Vec<u32> = pseudo_random(n, 3).iter().map(|&v| v as u32).collect();
     let seg = 64;
     let offsets: Vec<u32> = (0..=(n / seg) as u32).map(|s| s * seg as u32).collect();
+    let mut out = vec![0u32; n / seg];
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function("min_u32_1M_seg64", |b| {
-        b.iter(|| device.segmented_min_u32(&values, &offsets));
+        b.iter(|| {
+            device.map_segmented_reduce_into(&offsets, u32::MAX, |s| values[s], u32::min, &mut out)
+        });
     });
     group.finish();
 }

@@ -23,8 +23,8 @@
 
 use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
-use bridges::cc::{connected_components, ConnectedComponents};
 use bridges::forest::components_sequential;
+use bridges::UnrootedForest;
 use euler_tour::ranking::{rank_wei_jaja_into, rank_wyllie_into};
 use euler_tour::{Dcel, EulerList};
 use gpu_sim::{Device, DeviceConfig};
@@ -157,9 +157,7 @@ fn run_pipeline<O>(
 /// spanning forest of them — exactly n − c tree edges, each inside one
 /// component, closing no cycle (with n − c edges, the forest alone has c
 /// components under the sequential union-find exactly when it is acyclic).
-fn same_components(
-    graph: &EdgeList,
-) -> impl Fn(&str, &ConnectedComponents, &ConnectedComponents) + '_ {
+fn same_components(graph: &EdgeList) -> impl Fn(&str, &UnrootedForest, &UnrootedForest) + '_ {
     move |name, pooled, malloc| {
         same(
             name,
@@ -274,7 +272,7 @@ pub fn run(cfg: &Config) {
         "cc_hooking",
         graph.num_edges() as u64,
         repeats,
-        |device| connected_components(device, &graph),
+        |device| UnrootedForest::build(device, &graph),
         same_components(&graph),
     );
 

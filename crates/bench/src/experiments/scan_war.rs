@@ -15,8 +15,7 @@
 
 use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
-use bridges::cc::connected_components;
-use bridges::{bridges_hybrid, bridges_tv};
+use bridges::{bridges_hybrid, bridges_tv, UnrootedForest};
 use gpu_sim::{Device, DeviceConfig, MetricsSnapshot};
 use graph_core::Csr;
 use graphgen::{ba_graph, random_tree};
@@ -173,7 +172,7 @@ pub fn run(cfg: &Config) {
         "cc_hooking",
         graph.num_edges() as u64,
         repeats,
-        |d| connected_components(d, &graph),
+        |d| UnrootedForest::build(d, &graph),
     );
     pin_pipeline(
         &mut table,

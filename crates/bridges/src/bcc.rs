@@ -22,15 +22,16 @@
 //! Connected components of this auxiliary graph label the tree edges;
 //! non-tree edges inherit the label of their deeper endpoint, and
 //! self-loops become degenerate singleton components. Everything reuses
-//! the substrates already built for bridge finding: spanning tree from
-//! lock-free CC, Euler-tour statistics, segment-tree RMQ for low/high, and
-//! the same CC kernel again on the auxiliary graph — which is why TV calls
-//! biconnectivity "reducible to connectivity".
+//! the substrates already built for bridge finding: the spanning tree and
+//! its Euler tour from the bridge pipelines' shared front end, TV's
+//! segmented-reduce and segment-tree low/high, and the same CC kernel
+//! again on the auxiliary graph — which is why TV calls biconnectivity
+//! "reducible to connectivity".
 
-use crate::cc::connected_components;
-use crate::result::BridgesError;
-use crate::segment_tree::{SegOp, SegmentTree};
-use euler_tour::{EulerTour, TreeStats};
+use crate::forest::UnrootedForest;
+use crate::result::{BridgesError, PhaseClock};
+use crate::tv::{node_extremes, LowHigh};
+use euler_tour::TreeStats;
 use gpu_sim::Device;
 use graph_core::bitset::BitSet;
 use graph_core::ids::NodeId;
@@ -89,96 +90,29 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
     if n == 0 {
         return Err(BridgesError::Empty);
     }
-    let mut phases = Vec::new();
-
-    // Phase 1: spanning tree (lock-free CC byproduct), as in bridges_tv.
-    let t0 = Instant::now();
-    let cc = connected_components(device, graph);
-    if !cc.is_connected() {
-        return Err(BridgesError::Disconnected);
-    }
-    let tree_edge_ids = cc.tree_edges;
-    let mut is_tree = vec![0u8; m];
-    {
-        let _k = device.kernel_label("bcc_flag_tree_edges");
-        // Tree edge ids are distinct, so each slot has one writer.
-        let tree_shared = device.shared(&mut is_tree);
-        let ids = &tree_edge_ids;
-        device.for_each(ids.len(), |i| {
-            tree_shared.write(ids[i] as usize, 1u8);
-        });
-    }
-    phases.push(("spanning_tree".to_string(), t0.elapsed()));
-
-    // Phase 2: Euler tour statistics and low/high segment trees.
-    let t1 = Instant::now();
-    let tree_pairs: Vec<(u32, u32)> = tree_edge_ids
-        .iter()
-        .map(|&e| graph.edges()[e as usize])
-        .collect();
-    let tour = EulerTour::build_from_edges(device, n, &tree_pairs, 0)
-        .map_err(|_| BridgesError::Disconnected)?;
+    // Phase 1: the spanning tree, as in bridges_tv. Phase 2: its Euler
+    // tour statistics and TV's low/high of every subtree.
+    let mut clock = PhaseClock::start();
+    let forest = UnrootedForest::build(device, graph);
+    let (is_tree, tour) = forest.tour(device, graph, &mut clock)?;
     let stats = TreeStats::compute(device, &tour);
     let pre = &stats.preorder;
     let size = &stats.subtree_size;
     let parent = &stats.parent;
-
-    let slots = csr.raw_neighbors().len();
-    let mut min_vals = vec![u32::MAX; slots];
-    let mut max_vals = vec![0u32; slots];
-    {
-        let neighbors = csr.raw_neighbors();
-        let edge_ids = csr.raw_edge_ids();
-        let edges = graph.edges();
-        let is_tree_ref = &is_tree;
-        let non_tree_pre = |s: usize| {
-            let e = edge_ids[s] as usize;
-            let (x, y) = edges[e];
-            // Self-loops never witness an escape; treat as identity.
-            if is_tree_ref[e] == 1 || x == y {
-                None
-            } else {
-                Some(pre[neighbors[s] as usize])
-            }
-        };
-        device.map(&mut min_vals, |s| non_tree_pre(s).unwrap_or(u32::MAX));
-        device.map(&mut max_vals, |s| non_tree_pre(s).unwrap_or(0));
-    }
-    let node_min = device.segmented_min_u32(&min_vals, csr.offsets());
-    let node_max = device.segmented_max_u32(&max_vals, csr.offsets());
-
-    let mut by_pre_min = vec![u32::MAX; n];
-    let mut by_pre_max = vec![0u32; n];
-    {
-        let _k = device.kernel_label("bcc_permute_by_preorder");
-        // Preorder is a permutation of 1..=n, so each slot has one writer.
-        let min_shared = device.shared(&mut by_pre_min);
-        let max_shared = device.shared(&mut by_pre_max);
-        let node_min_ref = &node_min;
-        let node_max_ref = &node_max;
-        device.for_each(n, |v| {
-            let slot = (pre[v] - 1) as usize;
-            min_shared.write(slot, node_min_ref[v]);
-            max_shared.write(slot, node_max_ref[v]);
-        });
-    }
-    let min_tree = SegmentTree::build(device, &by_pre_min, SegOp::Min);
-    let max_tree = SegmentTree::build(device, &by_pre_max, SegOp::Max);
-
-    // low/high of the *subtree* of w, over the preorder interval
-    // [pre(w)-1, pre(w)-1 + size(w)-1] in 0-based slots.
-    let subtree_low = device.alloc_map(n, |w| {
-        let lo = (pre[w] - 1) as usize;
-        min_tree.query(lo, lo + size[w] as usize - 1)
-    });
-    let subtree_high = device.alloc_map(n, |w| {
-        let lo = (pre[w] - 1) as usize;
-        max_tree.query(lo, lo + size[w] as usize - 1)
-    });
-    phases.push(("euler_tour".to_string(), t1.elapsed()));
+    // A self-loop contributes its own node's preorder, which lies inside
+    // every subtree holding the node, so it never makes one escape.
+    let (node_min, node_max) = node_extremes(device, csr, &is_tree, pre);
+    let low_high = LowHigh::build(device, pre, &node_min, &node_max);
+    let subtree_low_high = {
+        let _k = device.kernel_label("bcc_subtree_low_high");
+        device.capture_read(pre);
+        device.capture_read(size);
+        low_high.declare_query_reads(device);
+        device.alloc_map(n, |w| low_high.subtree(pre[w], size[w]))
+    };
+    clock.lap("euler_tour");
 
     // Phase 3: auxiliary graph.
-    let t2 = Instant::now();
     let root = tour.root();
     let edges = graph.edges();
 
@@ -209,7 +143,8 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
         if v == root {
             return false;
         }
-        subtree_low[w] < pre[v as usize] || subtree_high[w] >= pre[v as usize] + size[v as usize]
+        let (low, high) = subtree_low_high[w];
+        low < pre[v as usize] || high >= pre[v as usize] + size[v as usize]
     });
 
     let mut aux_edges: Vec<(u32, u32)> = vec![(0, 0); rule1_ids.len() + rule2_ids.len()];
@@ -227,14 +162,12 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
         });
     }
     let aux_graph = EdgeList::new(n, aux_edges);
-    let aux_cc = connected_components(device, &aux_graph);
-    let aux_rep = aux_cc.representative;
-    phases.push(("auxiliary_graph".to_string(), t2.elapsed()));
+    let aux_rep = UnrootedForest::build(device, &aux_graph).representative;
+    clock.lap("auxiliary_graph");
 
     // Phase 4: per-edge labels, compacted. Tree edges and non-tree edges
     // take the auxiliary component of their deeper endpoint (for a tree
     // edge that is exactly the child); self-loops get fresh singletons.
-    let t3 = Instant::now();
     const SELF_LOOP: u32 = u32::MAX;
     let raw = device.alloc_map(m, |e| {
         let (x, y) = edges[e];
@@ -268,12 +201,12 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
             remap[r]
         };
     }
-    phases.push(("labeling".to_string(), t3.elapsed()));
+    clock.lap("labeling");
 
     Ok(BccResult {
         component,
         num_components: next as usize,
-        phases,
+        phases: clock.into_phases(),
     })
 }
 

@@ -7,7 +7,7 @@
 //! round expands the current frontier, claims unvisited neighbors with
 //! atomic CAS, and compacts the winners into the next frontier.
 
-use gpu_sim::Device;
+use gpu_sim::{ArenaVec, AtomicViewU32, AtomicViewU64, Device};
 use graph_core::ids::{EdgeId, NodeId, INVALID_NODE};
 use graph_core::Csr;
 use rayon::prelude::*;
@@ -106,10 +106,32 @@ fn pack_claim(parent: NodeId, edge: EdgeId) -> u64 {
 
 /// Device (GPU-sim) BFS.
 pub fn bfs_device(device: &Device, csr: &Csr, root: NodeId) -> BfsTree {
-    let n = csr.num_nodes();
-    if n == 0 {
+    if csr.num_nodes() == 0 {
         return empty_tree(root);
     }
+    let (parent, parent_edge, level) = bfs_device_from(device, csr, &[root]);
+    let num_levels = count_levels(&level);
+    BfsTree {
+        parent,
+        level,
+        parent_edge,
+        root,
+        num_levels,
+    }
+}
+
+/// Device BFS from every seed at once, each a root at level 0 — CK's
+/// single-root BFS and the spanning forest's rooting
+/// ([`crate::UnrootedForest::into_rooted`]) both run it. Returns
+/// `(parent, parent_edge, level)`; roots and unreached nodes keep
+/// `INVALID_NODE` and `u32::MAX` parents and edges, and unreached nodes
+/// level `u32::MAX`.
+pub(crate) fn bfs_device_from(
+    device: &Device,
+    csr: &Csr,
+    seeds: &[NodeId],
+) -> (Vec<NodeId>, Vec<EdgeId>, Vec<u32>) {
+    let n = csr.num_nodes();
     let mut claims_buf = device.alloc_filled(n, u64::MAX);
     let claims = device
         .atomic_u64(&mut claims_buf)
@@ -118,45 +140,16 @@ pub fn bfs_device(device: &Device, csr: &Csr, root: NodeId) -> BfsTree {
     let levels = device
         .atomic_u32(&mut levels_buf)
         .benign("early-exit level probe: the claim CAS is authoritative, stale reads cost a retry");
-    levels.store(root as usize, 0);
-    claims.store(root as usize, pack_claim(INVALID_NODE, u32::MAX));
+    for &s in seeds {
+        levels.store(s as usize, 0);
+        claims.store(s as usize, pack_claim(INVALID_NODE, u32::MAX));
+    }
 
-    let mut frontier = vec![root];
-    let mut depth = 0u32;
+    let mut depth = 1u32;
+    let mut frontier = expand_frontier(device, csr, seeds, &claims, &levels, depth);
     while !frontier.is_empty() {
         depth += 1;
-        // Upper bound on next frontier size: sum of degrees of the frontier.
-        let degree_sum: usize = frontier.iter().map(|&u| csr.degree(u)).sum();
-        let mut next = vec![0 as NodeId; degree_sum];
-        let count = AtomicUsize::new(0);
-        {
-            let _k = device.kernel_label("bfs_expand");
-            // fetch_add hands out unique slots; the degree sum bounds the
-            // capacity.
-            let next_shared = device.shared(&mut next);
-            let frontier_ref = &frontier;
-            let claims_ref = &claims;
-            let levels_ref = &levels;
-            let count_ref = &count;
-            device.for_each(frontier.len(), |i| {
-                let u = frontier_ref[i];
-                for (w, eid) in csr.incident(u) {
-                    if levels_ref.load(w as usize) != u32::MAX {
-                        continue;
-                    }
-                    if claims_ref
-                        .compare_exchange(w as usize, u64::MAX, pack_claim(u, eid))
-                        .is_ok()
-                    {
-                        levels_ref.store(w as usize, depth);
-                        let pos = count_ref.fetch_add(1, Ordering::Relaxed);
-                        next_shared.write(pos, w);
-                    }
-                }
-            });
-        }
-        next.truncate(count.load(Ordering::Relaxed));
-        frontier = next;
+        frontier = expand_frontier(device, csr, &frontier, &claims, &levels, depth);
     }
 
     let mut parent = vec![INVALID_NODE; n];
@@ -168,27 +161,68 @@ pub fn bfs_device(device: &Device, csr: &Csr, root: NodeId) -> BfsTree {
     device.map(&mut level, |v| levels.load(v));
     {
         let _k = device.kernel_label("bfs_assign_parents");
-        // One write per node.
+        // One write per node. A root's claim packs the root markers and an
+        // unreached node's is all ones, so every claim unpacks as is.
         let parent_shared = device.shared(&mut parent);
         let pe_shared = device.shared(&mut parent_edge);
-        let claims_ref = &claims;
-        let level_ref = &level;
         device.for_each(n, |v| {
-            if level_ref[v] != u32::MAX && v != root as usize {
-                let c = claims_ref.load(v);
-                parent_shared.write(v, (c >> 32) as NodeId);
-                pe_shared.write(v, c as EdgeId);
+            let c = claims.load(v);
+            parent_shared.write(v, (c >> 32) as NodeId);
+            pe_shared.write(v, c as EdgeId);
+        });
+    }
+    (parent, parent_edge, level)
+}
+
+/// One synchronous frontier-expansion round at `depth`: every frontier
+/// node claims its unvisited neighbors with a CAS on `claims` (packing the
+/// `(parent, edge)` pair). Returns the next frontier.
+fn expand_frontier<'d>(
+    device: &'d Device,
+    csr: &Csr,
+    frontier: &[NodeId],
+    claims: &AtomicViewU64<'_>,
+    levels: &AtomicViewU32<'_>,
+    depth: u32,
+) -> ArenaVec<'d, NodeId> {
+    // The frontier's degree sum bounds the next frontier.
+    let degree_sum: usize = frontier.iter().map(|&u| csr.degree(u)).sum();
+    let mut next = device.alloc_pooled::<NodeId>(degree_sum);
+    let count = AtomicUsize::new(0);
+    {
+        let _k = device.kernel_label("bfs_expand");
+        // The frontier and the CSR adjacency feed the closure, invisible
+        // to the tracked views.
+        device.capture_read(frontier);
+        device.capture_read(csr.offsets());
+        device.capture_read(csr.raw_neighbors());
+        device.capture_read(csr.raw_edge_ids());
+        // fetch_add hands out unique slots, so each element has exactly one
+        // writer.
+        let next_shared = device.shared(&mut next);
+        let count_ref = &count;
+        device.for_each(frontier.len(), |i| {
+            let u = frontier[i];
+            for (w, eid) in csr.incident(u) {
+                if levels.load(w as usize) != u32::MAX {
+                    continue;
+                }
+                if claims
+                    .compare_exchange(w as usize, u64::MAX, pack_claim(u, eid))
+                    .is_ok()
+                {
+                    levels.store(w as usize, depth);
+                    let pos = count_ref.fetch_add(1, Ordering::Relaxed);
+                    next_shared.write(pos, w);
+                }
             }
         });
     }
-    let num_levels = count_levels(&level);
-    BfsTree {
-        parent,
-        level,
-        parent_edge,
-        root,
-        num_levels,
-    }
+    // The host consumes the round's output to size it (and, on the final
+    // round, to terminate the loop).
+    device.capture_host_read(&next[..]);
+    next.truncate(count.load(Ordering::Relaxed));
+    next
 }
 
 /// Multicore (rayon) BFS — the OpenMP-style variant used by multicore CK.

@@ -8,30 +8,12 @@
 //! wait-free in aggregate), and finds apply intermediate pointer jumping
 //! (halving), the same compression ECL-CC uses. Every successful hook
 //! corresponds to one edge that joined two components — those edges form
-//! the spanning forest.
+//! the spanning forest, returned as an [`UnrootedForest`].
 
+use crate::forest::UnrootedForest;
 use gpu_sim::{AtomicViewU32, Device};
 use graph_core::ids::{EdgeId, NodeId};
 use graph_core::EdgeList;
-
-/// Output of [`connected_components`].
-#[derive(Debug, Clone)]
-pub struct ConnectedComponents {
-    /// Component representative (smallest reachable id after flattening)
-    /// for every node.
-    pub representative: Vec<NodeId>,
-    /// Edge ids forming a spanning forest (`n - num_components` edges).
-    pub tree_edges: Vec<EdgeId>,
-    /// Number of connected components.
-    pub num_components: usize,
-}
-
-impl ConnectedComponents {
-    /// Whether the whole graph is a single component (isolated nodes count).
-    pub fn is_connected(&self) -> bool {
-        self.num_components <= 1
-    }
-}
 
 /// Find with path halving over a tracked atomic parent view.
 #[inline]
@@ -73,52 +55,58 @@ fn hook_min(parent: &AtomicViewU32<'_>, tree_flag: &AtomicViewU32<'_>, e: usize,
     }
 }
 
-/// Computes connected components and a spanning forest on the device.
-/// The parent array and tree flags — the hooking phase's working state —
-/// come from the device arena, so repeated runs allocate only the outputs.
-pub fn connected_components(device: &Device, graph: &EdgeList) -> ConnectedComponents {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
+impl UnrootedForest {
+    /// Computes connected components and a spanning forest on the device
+    /// with lock-free union-find hooking: diameter-insensitive, and
+    /// wait-free in aggregate. Which edges win the benign hooking races
+    /// varies run to run; the representatives and the component count do
+    /// not. The parent array and tree flags — the hooking phase's working
+    /// state — come from the device arena, so repeated runs allocate only
+    /// the outputs.
+    pub fn build(device: &Device, graph: &EdgeList) -> Self {
+        let n = graph.num_nodes();
+        let m = graph.num_edges();
 
-    let mut parent_buf = {
-        let _k = device.kernel_label("cc_init_parent");
-        device.alloc_pooled_map(n, |v| v as u32)
-    };
-    let mut tree_flag_buf = device.alloc_filled(m, 0u32);
-    let parent = device
-        .atomic_u32(&mut parent_buf)
-        .benign("union-find hooking: any CAS winner yields a valid forest, losers re-find");
-    let tree_flag = device.atomic_u32(&mut tree_flag_buf);
+        let mut parent_buf = {
+            let _k = device.kernel_label("cc_init_parent");
+            device.alloc_pooled_map(n, |v| v as u32)
+        };
+        let mut tree_flag_buf = device.alloc_filled(m, 0u32);
+        let parent = device
+            .atomic_u32(&mut parent_buf)
+            .benign("union-find hooking: any CAS winner yields a valid forest, losers re-find");
+        let tree_flag = device.atomic_u32(&mut tree_flag_buf);
 
-    // Hooking phase: one virtual thread per edge.
-    {
-        let _k = device.kernel_label("cc_hook");
-        let edges = graph.edges();
-        // The edge list feeds the closure, invisible to the tracked views.
-        device.capture_read(edges);
-        device.for_each(m, |e| {
-            let (u, v) = edges[e];
-            hook_min(&parent, &tree_flag, e, u, v);
-        });
-    }
+        // Hooking phase: one virtual thread per edge.
+        {
+            let _k = device.kernel_label("cc_hook");
+            let edges = graph.edges();
+            // The edge list feeds the closure, invisible to the tracked views.
+            device.capture_read(edges);
+            device.for_each(m, |e| {
+                let (u, v) = edges[e];
+                hook_min(&parent, &tree_flag, e, u, v);
+            });
+        }
 
-    // Flatten: every node points at its root.
-    let mut representative = vec![0 as NodeId; n];
-    {
-        let _k = device.kernel_label("cc_flatten");
-        device.map(&mut representative, |v| find(&parent, v as u32));
-    }
+        // Flatten: every node points at its root.
+        let mut representative = vec![0 as NodeId; n];
+        {
+            let _k = device.kernel_label("cc_flatten");
+            device.map(&mut representative, |v| find(&parent, v as u32));
+        }
 
-    // Collect spanning forest edges in id order.
-    let _k = device.kernel_label("cc_collect_tree");
-    let tree_edges: Vec<EdgeId> = device.compact_indices(m, |e| tree_flag.load(e) == 1);
+        // Collect spanning forest edges in id order.
+        let _k = device.kernel_label("cc_collect_tree");
+        let tree_edges: Vec<EdgeId> = device.compact_indices(m, |e| tree_flag.load(e) == 1);
 
-    let num_components = n - tree_edges.len();
+        let num_components = n - tree_edges.len();
 
-    ConnectedComponents {
-        representative,
-        tree_edges,
-        num_components,
+        Self {
+            tree_edges,
+            representative,
+            num_components,
+        }
     }
 }
 
@@ -126,10 +114,10 @@ pub fn connected_components(device: &Device, graph: &EdgeList) -> ConnectedCompo
 mod tests {
     use super::*;
 
-    fn cc(edges: Vec<(u32, u32)>, n: usize) -> ConnectedComponents {
+    fn cc(edges: Vec<(u32, u32)>, n: usize) -> UnrootedForest {
         let device = Device::new();
         let graph = EdgeList::new(n, edges);
-        connected_components(&device, &graph)
+        UnrootedForest::build(&device, &graph)
     }
 
     #[test]
@@ -191,7 +179,7 @@ mod tests {
             .collect();
         let device = Device::new();
         let graph = EdgeList::new(n, edges.clone());
-        let c = connected_components(&device, &graph);
+        let c = UnrootedForest::build(&device, &graph);
 
         // Sequential union-find over the claimed tree edges: no edge may
         // close a cycle.

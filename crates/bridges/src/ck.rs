@@ -8,36 +8,67 @@
 //! collapses on road networks (Figures 9–11).
 
 use crate::bfs::{bfs_device, bfs_rayon, BfsTree};
-use crate::result::{BridgesError, BridgesResult};
+use crate::forest::flag_tree_edges;
+use crate::result::{BridgesError, BridgesResult, PhaseClock};
 use gpu_sim::Device;
 use graph_core::bitset::{AtomicBitSet, BitSet};
 use graph_core::ids::NodeId;
 use graph_core::{Csr, EdgeList};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Walks one non-tree edge's endpoints to their LCA, marking tree edges.
-/// `marked[v]` stands for the tree edge `{v, parent(v)}`. Shared with the
-/// hybrid algorithm, which supplies an Euler-tour-derived tree instead of a
-/// BFS tree (the marking phase "does not depend on specific properties of
-/// breadth-first search trees").
+/// `marked[v]` stands for the tree edge `{v, parent(v)}`. The walk reads
+/// only parents and levels, so the hybrid algorithm can supply an
+/// Euler-tour-derived tree instead of a BFS tree (the marking phase "does
+/// not depend on specific properties of breadth-first search trees").
 #[inline]
-pub(crate) fn mark_walk(tree: &BfsTree, marked: &AtomicBitSet, u: NodeId, v: NodeId) {
+fn mark_walk(parent: &[NodeId], level: &[u32], marked: &AtomicBitSet, u: NodeId, v: NodeId) {
     let (mut x, mut y) = (u, v);
-    while tree.level[x as usize] > tree.level[y as usize] {
+    while level[x as usize] > level[y as usize] {
         marked.set(x as usize);
-        x = tree.parent[x as usize];
+        x = parent[x as usize];
     }
-    while tree.level[y as usize] > tree.level[x as usize] {
+    while level[y as usize] > level[x as usize] {
         marked.set(y as usize);
-        y = tree.parent[y as usize];
+        y = parent[y as usize];
     }
     while x != y {
         marked.set(x as usize);
         marked.set(y as usize);
-        x = tree.parent[x as usize];
-        y = tree.parent[y as usize];
+        x = parent[x as usize];
+        y = parent[y as usize];
     }
+}
+
+/// CK's marking phase on the device, shared by [`bridges_ck_device`] and
+/// the hybrid: one virtual thread per edge walks every non-tree,
+/// non-loop edge up to its endpoints' LCA. Returns the marks by child
+/// node.
+pub(crate) fn mark_device(
+    device: &Device,
+    graph: &EdgeList,
+    is_tree: &[u8],
+    parent: &[NodeId],
+    level: &[u32],
+) -> AtomicBitSet {
+    let marked = AtomicBitSet::new(graph.num_nodes());
+    let _k = device.kernel_label("ck_mark_walk");
+    // Tree flags, edge list and the rooted tree feed the closure; the mark
+    // bitset is internally atomic (first-marker-wins races are the
+    // algorithm's early exit, not a hazard).
+    device.capture_read(is_tree);
+    device.capture_read(graph.edges());
+    device.capture_read(parent);
+    device.capture_read(level);
+    let edges = graph.edges();
+    let marked_ref = &marked;
+    device.for_each(edges.len(), |e| {
+        let (u, v) = edges[e];
+        if is_tree[e] == 0 && u != v {
+            mark_walk(parent, level, marked_ref, u, v);
+        }
+    });
+    marked
 }
 
 /// Assembles the per-edge bridge bitmap from the marking results.
@@ -62,54 +93,25 @@ pub fn bridges_ck_device(
     csr: &Csr,
 ) -> Result<BridgesResult, BridgesError> {
     let n = graph.num_nodes();
-    let m = graph.num_edges();
     if n == 0 {
         return Err(BridgesError::Empty);
     }
-    let mut phases = Vec::new();
-
-    let t0 = Instant::now();
+    let mut clock = PhaseClock::start();
     let tree = bfs_device(device, csr, 0);
     if !tree.spans() {
         return Err(BridgesError::Disconnected);
     }
-    phases.push(("bfs".to_string(), t0.elapsed()));
+    clock.lap("bfs");
 
-    let t1 = Instant::now();
-    let mut is_tree = device.alloc_filled(m, 0u8);
-    {
-        let _k = device.kernel_label("ck_flag_tree_edges");
-        // Each node's parent edge is distinct, so each slot has one writer.
-        let tree_shared = device.shared(&mut is_tree);
-        let pe = &tree.parent_edge;
-        device.for_each(n, |v| {
-            let e = pe[v];
-            if e != u32::MAX {
-                tree_shared.write(e as usize, 1u8);
-            }
-        });
-    }
-    let marked = AtomicBitSet::new(n);
-    {
-        let edges = graph.edges();
-        let tree_ref = &tree;
-        let marked_ref = &marked;
-        let is_tree_ref = &is_tree;
-        device.for_each(m, |e| {
-            if is_tree_ref[e] == 1 {
-                return;
-            }
-            let (u, v) = edges[e];
-            if u == v {
-                return;
-            }
-            mark_walk(tree_ref, marked_ref, u, v);
-        });
-    }
+    let is_tree = flag_tree_edges(device, graph.num_edges(), &tree.parent_edge);
+    let marked = mark_device(device, graph, &is_tree, &tree.parent, &tree.level);
     let is_bridge = collect_bridges(graph, &tree, &marked);
-    phases.push(("mark".to_string(), t1.elapsed()));
+    clock.lap("mark");
 
-    Ok(BridgesResult { is_bridge, phases })
+    Ok(BridgesResult {
+        is_bridge,
+        phases: clock.into_phases(),
+    })
 }
 
 /// CK with rayon (the multi-core CPU implementation, after \[11, 52\]).
@@ -118,21 +120,17 @@ pub fn bridges_ck_device(
 /// [`BridgesError::Empty`] / [`BridgesError::Disconnected`] as for TV.
 pub fn bridges_ck_rayon(graph: &EdgeList, csr: &Csr) -> Result<BridgesResult, BridgesError> {
     let n = graph.num_nodes();
-    let m = graph.num_edges();
     if n == 0 {
         return Err(BridgesError::Empty);
     }
-    let mut phases = Vec::new();
-
-    let t0 = Instant::now();
+    let mut clock = PhaseClock::start();
     let tree = bfs_rayon(csr, 0);
     if !tree.spans() {
         return Err(BridgesError::Disconnected);
     }
-    phases.push(("bfs".to_string(), t0.elapsed()));
+    clock.lap("bfs");
 
-    let t1 = Instant::now();
-    let mut is_tree = vec![false; m];
+    let mut is_tree = vec![false; graph.num_edges()];
     for v in 0..n {
         let e = tree.parent_edge[v];
         if e != u32::MAX {
@@ -140,26 +138,20 @@ pub fn bridges_ck_rayon(graph: &EdgeList, csr: &Csr) -> Result<BridgesResult, Br
         }
     }
     let marked = AtomicBitSet::new(n);
-    {
-        let edges = graph.edges();
-        let tree_ref = &tree;
-        let marked_ref = &marked;
-        let is_tree_ref = &is_tree;
-        (0..m).into_par_iter().for_each(|e| {
-            if is_tree_ref[e] {
-                return;
-            }
-            let (u, v) = edges[e];
-            if u == v {
-                return;
-            }
-            mark_walk(tree_ref, marked_ref, u, v);
-        });
-    }
+    let edges = graph.edges();
+    (0..edges.len()).into_par_iter().for_each(|e| {
+        let (u, v) = edges[e];
+        if !is_tree[e] && u != v {
+            mark_walk(&tree.parent, &tree.level, &marked, u, v);
+        }
+    });
     let is_bridge = collect_bridges(graph, &tree, &marked);
-    phases.push(("mark".to_string(), t1.elapsed()));
+    clock.lap("mark");
 
-    Ok(BridgesResult { is_bridge, phases })
+    Ok(BridgesResult {
+        is_bridge,
+        phases: clock.into_phases(),
+    })
 }
 
 #[cfg(test)]

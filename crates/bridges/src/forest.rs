@@ -3,25 +3,29 @@
 //! The paper's pipeline (§4.1) stands on a single substrate — the
 //! union-find hooking CC of [`crate::cc`], which emits a spanning forest as
 //! a byproduct — and so does this crate: [`crate::bridges_tv`],
-//! [`crate::bridges_hybrid`] and the `emg serve` catalog all build their
-//! forest with [`UnrootedForest::build`].
+//! [`crate::bridges_hybrid`], [`crate::bcc_tv`] and the `emg serve`
+//! catalog all build their forest with [`UnrootedForest::build`], once.
 //! DESIGN.md §6 records the measurement that made it the only substrate.
 //!
 //! Construction is two-staged: [`UnrootedForest::build`] yields the tree
-//! edges and component structure — all the TV/hybrid pipelines consume —
+//! edges and component structure — all the bridge pipelines consume —
 //! and [`UnrootedForest::into_rooted`] additionally roots every component
-//! at its representative (one multi-source BFS over the tree edges, one
-//! synchronous round per tree level), producing the [`SpanningForest`]
-//! that `emg forest` validates.
+//! at its representative (one multi-source [`crate::bfs`] over the tree
+//! edges, one synchronous round per tree level), producing the
+//! [`SpanningForest`] that `emg forest` validates. On a connected graph
+//! the bridge pipelines root the one tree through the Euler tour instead,
+//! in one shared front end (`UnrootedForest::tour`).
 
-use crate::cc;
-use gpu_sim::{AtomicViewU64, Device};
+use crate::bfs::bfs_device_from;
+use crate::result::{BridgesError, PhaseClock};
+use euler_tour::EulerTour;
+use gpu_sim::{ArenaVec, Device};
 use graph_core::ids::{EdgeId, NodeId, INVALID_NODE};
 use graph_core::{Csr, EdgeList};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// An unrooted spanning forest: the tree-edge set plus component structure.
-/// This is the cheap stage — everything the bridge pipelines need.
+/// An unrooted spanning forest: the tree-edge set plus component structure,
+/// built by [`UnrootedForest::build`]. This is the cheap stage —
+/// everything the bridge pipelines and connectivity queries need.
 #[derive(Debug, Clone)]
 pub struct UnrootedForest {
     /// Ascending original edge ids of the forest's tree edges
@@ -34,19 +38,6 @@ pub struct UnrootedForest {
 }
 
 impl UnrootedForest {
-    /// Builds the forest with lock-free union-find hooking
-    /// ([`crate::cc`]): diameter-insensitive, and wait-free in aggregate.
-    /// Which edges win the benign hooking races varies run to run; the
-    /// representatives and the component count do not.
-    pub fn build(device: &Device, graph: &EdgeList) -> Self {
-        let c = cc::connected_components(device, graph);
-        Self {
-            tree_edges: c.tree_edges,
-            representative: c.representative,
-            num_components: c.num_components,
-        }
-    }
-
     /// Whether the whole graph is one component (isolated nodes count).
     pub fn is_connected(&self) -> bool {
         self.num_components <= 1
@@ -72,12 +63,69 @@ impl UnrootedForest {
         });
     }
 
-    /// Roots every component at its representative via one multi-source
-    /// level-synchronous BFS over the tree edges (one synchronous round per
-    /// tree level).
+    /// The bridge family's front end on a connected graph: flags the tree
+    /// edges (`is_tree[e] == 1`), closes the `spanning_tree` phase, and
+    /// roots the spanning tree at node 0 with one Euler tour of its
+    /// endpoint pairs.
+    ///
+    /// # Errors
+    /// [`BridgesError::Disconnected`] when the forest has more than one
+    /// component.
+    pub(crate) fn tour<'d>(
+        &self,
+        device: &'d Device,
+        graph: &EdgeList,
+        clock: &mut PhaseClock,
+    ) -> Result<(ArenaVec<'d, u8>, EulerTour), BridgesError> {
+        if !self.is_connected() {
+            return Err(BridgesError::Disconnected);
+        }
+        let is_tree = flag_tree_edges(device, graph.num_edges(), &self.tree_edges);
+        clock.lap("spanning_tree");
+        let tour = EulerTour::build_from_edges(
+            device,
+            graph.num_nodes(),
+            &self.tree_pairs(device, graph),
+            0,
+        )
+        .map_err(|_| BridgesError::Disconnected)?;
+        Ok((is_tree, tour))
+    }
+
+    /// The tree edges' endpoint pairs, in `tree_edges` order (pooled).
+    fn tree_pairs<'d>(
+        &self,
+        device: &'d Device,
+        graph: &EdgeList,
+    ) -> ArenaVec<'d, (NodeId, NodeId)> {
+        let _k = device.kernel_label("gather_tree_edges");
+        let ids = &self.tree_edges;
+        // The id list and the edge list feed the closure.
+        device.capture_read(ids);
+        device.capture_read(graph.edges());
+        device.alloc_pooled_map(ids.len(), |i| graph.edges()[ids[i] as usize])
+    }
+
+    /// Roots every component at its representative: one multi-source
+    /// device BFS ([`crate::bfs`]) over the tree edges' CSR, seeded at
+    /// every representative (one synchronous round per tree level).
     pub fn into_rooted(self, device: &Device, graph: &EdgeList) -> SpanningForest {
-        let (parent, parent_edge) =
-            root_forest(device, graph, &self.tree_edges, &self.representative);
+        let n = self.representative.len();
+        let tree_csr = Csr::from_pairs_on(device, n, &self.tree_pairs(device, graph));
+        let representative = &self.representative;
+        let roots = device.compact_indices(n, |v| representative[v] == v as u32);
+        let (parent, tree_parent_edge, _) = bfs_device_from(device, &tree_csr, &roots);
+        // The BFS names each parent edge by its index in `tree_edges`.
+        let parent_edge = {
+            let _k = device.kernel_label("forest_parent_edge_ids");
+            let ids = &self.tree_edges;
+            device.capture_read(ids);
+            device.capture_read(&tree_parent_edge);
+            device.alloc_map(n, |v| match tree_parent_edge[v] {
+                u32::MAX => u32::MAX,
+                j => ids[j as usize],
+            })
+        };
         SpanningForest {
             parent,
             parent_edge,
@@ -86,6 +134,29 @@ impl UnrootedForest {
             num_components: self.num_components,
         }
     }
+}
+
+/// Per-edge tree flags over `m` edges: `is_tree[e] == 1` iff `ids` names
+/// `e`. The ids must be distinct; `u32::MAX` entries (a BFS root's absent
+/// parent edge) are skipped.
+pub(crate) fn flag_tree_edges<'d>(
+    device: &'d Device,
+    m: usize,
+    ids: &[EdgeId],
+) -> ArenaVec<'d, u8> {
+    let mut is_tree = device.alloc_filled(m, 0u8);
+    {
+        let _k = device.kernel_label("flag_tree_edges");
+        device.capture_read(ids);
+        // Distinct ids, so each slot has one writer.
+        let tree_shared = device.shared(&mut is_tree);
+        device.for_each(ids.len(), |i| {
+            if ids[i] != u32::MAX {
+                tree_shared.write(ids[i] as usize, 1u8);
+            }
+        });
+    }
+    is_tree
 }
 
 /// A rooted spanning forest.
@@ -221,110 +292,6 @@ impl SpanningForest {
         }
         Ok(())
     }
-}
-
-/// Packs a `(parent, edge)` claim into one atomic word.
-#[inline]
-fn pack(parent: NodeId, edge: u32) -> u64 {
-    ((parent as u64) << 32) | edge as u64
-}
-
-/// One synchronous frontier-expansion wave: every frontier node tries to
-/// claim its unvisited neighbors with a CAS on `claims` (packing the
-/// `(parent, edge)` pair). Returns the next frontier.
-fn expand_frontier<'d>(
-    device: &'d Device,
-    csr: &Csr,
-    frontier: &[NodeId],
-    claims: &AtomicViewU64<'_>,
-) -> gpu_sim::ArenaVec<'d, NodeId> {
-    let degree_sum: usize = frontier.iter().map(|&u| csr.degree(u)).sum();
-    let mut next = device.alloc_pooled::<NodeId>(degree_sum);
-    let count = AtomicUsize::new(0);
-    {
-        let _k = device.kernel_label("expand_frontier");
-        // The frontier and the CSR adjacency feed the closure, invisible
-        // to the tracked views.
-        device.capture_read(frontier);
-        device.capture_read(csr.offsets());
-        device.capture_read(csr.raw_neighbors());
-        device.capture_read(csr.raw_edge_ids());
-        // fetch_add hands out unique slots, so each element has exactly one
-        // writer; the degree sum bounds the capacity.
-        let next_shared = device.shared(&mut next);
-        let count_ref = &count;
-        device.for_each(frontier.len(), |i| {
-            let u = frontier[i];
-            for (w, eid) in csr.incident(u) {
-                if claims
-                    .compare_exchange(w as usize, u64::MAX, pack(u, eid))
-                    .is_ok()
-                {
-                    let pos = count_ref.fetch_add(1, Ordering::Relaxed);
-                    next_shared.write(pos, w);
-                }
-            }
-        });
-    }
-    // The host consumes the wave's output to size it (and, on the final
-    // wave, to terminate the loop).
-    device.capture_host_read(&next[..]);
-    next.truncate(count.load(Ordering::Relaxed));
-    next
-}
-
-/// Roots an unrooted forest: a multi-source level-synchronous BFS over the
-/// tree-edge subgraph, seeded at every representative, yields `parent` and
-/// `parent_edge` (original edge ids).
-fn root_forest(
-    device: &Device,
-    graph: &EdgeList,
-    tree_edge_ids: &[EdgeId],
-    representative: &[NodeId],
-) -> (Vec<NodeId>, Vec<EdgeId>) {
-    let n = representative.len();
-    let tree_pairs: Vec<(u32, u32)> = tree_edge_ids
-        .iter()
-        .map(|&e| graph.edges()[e as usize])
-        .collect();
-    let sub = EdgeList::new(n, tree_pairs);
-    let sub_csr = Csr::from_edge_list(&sub);
-
-    let mut claims_buf = device.alloc_filled(n, u64::MAX);
-    let claims = device
-        .atomic_u64(&mut claims_buf)
-        .benign("claim CAS: exactly one winner per node, losers observe the failure");
-    let mut frontier = device.compact_indices_pooled(n, |v| representative[v] == v as u32);
-    // The host walks the seed frontier to stamp the root claims.
-    device.capture_host_read(&frontier[..]);
-    for &r in frontier.iter() {
-        // Any non-MAX value marks the roots claimed; their slots are never
-        // read back (roots keep INVALID_NODE / u32::MAX markers).
-        claims.store(r as usize, pack(r, 0));
-    }
-    while !frontier.is_empty() {
-        frontier = expand_frontier(device, &sub_csr, &frontier, &claims);
-    }
-
-    let mut parent = vec![INVALID_NODE; n];
-    let mut parent_edge = vec![u32::MAX; n];
-    {
-        let _k = device.kernel_label("root_forest_assign");
-        // One write per node; the low word is the sub-graph edge id, mapped
-        // back to the original id through `ids`.
-        let parent_shared = device.shared(&mut parent);
-        let pe_shared = device.shared(&mut parent_edge);
-        let claims_ref = &claims;
-        let ids = tree_edge_ids;
-        device.for_each(n, |v| {
-            if representative[v] != v as u32 {
-                let c = claims_ref.load(v);
-                parent_shared.write(v, (c >> 32) as NodeId);
-                pe_shared.write(v, ids[c as u32 as usize]);
-            }
-        });
-    }
-    (parent, parent_edge)
 }
 
 /// Sequential union-find oracle: component partition (per-component minimum

@@ -6,15 +6,13 @@
 //! Phases match Figure 11's hybrid row: `spanning_tree`, `euler_tour`,
 //! `levels_parents`, `mark`.
 
-use crate::bfs::BfsTree;
 use crate::ck;
 use crate::forest::UnrootedForest;
-use crate::result::{BridgesError, BridgesResult};
-use euler_tour::{EulerTour, TreeStats};
+use crate::result::{BridgesError, BridgesResult, PhaseClock};
+use euler_tour::TreeStats;
 use gpu_sim::Device;
-use graph_core::bitset::{AtomicBitSet, BitSet};
+use graph_core::bitset::BitSet;
 use graph_core::{Csr, EdgeList};
-use std::time::Instant;
 
 /// Finds bridges with the hybrid algorithm (CC tree + Euler-tour
 /// levels/parents + CK marking).
@@ -31,105 +29,34 @@ pub fn bridges_hybrid(
     graph: &EdgeList,
     _csr: &Csr,
 ) -> Result<BridgesResult, BridgesError> {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(BridgesError::Empty);
     }
-    let mut phases = Vec::new();
-
-    // Phase 1: the union-find spanning tree. The unrooted stage suffices
-    // — the hybrid recovers parents/levels via the Euler tour (phase 3).
-    let t0 = Instant::now();
+    // Phases 1 and 2: the union-find spanning tree and its Euler tour.
+    let mut clock = PhaseClock::start();
     let forest = UnrootedForest::build(device, graph);
-    if !forest.is_connected() {
-        return Err(BridgesError::Disconnected);
-    }
-    let tree_edge_ids = forest.tree_edges;
-    let mut is_tree = device.alloc_filled(m, 0u8);
-    {
-        let _k = device.kernel_label("hybrid_flag_tree_edges");
-        // Tree edge ids are distinct, so each slot has one writer.
-        device.capture_read(&tree_edge_ids);
-        let tree_shared = device.shared(&mut is_tree);
-        let ids = &tree_edge_ids;
-        device.for_each(ids.len(), |i| {
-            tree_shared.write(ids[i] as usize, 1u8);
-        });
-    }
-    let is_tree = &is_tree;
-    phases.push(("spanning_tree".to_string(), t0.elapsed()));
-
-    // Phase 2: Euler tour of the spanning tree (pooled edge-pair scratch).
-    let t1 = Instant::now();
-    let ids = &tree_edge_ids;
-    let tree_pairs = {
-        let _k = device.kernel_label("hybrid_gather_tree_edges");
-        // The id list and the edge list feed the closure.
-        device.capture_read(ids);
-        device.capture_read(graph.edges());
-        device.alloc_pooled_map(ids.len(), |i| graph.edges()[ids[i] as usize])
-    };
-    let tour = EulerTour::build_from_edges(device, n, &tree_pairs, 0)
-        .map_err(|_| BridgesError::Disconnected)?;
-    drop(tree_pairs);
-    phases.push(("euler_tour".to_string(), t1.elapsed()));
+    let (is_tree, tour) = forest.tour(device, graph, &mut clock)?;
+    clock.lap("euler_tour");
 
     // Phase 3: levels and parents from the tour ("it is important to note
     // that this algorithm outputs an unrooted spanning tree, but the marking
     // phase requires a rooted tree ... we compute both parents and levels
     // using the Euler tour technique").
-    let t2 = Instant::now();
     let stats = TreeStats::compute(device, &tour);
-    phases.push(("levels_parents".to_string(), t2.elapsed()));
+    clock.lap("levels_parents");
 
-    // Phase 4: CK marking on the CC tree.
-    let t3 = Instant::now();
-    // Adapt the stats into the BfsTree shape the marking walk consumes.
-    // parent_edge is only needed for bridge collection; recover it per tree
-    // edge id below instead.
-    let walk_tree = BfsTree {
-        parent: stats.parent.clone(),
-        level: stats.level.clone(),
-        parent_edge: vec![u32::MAX; n],
-        root: 0,
-        num_levels: 0,
-    };
-    let marked = AtomicBitSet::new(n);
-    {
-        let _k = device.kernel_label("ck_mark_walk");
-        // Tree flags, edge list and the walk tree feed the closure; the
-        // mark bitset is internally atomic (first-marker-wins races are
-        // the algorithm's early-exit, not a hazard).
-        device.capture_read(&is_tree[..]);
-        device.capture_read(graph.edges());
-        device.capture_read(&walk_tree.parent);
-        device.capture_read(&walk_tree.level);
-        let edges = graph.edges();
-        let walk_ref = &walk_tree;
-        let marked_ref = &marked;
-        device.for_each(m, |e| {
-            if is_tree[e] == 1 {
-                return;
-            }
-            let (u, v) = edges[e];
-            if u == v {
-                return;
-            }
-            ck::mark_walk(walk_ref, marked_ref, u, v);
-        });
-    }
-    // Tree edge {x, y} with child c is a bridge iff c's upward edge was
-    // never marked.
-    let mut bridge_flags = device.alloc_filled(m, 0u8);
+    // Phase 4: CK marking on the CC tree. Tree edge {x, y} with child c is
+    // a bridge iff c's upward edge was never marked.
+    let marked = ck::mark_device(device, graph, &is_tree, &stats.parent, &stats.level);
+    let mut bridge_flags = device.alloc_filled(graph.num_edges(), 0u8);
     {
         let _k = device.kernel_label("hybrid_collect_bridges");
         // Tree edge ids are distinct, so each slot has one writer.
-        device.capture_read(&tree_edge_ids);
+        device.capture_read(&forest.tree_edges);
         device.capture_read(&stats.parent);
         device.capture_read(graph.edges());
         let flags_shared = device.shared(&mut bridge_flags);
-        let ids = &tree_edge_ids;
+        let ids = &forest.tree_edges;
         let parent = &stats.parent;
         let edges = graph.edges();
         let marked_ref = &marked;
@@ -143,9 +70,12 @@ pub fn bridges_hybrid(
     // The host folds the flags into the result bitset.
     device.capture_host_read(&bridge_flags[..]);
     let is_bridge: BitSet = bridge_flags.iter().map(|&b| b == 1).collect();
-    phases.push(("mark".to_string(), t3.elapsed()));
+    clock.lap("mark");
 
-    Ok(BridgesResult { is_bridge, phases })
+    Ok(BridgesResult {
+        is_bridge,
+        phases: clock.into_phases(),
+    })
 }
 
 #[cfg(test)]

@@ -11,11 +11,14 @@
 //! | GPU TV              | [`bridges_tv`] — Tarjan–Vishkin via Euler tours |
 //! | GPU Hybrid (§4.3)   | [`bridges_hybrid`] — CC tree + Euler levels + CK marking |
 //!
-//! Substrates built for them: lock-free connected components with a spanning
-//! forest byproduct ([`cc`]), level-synchronous parallel BFS ([`bfs`]), a
+//! Substrates built for them: the union-find spanning forest
+//! ([`UnrootedForest`]: lock-free connected components with the forest as
+//! a byproduct, [`cc`]), level-synchronous parallel BFS ([`bfs`]), and a
 //! parallel-buildable segment tree for the low/high range queries
-//! ([`segment_tree`]), and the union-find spanning-forest substrate the
-//! TV and hybrid pipelines share ([`forest`]).
+//! ([`segment_tree`]). TV, the hybrid, biconnectivity and the `emg serve`
+//! snapshot share one front end over the forest ([`forest`]): tree-edge
+//! flags, then one Euler tour rooting the tree. TV and biconnectivity also
+//! share TV's low/high step, and CK and the hybrid one marking kernel.
 //!
 //! Beyond the paper's scope, [`bcc`] completes Tarjan–Vishkin's original
 //! algorithm — auxiliary-graph biconnected-component labeling and
@@ -57,11 +60,10 @@ pub use bcc::{
     articulation_points_device, articulation_points_from_bcc, bcc_sequential, bcc_tv, BccResult,
 };
 pub use bfs::{bfs_device, bfs_rayon, bfs_sequential, BfsTree};
-pub use cc::{connected_components, ConnectedComponents};
 pub use ck::{bridges_ck_device, bridges_ck_rayon};
 pub use dfs::bridges_dfs;
 pub use forest::{SpanningForest, UnrootedForest};
 pub use hybrid::bridges_hybrid;
 pub use result::{BridgesError, BridgesResult};
 pub use segment_tree::SegmentTree;
-pub use tv::bridges_tv;
+pub use tv::{bridges_tv, bridges_tv_on_forest};

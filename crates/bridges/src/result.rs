@@ -2,7 +2,7 @@
 
 use graph_core::bitset::BitSet;
 use graph_core::ids::EdgeId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Outcome of a bridge-finding run: a per-edge bridge flag plus the named
 /// phase durations that Figure 11 plots.
@@ -62,6 +62,37 @@ impl std::fmt::Display for BridgesError {
 }
 
 impl std::error::Error for BridgesError {}
+
+/// Back-to-back phase timings for [`BridgesResult::phases`]: each
+/// [`PhaseClock::lap`] closes the phase that began at the previous lap (or
+/// at [`PhaseClock::start`]), so a stage shared by several pipelines can
+/// close a phase partway through its work.
+pub(crate) struct PhaseClock {
+    phases: Vec<(String, Duration)>,
+    since: Instant,
+}
+
+impl PhaseClock {
+    /// Starts the first phase now.
+    pub(crate) fn start() -> Self {
+        Self {
+            phases: Vec::new(),
+            since: Instant::now(),
+        }
+    }
+
+    /// Records the running phase as `name` and starts the next one.
+    pub(crate) fn lap(&mut self, name: &str) {
+        let now = Instant::now();
+        self.phases.push((name.to_string(), now - self.since));
+        self.since = now;
+    }
+
+    /// The recorded phases, in execution order.
+    pub(crate) fn into_phases(self) -> Vec<(String, Duration)> {
+        self.phases
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -11,15 +11,17 @@
 //! 3. **`detect_bridges`** — aggregate min/max over subtree intervals with
 //!    segment-tree RMQ: tree edge `{u, parent(u)}` is a bridge iff both
 //!    `low(u)` and `high(u)` stay inside `[pre(u), pre(u) + size(u))`.
+//!
+//! Biconnectivity ([`crate::bcc`]) reuses the low/high steps of phases 2
+//! and 3: `node_extremes` and `LowHigh`.
 
 use crate::forest::UnrootedForest;
-use crate::result::{BridgesError, BridgesResult};
+use crate::result::{BridgesError, BridgesResult, PhaseClock};
 use crate::segment_tree::{SegOp, SegmentTree};
-use euler_tour::{EulerTour, TreeStats};
-use gpu_sim::Device;
+use euler_tour::TreeStats;
+use gpu_sim::{ArenaVec, Device};
 use graph_core::bitset::BitSet;
 use graph_core::{Csr, EdgeList};
-use std::time::Instant;
 
 /// Finds all bridges of a connected graph with the Tarjan–Vishkin
 /// algorithm on the simulated device, over the union-find spanning forest.
@@ -32,161 +34,192 @@ pub fn bridges_tv(
     graph: &EdgeList,
     csr: &Csr,
 ) -> Result<BridgesResult, BridgesError> {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    if n == 0 {
+    if graph.num_nodes() == 0 {
         return Err(BridgesError::Empty);
     }
-    let mut phases = Vec::new();
-
-    // Phase 1: the union-find spanning tree. The unrooted stage suffices
-    // — TV roots through the Euler tour itself.
-    let t0 = Instant::now();
+    let clock = PhaseClock::start();
     let forest = UnrootedForest::build(device, graph);
-    if !forest.is_connected() {
-        return Err(BridgesError::Disconnected);
-    }
-    let tree_edge_ids = forest.tree_edges;
-    let mut is_tree = device.alloc_filled(m, 0u8);
-    {
-        let _k = device.kernel_label("tv_flag_tree_edges");
-        device.capture_read(&tree_edge_ids);
-        // Tree edge ids are distinct, so each slot has one writer.
-        let tree_shared = device.shared(&mut is_tree);
-        let ids = &tree_edge_ids;
-        device.for_each(ids.len(), |i| {
-            tree_shared.write(ids[i] as usize, 1u8);
-        });
-    }
-    let is_tree = &is_tree;
-    phases.push(("spanning_tree".to_string(), t0.elapsed()));
+    tv(device, graph, csr, &forest, clock).map(|(result, _)| result)
+}
 
-    // Phase 2: Euler tour statistics + per-node non-tree neighbor extremes.
-    let t1 = Instant::now();
-    let ids = &tree_edge_ids;
-    let tree_pairs = {
-        let _k = device.kernel_label("tv_gather_tree_edges");
-        device.capture_read(ids);
-        device.capture_read(graph.edges());
-        device.alloc_pooled_map(ids.len(), |i| graph.edges()[ids[i] as usize])
-    };
-    let tour = EulerTour::build_from_edges(device, n, &tree_pairs, 0)
-        .map_err(|_| BridgesError::Disconnected)?;
-    drop(tree_pairs);
+/// [`bridges_tv`] over a forest of `graph` already built with
+/// [`UnrootedForest::build`], so a caller that keeps the forest builds it
+/// once. Also returns the statistics of the spanning tree rooted at node
+/// 0; on a tree input they are the tree's own.
+///
+/// # Errors
+/// As [`bridges_tv`].
+pub fn bridges_tv_on_forest(
+    device: &Device,
+    graph: &EdgeList,
+    csr: &Csr,
+    forest: &UnrootedForest,
+) -> Result<(BridgesResult, TreeStats), BridgesError> {
+    if graph.num_nodes() == 0 {
+        return Err(BridgesError::Empty);
+    }
+    tv(device, graph, csr, forest, PhaseClock::start())
+}
+
+/// The three phases; `clock` started with phase 1.
+fn tv(
+    device: &Device,
+    graph: &EdgeList,
+    csr: &Csr,
+    forest: &UnrootedForest,
+    mut clock: PhaseClock,
+) -> Result<(BridgesResult, TreeStats), BridgesError> {
+    // Phase 1 (closed by the front end): tree-edge flags. Phase 2: the
+    // Euler tour statistics and per-node non-tree neighbor extremes.
+    let (is_tree, tour) = forest.tour(device, graph, &mut clock)?;
     let stats = TreeStats::compute(device, &tour);
     let pre = &stats.preorder;
-
-    // Per-node extremes of non-tree neighbor preorders: the gather of each
-    // adjacency slot's contribution is fused into the segmented reduce (the
-    // paper's `segreduce`) — no materialized per-slot value arrays.
-    let neighbors = csr.raw_neighbors();
-    let edge_ids = csr.raw_edge_ids();
-    let mut node_min = device.alloc_pooled::<u32>(n);
-    // The per-slot contributions read the CSR arrays, tree flags, and
-    // preorders through the fused generator closure — declare them.
-    device.capture_read(&is_tree[..]);
-    device.capture_read(edge_ids);
-    device.capture_read(neighbors);
-    device.capture_read(pre);
-    device.map_segmented_reduce_into(
-        csr.offsets(),
-        u32::MAX,
-        |s| {
-            if is_tree[edge_ids[s] as usize] == 1 {
-                u32::MAX
-            } else {
-                pre[neighbors[s] as usize]
-            }
-        },
-        |a, b| a.min(b),
-        &mut node_min,
-    );
-    let mut node_max = device.alloc_pooled::<u32>(n);
-    device.capture_read(&is_tree[..]);
-    device.capture_read(edge_ids);
-    device.capture_read(neighbors);
-    device.capture_read(pre);
-    device.map_segmented_reduce_into(
-        csr.offsets(),
-        0u32,
-        |s| {
-            if is_tree[edge_ids[s] as usize] == 1 {
-                0
-            } else {
-                pre[neighbors[s] as usize]
-            }
-        },
-        |a, b| a.max(b),
-        &mut node_max,
-    );
-    phases.push(("euler_tour".to_string(), t1.elapsed()));
+    let (node_min, node_max) = node_extremes(device, csr, &is_tree, pre);
+    clock.lap("euler_tour");
 
     // Phase 3: low/high via RMQ over preorder-indexed arrays, then the
     // bridge predicate per tree edge.
-    let t2 = Instant::now();
-    let mut by_pre_min = device.alloc_filled(n, u32::MAX);
-    let mut by_pre_max = device.alloc_filled(n, 0u32);
-    {
-        let _k = device.kernel_label("tv_permute_by_preorder");
-        device.capture_read(pre);
-        device.capture_read(&node_min[..]);
-        device.capture_read(&node_max[..]);
-        // Preorder is a permutation of 1..=n, so each slot has one writer.
-        let min_shared = device.shared(&mut by_pre_min);
-        let max_shared = device.shared(&mut by_pre_max);
-        let node_min_ref = &node_min;
-        let node_max_ref = &node_max;
-        device.for_each(n, |v| {
-            let slot = (pre[v] - 1) as usize;
-            min_shared.write(slot, node_min_ref[v]);
-            max_shared.write(slot, node_max_ref[v]);
-        });
-    }
-    let min_tree = SegmentTree::build(device, &by_pre_min, SegOp::Min);
-    let max_tree = SegmentTree::build(device, &by_pre_max, SegOp::Max);
-
-    let mut bridge_flags = device.alloc_filled(m, 0u8);
+    let low_high = LowHigh::build(device, pre, &node_min, &node_max);
+    let mut bridge_flags = device.alloc_filled(graph.num_edges(), 0u8);
     {
         let _k = device.kernel_label("tv_detect_bridges");
         // Closure-side inputs: tree edge ids, tour statistics, the edge
         // endpoints, and both segment trees' backing arrays.
-        device.capture_read(&tree_edge_ids);
+        device.capture_read(&forest.tree_edges);
         device.capture_read(pre);
         device.capture_read(&stats.parent);
         device.capture_read(&stats.subtree_size);
         device.capture_read(graph.edges());
-        min_tree.declare_query_reads(device);
-        max_tree.declare_query_reads(device);
+        low_high.declare_query_reads(device);
         // Tree edge ids are distinct, so each slot has one writer.
         let flags_shared = device.shared(&mut bridge_flags);
-        let ids = &tree_edge_ids;
+        let ids = &forest.tree_edges;
         let parent = &stats.parent;
         let size = &stats.subtree_size;
         let edges = graph.edges();
-        let min_tree_ref = &min_tree;
-        let max_tree_ref = &max_tree;
         device.for_each(ids.len(), |i| {
             let e = ids[i];
             let (x, y) = edges[e as usize];
             // The child endpoint is the one whose parent is the other.
             let c = if parent[x as usize] == y { x } else { y };
-            let lo = (pre[c as usize] - 1) as usize;
-            let hi = lo + size[c as usize] as usize - 1;
-            let low = min_tree_ref.query(lo, hi);
-            let high = max_tree_ref.query(lo, hi);
-            // Bridge iff no non-tree edge escapes the subtree interval
-            // [pre(c), pre(c) + size(c)): low/high are preorder numbers
-            // (1-based), the interval in 1-based terms is [lo+1, hi+1].
-            let inside_low = low == u32::MAX || low > lo as u32;
-            let inside_high = high == 0 || high <= hi as u32 + 1;
-            flags_shared.write(e as usize, u8::from(inside_low && inside_high));
+            let (p, s) = (pre[c as usize], size[c as usize]);
+            let (low, high) = low_high.subtree(p, s);
+            // Bridge iff no non-tree edge escapes the subtree's preorder
+            // interval [p, p + s); a node with no non-tree neighbor
+            // contributes the identities u32::MAX and 0, which stay inside.
+            flags_shared.write(e as usize, u8::from(low >= p && high < p + s));
         });
     }
     device.capture_host_read(&bridge_flags[..]);
     let is_bridge: BitSet = bridge_flags.iter().map(|&b| b == 1).collect();
-    phases.push(("detect_bridges".to_string(), t2.elapsed()));
+    clock.lap("detect_bridges");
 
-    Ok(BridgesResult { is_bridge, phases })
+    let phases = clock.into_phases();
+    Ok((BridgesResult { is_bridge, phases }, stats))
+}
+
+/// Per-node minimum and maximum of the preorder numbers `pre` of non-tree
+/// neighbors (`u32::MAX` and `0` for a node with none). The gather of each
+/// adjacency slot's contribution is fused into the segmented reduce (the
+/// paper's `segreduce`) — no materialized per-slot value arrays.
+pub(crate) fn node_extremes<'d>(
+    device: &'d Device,
+    csr: &Csr,
+    is_tree: &[u8],
+    pre: &[u32],
+) -> (ArenaVec<'d, u32>, ArenaVec<'d, u32>) {
+    (
+        non_tree_extreme(device, csr, is_tree, pre, u32::MAX, u32::min),
+        non_tree_extreme(device, csr, is_tree, pre, 0, u32::max),
+    )
+}
+
+/// One half of [`node_extremes`]: `op` over each node's non-tree neighbor
+/// preorders, from `identity`.
+fn non_tree_extreme<'d>(
+    device: &'d Device,
+    csr: &Csr,
+    is_tree: &[u8],
+    pre: &[u32],
+    identity: u32,
+    op: impl Fn(u32, u32) -> u32 + Sync,
+) -> ArenaVec<'d, u32> {
+    let neighbors = csr.raw_neighbors();
+    let edge_ids = csr.raw_edge_ids();
+    let mut out = device.alloc_pooled::<u32>(pre.len());
+    // The per-slot contributions read the CSR arrays, tree flags, and
+    // preorders through the fused generator closure — declare them.
+    device.capture_read(is_tree);
+    device.capture_read(edge_ids);
+    device.capture_read(neighbors);
+    device.capture_read(pre);
+    device.map_segmented_reduce_into(
+        csr.offsets(),
+        identity,
+        |s| {
+            if is_tree[edge_ids[s] as usize] == 1 {
+                identity
+            } else {
+                pre[neighbors[s] as usize]
+            }
+        },
+        op,
+        &mut out,
+    );
+    out
+}
+
+/// Subtree low/high by range queries: the [`node_extremes`] laid out by
+/// preorder under one range-minimum and one range-maximum segment tree.
+pub(crate) struct LowHigh {
+    min_tree: SegmentTree,
+    max_tree: SegmentTree,
+}
+
+impl LowHigh {
+    /// Permutes the per-node extremes into preorder slots and builds both
+    /// segment trees.
+    pub(crate) fn build(device: &Device, pre: &[u32], node_min: &[u32], node_max: &[u32]) -> Self {
+        let n = pre.len();
+        let mut by_pre_min = device.alloc_filled(n, u32::MAX);
+        let mut by_pre_max = device.alloc_filled(n, 0u32);
+        {
+            let _k = device.kernel_label("tv_permute_by_preorder");
+            device.capture_read(pre);
+            device.capture_read(node_min);
+            device.capture_read(node_max);
+            // Preorder is a permutation of 1..=n, so each slot has one
+            // writer.
+            let min_shared = device.shared(&mut by_pre_min);
+            let max_shared = device.shared(&mut by_pre_max);
+            device.for_each(n, |v| {
+                let slot = (pre[v] - 1) as usize;
+                min_shared.write(slot, node_min[v]);
+                max_shared.write(slot, node_max[v]);
+            });
+        }
+        Self {
+            min_tree: SegmentTree::build(device, &by_pre_min, SegOp::Min),
+            max_tree: SegmentTree::build(device, &by_pre_max, SegOp::Max),
+        }
+    }
+
+    /// `(low, high)` of the subtree whose 1-based preorder interval is
+    /// `[pre, pre + size)`: the least and greatest preorder a non-tree edge
+    /// leaving any of its nodes reaches (`u32::MAX` and `0` if none does).
+    #[inline]
+    pub(crate) fn subtree(&self, pre: u32, size: u32) -> (u32, u32) {
+        let lo = (pre - 1) as usize;
+        let hi = lo + size as usize - 1;
+        (self.min_tree.query(lo, hi), self.max_tree.query(lo, hi))
+    }
+
+    /// Declares both trees' backing arrays as reads of the next launch —
+    /// call before a kernel whose closure runs [`LowHigh::subtree`].
+    pub(crate) fn declare_query_reads(&self, device: &Device) {
+        self.min_tree.declare_query_reads(device);
+        self.max_tree.declare_query_reads(device);
+    }
 }
 
 #[cfg(test)]

@@ -4,14 +4,18 @@
 //! acyclic parent chains, representatives consistent with the sequential
 //! union-find oracle) on arbitrary multigraphs — and on connected inputs
 //! the TV, hybrid and CK backends must find the DFS oracle's bridge set
-//! bit for bit.
+//! bit for bit, and TV's biconnectivity the sequential oracle's
+//! components.
 //!
 //! CI runs this suite under `RAYON_NUM_THREADS=1` and `=4`; the assertions
 //! only reference schedule-independent outputs (representatives, counts,
-//! bridge bitmaps), so both widths must agree.
+//! bridge bitmaps, component partitions), so both widths must agree.
 
 use bridges::forest::{components_sequential, SpanningForest};
-use bridges::{bridges_ck_device, bridges_dfs, bridges_hybrid, bridges_tv, BridgesResult};
+use bridges::{
+    bcc_sequential, bcc_tv, bridges_ck_device, bridges_dfs, bridges_hybrid, bridges_tv,
+    BridgesResult,
+};
 use gpu_sim::Device;
 use graph_core::{Csr, EdgeList};
 use proptest::prelude::*;
@@ -82,8 +86,9 @@ proptest! {
     }
 }
 
-/// The forest and every bridge backend on every `graphgen` family — the
-/// deterministic sweep companion to the random-shape proptests above.
+/// The forest, every bridge backend and biconnectivity on every `graphgen`
+/// family — the deterministic sweep companion to the random-shape
+/// proptests above.
 #[test]
 fn backends_agree_on_every_graphgen_family() {
     let device = Device::new();
@@ -111,5 +116,14 @@ fn backends_agree_on_every_graphgen_family() {
             let r = run(&device, &lcc, &lcc_csr).unwrap();
             assert_eq!(r.bridge_ids(), expected, "{family}: {name}");
         }
+        // TV's biconnectivity, on the same front end, against the
+        // sequential Hopcroft–Tarjan oracle.
+        assert_eq!(
+            bcc_tv(&device, &lcc, &lcc_csr)
+                .unwrap()
+                .canonical_partition(),
+            bcc_sequential(&lcc, &lcc_csr).canonical_partition(),
+            "{family}: bcc"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! The TV and hybrid pipelines on a small grid — 64-thread blocks and a
 //! 16-element sequential threshold, so their compactions and prefix sums
 //! take the multi-block parallel paths — must report the DFS oracle's
-//! bridges.
+//! bridges, and TV's biconnectivity the sequential oracle's components.
 
-use bridges::{bridges_dfs, bridges_hybrid, bridges_tv};
+use bridges::{bcc_sequential, bcc_tv, bridges_dfs, bridges_hybrid, bridges_tv};
 use gpu_sim::{Device, DeviceConfig};
 use graph_core::{Csr, EdgeList};
 
@@ -41,4 +41,12 @@ fn tv_and_hybrid_bridges_match_dfs_on_a_small_grid() {
         assert_eq!(r.bridge_ids(), oracle.bridge_ids());
         assert_eq!(r.num_bridges(), 11);
     }
+
+    // 12 cliques and the 11 bridges between them.
+    let bcc = bcc_tv(&device, &graph, &csr).unwrap();
+    assert_eq!(
+        bcc.canonical_partition(),
+        bcc_sequential(&graph, &csr).canonical_partition()
+    );
+    assert_eq!(bcc.num_components, 23);
 }

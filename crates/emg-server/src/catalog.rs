@@ -5,16 +5,19 @@
 //! batched launches: the CSR adjacency, the spanning forest (connectivity
 //! representatives), the bridge flags, and — when the graph is a rooted
 //! tree — the Euler-tour statistics and Schieber–Vishkin inlabel tables.
+//! A load builds the forest once and the Euler tour at most once: the TV
+//! bridge pipeline runs over the snapshot's forest, and a tree's
+//! statistics are the ones its tour already computed.
 //! Snapshots are immutable after construction and shared as
 //! `Arc<Snapshot>`; a reload builds a **fresh** snapshot on a fresh pooled
 //! device and swaps the `Arc` under the catalog lock (DESIGN.md §12.5), so
 //! in-flight batches keep answering against the epoch they started with.
 
 use crate::protocol::{ErrorCode, GraphInfo, QueryKind, BRIDGE_NO_SUCH_EDGE};
-use bridges::{bridges_dfs, bridges_tv, UnrootedForest};
-use euler_tour::{EulerTour, TreeStats};
+use bridges::{bridges_dfs, bridges_tv_on_forest, UnrootedForest};
+use euler_tour::TreeStats;
 use gpu_sim::{Device, DeviceConfig, DeviceHandle};
-use graph_core::{Csr, EdgeList, Tree};
+use graph_core::{Csr, EdgeList};
 use lca::InlabelTables;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -98,45 +101,32 @@ impl Snapshot {
             let csr = maybe_csr.unwrap_or_else(|| Csr::from_edge_list_on(&device, &graph));
             let forest = UnrootedForest::build(&device, &graph);
 
-            // Bridges: the TV pipeline on the device when connected, the
-            // DFS oracle otherwise (TV requires a connected input).
-            let m = graph.num_edges();
-            let mut bridge_flag = vec![0u8; m];
-            let mut num_bridges = 0u32;
-            if graph.num_nodes() > 0 {
-                let result = if forest.is_connected() {
-                    bridges_tv(&device, &graph, &csr)
-                        .map_err(|e| (ErrorCode::Internal, format!("bridges on {name}: {e:?}")))?
-                } else {
-                    bridges_dfs(&graph, &csr)
-                };
-                for (e, flag) in bridge_flag.iter_mut().enumerate() {
-                    if result.is_bridge.get(e) {
-                        *flag = 1;
-                        num_bridges += 1;
-                    }
-                }
-            }
-
-            // Tree tables iff the graph is a rooted tree (root 0) — the
-            // same construction the one-shot `emg lca` path runs, so
-            // server answers are bit-identical to the CLI oracle.
+            // Bridges: the TV pipeline over the snapshot's forest when
+            // connected, the DFS oracle otherwise (TV requires a connected
+            // input).
             let n = graph.num_nodes();
-            let tree = if n >= 1 && m == n - 1 && forest.is_connected() {
-                match Tree::from_edges(n, graph.edges(), 0) {
-                    Ok(tree) => {
-                        let tour = EulerTour::build(&device, &tree).map_err(|e| {
-                            (ErrorCode::Internal, format!("euler tour on {name}: {e:?}"))
-                        })?;
-                        let stats = TreeStats::compute(&device, &tour);
-                        let tables = InlabelTables::from_stats_device(&device, &stats);
-                        Some(TreeData { stats, tables })
-                    }
-                    Err(_) => None,
-                }
+            let m = graph.num_edges();
+            let (result, stats) = if n > 0 && forest.is_connected() {
+                let (result, stats) = bridges_tv_on_forest(&device, &graph, &csr, &forest)
+                    .map_err(|e| (ErrorCode::Internal, format!("bridges on {name}: {e:?}")))?;
+                (result, Some(stats))
             } else {
-                None
+                (bridges_dfs(&graph, &csr), None)
             };
+            let bridge_flag: Vec<u8> = (0..m).map(|e| u8::from(result.is_bridge.get(e))).collect();
+            let num_bridges = result.num_bridges() as u32;
+
+            // Tree tables iff the graph is a rooted tree (connected, m =
+            // n - 1, root 0). TV's spanning tree is then the whole graph,
+            // and its tour's statistics equal the one-shot `emg lca`
+            // path's (`Tree::from_edges`, then `EulerTour::build`): the
+            // placement orders each node's half-edges by head, whatever
+            // the edge list's order and orientation. So server answers are
+            // bit-identical to the CLI oracle.
+            let tree = stats.filter(|_| m + 1 == n).map(|stats| {
+                let tables = InlabelTables::from_stats_device(&device, &stats);
+                TreeData { stats, tables }
+            });
             (csr, forest, bridge_flag, num_bridges, tree)
         };
 

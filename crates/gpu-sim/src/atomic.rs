@@ -133,24 +133,6 @@ macro_rules! atomic_view {
                 self.cells[index].fetch_add(value, Ordering::Relaxed)
             }
 
-            /// `atomicMin` on cell `index`, returning the prior value.
-            #[inline]
-            pub fn fetch_min(&self, index: usize, value: $elem) -> $elem {
-                if !self.pre(index, AccessKind::AtomicRmw) {
-                    return 0;
-                }
-                self.cells[index].fetch_min(value, Ordering::Relaxed)
-            }
-
-            /// `atomicMax` on cell `index`, returning the prior value.
-            #[inline]
-            pub fn fetch_max(&self, index: usize, value: $elem) -> $elem {
-                if !self.pre(index, AccessKind::AtomicRmw) {
-                    return 0;
-                }
-                self.cells[index].fetch_max(value, Ordering::Relaxed)
-            }
-
             /// `atomicCAS` on cell `index`.
             #[inline]
             pub fn compare_exchange(

@@ -137,22 +137,6 @@ impl Device {
         });
         self.san_mark_written(out);
     }
-
-    /// Keeps the elements of `input` whose *value* satisfies `pred`,
-    /// preserving order.
-    pub fn compact<T, F>(&self, input: &[T], pred: F) -> Vec<T>
-    where
-        T: Copy + Send + Sync,
-        F: Fn(&T) -> bool + Sync,
-    {
-        let idx = self.compact_indices_pooled(input.len(), |i| pred(&input[i]));
-        if idx.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![input[0]; idx.len()];
-        self.gather(&mut out, &idx, input);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -193,10 +177,10 @@ mod tests {
     fn compact_values() {
         let device = Device::new();
         let input: Vec<u32> = (0..80_000).collect();
-        let out = device.compact(&input, |&v| v % 1000 == 7);
+        let out = device.compact_indices(input.len(), |i| input[i] % 1000 == 7);
         assert_eq!(out.len(), 80);
-        assert_eq!(out[0], 7);
-        assert_eq!(out[79], 79_007);
+        assert_eq!(input[out[0] as usize], 7);
+        assert_eq!(input[out[79] as usize], 79_007);
     }
 
     #[test]

@@ -612,7 +612,7 @@ impl Device {
     /// Marks a buffer the device just fully (re)wrote as initialized in
     /// the initcheck shadow, if it lives in a registered arena block.
     /// Called by the whole-buffer producers: `map` (hence `fill`,
-    /// `gather`, `alloc_filled`, `alloc_pooled_map`), `alloc_copied`, and
+    /// `gather_pooled`, `alloc_filled`, `alloc_pooled_map`), `alloc_copied`, and
     /// the `_into` primitives.
     #[inline]
     pub(crate) fn san_mark_written<T>(&self, out: &[T]) {
@@ -677,67 +677,12 @@ impl Device {
         }
     }
 
-    /// Gather kernel: `out[i] = src[idx[i]]`.
+    /// Gather kernel into a pooled output buffer (zero allocation at
+    /// steady state): returns `out` with `out[i] = src[idx[i]]`.
     ///
     /// # Panics
     /// Panics if an index is out of bounds (a memcheck [`Finding`] with
     /// kernel label and element index when the sanitizer is on).
-    pub fn gather<T>(&self, out: &mut [T], idx: &[u32], src: &[T])
-    where
-        T: Send + Sync + Copy,
-    {
-        assert_eq!(out.len(), idx.len(), "gather: out/idx length mismatch");
-        self.metrics.record_primitive();
-        let n = idx.len() as u64;
-        self.metrics.record_traffic(
-            n * (size_of::<u32>() as u64 + size_of::<T>() as u64),
-            n * size_of::<T>() as u64,
-        );
-        let _cap = self.cap_scope("gather").read(idx).read(src).write(&*out);
-        if self.san_check_gather(idx, src.len()) {
-            // Non-fatal memcheck found at least one bad index: clamp so
-            // the launch can complete and further findings accumulate.
-            let last = src.len() - 1;
-            self.map(out, |i| src[usize::min(idx[i] as usize, last)]);
-            return;
-        }
-        self.map(out, |i| src[idx[i] as usize]);
-    }
-
-    /// Fused gather + map kernel: `out[i] = f(src[idx[i]])` in one launch,
-    /// without materializing the gathered intermediate.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != idx.len()` or an index is out of bounds.
-    pub fn gather_map_into<T, U, F>(&self, out: &mut [U], idx: &[u32], src: &[T], f: F)
-    where
-        T: Send + Sync + Copy,
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        assert_eq!(out.len(), idx.len(), "gather_map: out/idx length mismatch");
-        self.metrics.record_primitive();
-        let n = idx.len() as u64;
-        self.metrics.record_traffic(
-            n * (size_of::<u32>() as u64 + size_of::<T>() as u64),
-            n * size_of::<U>() as u64,
-        );
-        let _cap = self
-            .cap_scope("gather_map")
-            .fused()
-            .read(idx)
-            .read(src)
-            .write(&*out);
-        if self.san_check_gather(idx, src.len()) {
-            let last = src.len() - 1;
-            self.map(out, |i| f(src[usize::min(idx[i] as usize, last)]));
-            return;
-        }
-        self.map(out, |i| f(src[idx[i] as usize]));
-    }
-
-    /// Gather into a pooled output buffer (zero allocation at steady
-    /// state): returns `out` with `out[i] = src[idx[i]]`.
     pub fn gather_pooled<T>(&self, idx: &[u32], src: &[T]) -> crate::arena::ArenaVec<'_, T>
     where
         T: crate::arena::ArenaPod,
@@ -1306,9 +1251,8 @@ mod tests {
         let perm: Vec<u32> = (0..n as u32).rev().collect();
         let mut scattered = vec![0u64; n];
         device.scatter(&mut scattered, &perm, &src);
-        let mut gathered = vec![0u64; n];
-        device.gather(&mut gathered, &perm, &scattered);
-        assert_eq!(gathered, src);
+        let gathered = device.gather_pooled(&perm, &scattered);
+        assert_eq!(&gathered[..], &src[..]);
     }
 
     #[test]

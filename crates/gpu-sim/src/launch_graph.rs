@@ -67,7 +67,7 @@
 //!   one reader, immediately adjacent and with identical work-item
 //!   counts, marks a producer/consumer pair a later PR could fuse into
 //!   one launch; launches already produced by the fused primitives
-//!   (`map_scan_*`, `gather_map_into`, ...) are reported as fused.
+//!   (`map_scan_*`, `map_segmented_reduce_into`) are reported as fused.
 
 use crate::sanitize::AccessKind;
 use parking_lot::Mutex;

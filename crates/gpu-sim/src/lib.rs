@@ -28,16 +28,18 @@
 //! ```
 //!
 //! The primitive suite covers the part of moderngpu the pipelines call:
-//! generic [`scan`] and [`reduce`], segmented reduce ([`segreduce`]) and
-//! stream compaction ([`compact`]), with kernel and work-item accounting
-//! in [`metrics`]. The paper's one sort, of the Euler tour's half-edges,
-//! is the CSR placement's counting sort in `graph-core`.
+//! generic [`scan`] and [`reduce`], one fused segmented reduce
+//! ([`segreduce`]) and stream compaction ([`compact`]) of indices, with
+//! kernel and work-item accounting in [`metrics`]. The paper's one sort,
+//! of the Euler tour's half-edges, is the CSR placement's counting sort in
+//! `graph-core`.
 //!
 //! Multi-launch pipelines draw their scratch buffers from the device
 //! memory plane ([`arena`]): a size-bucketed pool with RAII handles
 //! ([`ArenaVec`]/[`ScratchGuard`]) so that steady-state iterations
 //! allocate nothing, plus `_into` and fused variants of the allocating
-//! primitives (`scan_*_into`, `map_scan_*`, `gather_map_into`, ...).
+//! primitives (`scan_*_into`, `map_scan_*`, `map_reduce`,
+//! `map_segmented_reduce_into`, `compact_indices_pooled`, ...).
 //!
 //! An opt-in sanitizer plane ([`sanitize`], `EMG_SANITIZE` or
 //! [`DeviceConfig::sanitize`]) is the `compute-sanitizer` analogue:

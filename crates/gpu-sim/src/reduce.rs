@@ -52,11 +52,6 @@ impl Device {
         })
     }
 
-    /// Maximum of a `u64` slice (0 on empty input).
-    pub fn reduce_max_u64(&self, input: &[u64]) -> u64 {
-        self.reduce(input, 0u64, |a, b| a.max(b))
-    }
-
     /// Maximum of a `u32` slice (0 on empty input).
     pub fn reduce_max_u32(&self, input: &[u32]) -> u32 {
         self.reduce(input, 0u32, |a, b| a.max(b))
@@ -65,11 +60,6 @@ impl Device {
     /// Minimum of a `u32` slice (`u32::MAX` on empty input).
     pub fn reduce_min_u32(&self, input: &[u32]) -> u32 {
         self.reduce(input, u32::MAX, |a, b| a.min(b))
-    }
-
-    /// Sum of a `u64` slice.
-    pub fn reduce_sum_u64(&self, input: &[u64]) -> u64 {
-        self.reduce(input, 0u64, |a, b| a + b)
     }
 }
 
@@ -80,8 +70,8 @@ mod tests {
     #[test]
     fn sum_matches_reference() {
         let device = Device::new();
-        let input: Vec<u64> = (0..123_456).collect();
-        assert_eq!(device.reduce_sum_u64(&input), 123_456 * 123_455 / 2);
+        let sum = device.map_reduce(123_456, |i| i as u64, 0u64, |a, b| a + b);
+        assert_eq!(sum, 123_456 * 123_455 / 2);
     }
 
     #[test]
@@ -99,13 +89,13 @@ mod tests {
     #[test]
     fn empty_reduce_yields_identity() {
         let device = Device::new();
-        assert_eq!(device.reduce_sum_u64(&[]), 0);
+        assert_eq!(device.reduce_max_u32(&[]), 0);
         assert_eq!(device.reduce_min_u32(&[]), u32::MAX);
     }
 
     #[test]
     fn single_element_reduce() {
         let device = Device::new();
-        assert_eq!(device.reduce_max_u64(&[9]), 9);
+        assert_eq!(device.reduce_max_u32(&[9]), 9);
     }
 }

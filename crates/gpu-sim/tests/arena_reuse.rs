@@ -41,12 +41,11 @@ fn primitive_pipeline(device: &Device, n: usize) -> (Vec<u64>, u64, Vec<u32>, Ve
 
     // Segmented reduce (into).
     let offsets: Vec<u32> = (0..=(n / 100) as u32).map(|s| s * 100).collect();
-    let head = (n / 100) * 100;
     let mut seg = vec![0u64; offsets.len() - 1];
-    device.segmented_reduce_into(
-        &input[..head],
+    device.map_segmented_reduce_into(
         &offsets,
         0u64,
+        |s| input[s],
         |a, b| a.wrapping_add(b),
         &mut seg,
     );
@@ -147,27 +146,20 @@ fn fused_launches_match_unfused_composition() {
     device.map_scan_inclusive_into(n, |i| vals[i] % 1000, &mut fused, 0, |a, b| a + b);
     assert_eq!(fused, unfused);
 
-    // gather_map == gather then map.
-    let idx: Vec<u32> = (0..n as u32).rev().collect();
-    let mut gathered = vec![0u64; n];
-    device.gather(&mut gathered, &idx, &vals);
-    let unfused: Vec<u64> = gathered.iter().map(|&v| v ^ 0xFF).collect();
-    let mut fused = vec![0u64; n];
-    device.gather_map_into(&mut fused, &idx, &vals, |v| v ^ 0xFF);
-    assert_eq!(fused, unfused);
-
     // map_reduce == map then reduce.
     let r_unfused = mapped.iter().fold(0u64, |a, &b| a.wrapping_add(b));
     let r_fused = device.map_reduce(n, |i| vals[i] % 1000, 0u64, |a, b| a + b);
     assert_eq!(r_fused, r_unfused);
 
-    // map_segmented_reduce == materialize then segmented_reduce.
+    // map_segmented_reduce == materialize then reduce each segment.
     let offsets: Vec<u32> = (0..=(n / 64) as u32).map(|s| s * 64).collect();
-    let head = (n / 64) * 64;
-    let unfused = device.segmented_min_u32(
-        &mapped[..head].iter().map(|&v| v as u32).collect::<Vec<_>>(),
-        &offsets,
-    );
+    let unfused: Vec<u32> = offsets
+        .windows(2)
+        .map(|w| {
+            let segment = &mapped[w[0] as usize..w[1] as usize];
+            segment.iter().map(|&v| v as u32).min().unwrap_or(u32::MAX)
+        })
+        .collect();
     let mut fused = vec![0u32; offsets.len() - 1];
     device.map_segmented_reduce_into(
         &offsets,

@@ -99,23 +99,29 @@ fn segreduce_bit_identical() {
     let n = *offsets.last().unwrap() as usize;
     let values: Vec<u32> = pseudo_random(n, 2).iter().map(|&v| v as u32).collect();
 
+    let segreduce = |d: &Device, identity: u32, op: fn(u32, u32) -> u32| {
+        let mut out = vec![0u32; sizes.len()];
+        d.map_segmented_reduce_into(&offsets, identity, |s| values[s], op, &mut out);
+        out
+    };
     assert_eq!(
-        d1.segmented_min_u32(&values, &offsets),
-        d4.segmented_min_u32(&values, &offsets)
+        segreduce(&d1, u32::MAX, u32::min),
+        segreduce(&d4, u32::MAX, u32::min)
     );
-    assert_eq!(
-        d1.segmented_max_u32(&values, &offsets),
-        d4.segmented_max_u32(&values, &offsets)
-    );
+    assert_eq!(segreduce(&d1, 0, u32::max), segreduce(&d4, 0, u32::max));
 }
 
 #[test]
 fn reduce_and_compact_bit_identical() {
     let (d1, d4) = devices();
     let n = 200_000;
-    let input: Vec<u64> = pseudo_random(n, 4).iter().map(|v| v % 97).collect();
-    assert_eq!(d1.reduce_sum_u64(&input), d4.reduce_sum_u64(&input));
-    assert_eq!(d1.reduce_max_u64(&input), d4.reduce_max_u64(&input));
+    let input: Vec<u32> = pseudo_random(n, 4)
+        .iter()
+        .map(|v| (v % 97) as u32)
+        .collect();
+    let sum = |d: &Device| d.map_reduce(n, |i| u64::from(input[i]), 0u64, |a, b| a + b);
+    assert_eq!(sum(&d1), sum(&d4));
+    assert_eq!(d1.reduce_max_u32(&input), d4.reduce_max_u32(&input));
 
     let input_ref = &input;
     let pred = move |i: usize| input_ref[i].is_multiple_of(3);

@@ -47,8 +47,10 @@ proptest! {
     #[test]
     fn compact_matches_filter(input in proptest::collection::vec(any::<u32>(), 0..4000)) {
         let device = small_device();
-        let got = device.compact(&input, |&v| v % 3 == 0);
-        let expected: Vec<u32> = input.iter().copied().filter(|&v| v % 3 == 0).collect();
+        let got = device.compact_indices(input.len(), |i| input[i] % 3 == 0);
+        let expected: Vec<u32> = (0..input.len() as u32)
+            .filter(|&i| input[i as usize] % 3 == 0)
+            .collect();
         prop_assert_eq!(got, expected);
     }
 
@@ -63,7 +65,8 @@ proptest! {
         if *offsets.last().unwrap() as usize != n {
             offsets.push(n as u32);
         }
-        let mins = device.segmented_min_u32(&values, &offsets);
+        let mut mins = vec![0u32; offsets.len() - 1];
+        device.map_segmented_reduce_into(&offsets, u32::MAX, |s| values[s], u32::min, &mut mins);
         for (s, win) in offsets.windows(2).enumerate() {
             let expected = values[win[0] as usize..win[1] as usize]
                 .iter()
@@ -88,8 +91,7 @@ proptest! {
         let src: Vec<u64> = (0..n as u64).map(|v| v * 7).collect();
         let mut scattered = vec![0u64; n];
         device.scatter(&mut scattered, &perm, &src);
-        let mut back = vec![0u64; n];
-        device.gather(&mut back, &perm, &scattered);
-        prop_assert_eq!(back, src);
+        let back = device.gather_pooled(&perm, &scattered);
+        prop_assert_eq!(&back[..], &src[..]);
     }
 }

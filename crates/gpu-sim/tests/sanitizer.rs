@@ -62,10 +62,9 @@ fn gather_with_bad_index_is_reported_and_clamped() {
     let device = dev(SanitizeMode::Memcheck);
     let src = vec![10u32, 20, 30];
     let idx = vec![0u32, 9, 2];
-    let mut out = vec![0u32; 3];
-    device.gather(&mut out, &idx, &src);
+    let out = device.gather_pooled(&idx, &src);
     // Clamped to the last element so the launch completes.
-    assert_eq!(out, vec![10, 30, 30]);
+    assert_eq!(&out[..], &[10, 30, 30]);
     let findings = device.take_findings();
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].kind, FindingKind::OutOfBounds);

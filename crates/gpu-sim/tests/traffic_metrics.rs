@@ -100,7 +100,9 @@ fn gather_scatter_count_index_and_element() {
     let src: Vec<u64> = (0..n as u64).collect();
     let idx: Vec<u32> = (0..n as u32).rev().collect();
     let mut out = vec![0u64; n];
-    let d = measure(&device, |d| d.gather(&mut out, &idx, &src));
+    let d = measure(&device, |d| {
+        d.gather_pooled(&idx, &src);
+    });
     assert_eq!(d.kernel_launches, 1);
     assert_eq!(d.bytes_read, (n * (4 + 8)) as u64);
     assert_eq!(d.bytes_written, (n * 8) as u64);
@@ -116,8 +118,9 @@ fn segreduce_counts_slots_offsets_and_segments() {
     let device = dev(4);
     let values: Vec<u32> = (0..40).collect();
     let offsets: Vec<u32> = (0..=8u32).map(|s| s * 5).collect();
+    let mut out = vec![0u32; 8];
     let d = measure(&device, |d| {
-        let _ = d.segmented_min_u32(&values, &offsets);
+        d.map_segmented_reduce_into(&offsets, u32::MAX, |s| values[s], u32::min, &mut out);
     });
     assert_eq!(d.kernel_launches, 1);
     assert_eq!(d.bytes_read, 40 * 4 + 9 * 4);

@@ -126,7 +126,7 @@ proptest! {
             .collect();
         let graph = EdgeList::new(n, edges.clone());
         let device = Device::new();
-        let cc = bridges::connected_components(&device, &graph);
+        let cc = bridges::UnrootedForest::build(&device, &graph);
 
         // Sequential union-find reference.
         let mut uf: Vec<u32> = (0..n as u32).collect();

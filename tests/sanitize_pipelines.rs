@@ -10,18 +10,22 @@ use euler_meets_gpu::gpu_sim::SanitizeMode;
 use euler_meets_gpu::prelude::*;
 use euler_tour::ranking::Ranker;
 
-/// A sanitizing device with small blocks so even these small inputs fan
-/// out across many virtual blocks (racecheck needs cross-block traffic)
-/// and a low inline threshold so the parallel paths actually run.
-fn sanitizing_device() -> Device {
-    Device::with_config(DeviceConfig {
+/// A sanitizing configuration with small blocks so even these small
+/// inputs fan out across many virtual blocks (racecheck needs cross-block
+/// traffic) and a low inline threshold so the parallel paths actually run.
+fn sanitizing_config() -> DeviceConfig {
+    DeviceConfig {
         threads: Some(4),
         block_size: 256,
         seq_threshold: 64,
         sanitize: SanitizeMode::Full,
         sanitize_fatal: false,
         ..DeviceConfig::default()
-    })
+    }
+}
+
+fn sanitizing_device() -> Device {
+    Device::with_config(sanitizing_config())
 }
 
 /// Asserts the device accumulated no findings, printing them all if it did.
@@ -60,6 +64,31 @@ fn bridges_all_backends_are_sanitizer_clean() {
     let snap = device.metrics().snapshot();
     assert_eq!(snap.san_findings, 0);
     assert!(snap.san_accesses > 0, "Full mode must actually track");
+}
+
+/// `emg serve`'s snapshot build drives the bridges stage over its own
+/// forest and, on a tree, the inlabel tables from that stage's tour.
+#[test]
+fn snapshot_construction_is_sanitizer_clean() {
+    let dir = std::env::temp_dir().join(format!("emg-sanitize-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tree = random_tree(800, None, 41);
+    let (road, _) = largest_connected_component(&road_grid(25, 25, 0.8, 42));
+    let graphs = [
+        ("tree", EdgeList::new(tree.num_nodes(), tree.edges())),
+        ("road", road),
+    ];
+    for (name, graph) in graphs {
+        let path = dir.join(format!("{name}.emgbin"));
+        graph_io::binary::write_file(&path, &graph_io::ParsedGraph::dense(graph), None).unwrap();
+        let snapshot = emg_server::Snapshot::load_with(name, &path, 1, &sanitizing_config())
+            .expect("snapshot load");
+        assert_eq!(snapshot.tree.is_some(), name == "tree", "{name}");
+        assert_clean(&snapshot.device, &format!("Snapshot::load_with[{name}]"));
+        let counters = snapshot.device.metrics().snapshot();
+        assert!(counters.san_accesses > 0, "{name}: Full mode must track");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
