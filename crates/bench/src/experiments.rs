@@ -1,6 +1,7 @@
 //! One module per regenerated table/figure. Every module exposes
 //! `run(cfg: &Config)` which prints the paper-style rows and writes a CSV.
 
+pub mod ablations;
 pub mod chaos_sweep;
 pub mod ext_bcc;
 pub mod fig10;

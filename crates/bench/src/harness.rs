@@ -36,9 +36,8 @@ pub fn mean_std(samples: &[Duration]) -> (f64, f64) {
 }
 
 /// Appends one JSON-lines perf record to the file named by
-/// `$EMG_BENCH_JSON` (read through [`gpu_sim::env::bench_json_path`]) —
-/// the same convention the vendored criterion uses, so experiment sweeps
-/// and microbench records land in one file.
+/// `$EMG_BENCH_JSON` (read through [`gpu_sim::env::bench_json_path`]), so
+/// every experiment run with the variable set lands in one file.
 /// When `elements` is given and the mean is positive, an `elems_per_sec`
 /// throughput field is derived so sweeps are comparable across scales.
 /// Failures to write are silently ignored: a perf record must never fail a

@@ -117,40 +117,59 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
     let edges = graph.edges();
 
     // Rule 1: unrelated non-tree edges join their parent tree edges.
-    let rule1_ids = device.compact_indices(m, |e| {
-        if is_tree[e] == 1 {
-            return false;
-        }
-        let (x, y) = edges[e];
-        if x == y {
-            return false;
-        }
-        let (u, v) = if pre[x as usize] <= pre[y as usize] {
-            (x, y)
-        } else {
-            (y, x)
-        };
-        pre[u as usize] + size[u as usize] <= pre[v as usize]
-    });
+    let rule1_ids = {
+        let _k = device.kernel_label("bcc_aux_rule1_unrelated");
+        device.capture_read(&is_tree[..]);
+        device.capture_read(edges);
+        device.capture_read(pre);
+        device.capture_read(size);
+        device.compact_indices(m, |e| {
+            if is_tree[e] == 1 {
+                return false;
+            }
+            let (x, y) = edges[e];
+            if x == y {
+                return false;
+            }
+            let (u, v) = if pre[x as usize] <= pre[y as usize] {
+                (x, y)
+            } else {
+                (y, x)
+            };
+            pre[u as usize] + size[u as usize] <= pre[v as usize]
+        })
+    };
     // Rule 2: child tree edge joins parent tree edge when the child
     // subtree escapes the parent's subtree.
-    let rule2_ids = device.compact_indices(n, |w| {
-        let w32 = w as u32;
-        if w32 == root {
-            return false;
-        }
-        let v = parent[w];
-        if v == root {
-            return false;
-        }
-        let (low, high) = subtree_low_high[w];
-        low < pre[v as usize] || high >= pre[v as usize] + size[v as usize]
-    });
+    let rule2_ids = {
+        let _k = device.kernel_label("bcc_aux_rule2_escaping");
+        device.capture_read(parent);
+        device.capture_read(&subtree_low_high[..]);
+        device.capture_read(pre);
+        device.capture_read(size);
+        device.compact_indices(n, |w| {
+            let w32 = w as u32;
+            if w32 == root {
+                return false;
+            }
+            let v = parent[w];
+            if v == root {
+                return false;
+            }
+            let (low, high) = subtree_low_high[w];
+            low < pre[v as usize] || high >= pre[v as usize] + size[v as usize]
+        })
+    };
 
     let mut aux_edges: Vec<(u32, u32)> = vec![(0, 0); rule1_ids.len() + rule2_ids.len()];
     {
+        let _k = device.kernel_label("bcc_aux_edges");
         let r1 = &rule1_ids;
         let r2 = &rule2_ids;
+        device.capture_read(edges);
+        device.capture_read(r1);
+        device.capture_read(r2);
+        device.capture_read(parent);
         let split = r1.len();
         device.map(&mut aux_edges, |i| {
             if i < split {
@@ -169,18 +188,24 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
     // take the auxiliary component of their deeper endpoint (for a tree
     // edge that is exactly the child); self-loops get fresh singletons.
     const SELF_LOOP: u32 = u32::MAX;
-    let raw = device.alloc_map(m, |e| {
-        let (x, y) = edges[e];
-        if x == y {
-            return SELF_LOOP;
-        }
-        let deeper = if pre[x as usize] >= pre[y as usize] {
-            x
-        } else {
-            y
-        };
-        aux_rep[deeper as usize]
-    });
+    let raw = {
+        let _k = device.kernel_label("bcc_edge_labels");
+        device.capture_read(edges);
+        device.capture_read(pre);
+        device.capture_read(&aux_rep);
+        device.alloc_map(m, |e| {
+            let (x, y) = edges[e];
+            if x == y {
+                return SELF_LOOP;
+            }
+            let deeper = if pre[x as usize] >= pre[y as usize] {
+                x
+            } else {
+                y
+            };
+            aux_rep[deeper as usize]
+        })
+    };
     // Compact the label space: representatives are node ids; map each
     // distinct used representative to a dense index (sequential — label
     // count is at most m, and this is bookkeeping, not a kernel).
@@ -565,5 +590,40 @@ mod tests {
             names,
             vec!["spanning_tree", "euler_tour", "auxiliary_graph", "labeling"]
         );
+    }
+
+    #[test]
+    fn captured_launches_are_labeled() {
+        use gpu_sim::{CaptureMode, DeviceConfig};
+        let device = Device::with_config(DeviceConfig {
+            threads: Some(4),
+            capture: CaptureMode::On,
+            ..Default::default()
+        });
+        let graph = graphgen::ba_graph(4000, 8, 0x5CA7);
+        let csr = Csr::from_edge_list(&graph);
+        bcc_tv(&device, &graph, &csr).unwrap();
+        let captured = device.launch_graph().expect("capture is on");
+        for label in [
+            "bcc_aux_rule1_unrelated",
+            "bcc_aux_rule2_escaping",
+            "bcc_aux_edges",
+            "bcc_edge_labels",
+        ] {
+            assert!(
+                captured
+                    .nodes
+                    .iter()
+                    .any(|node| node.label.split('/').any(|part| part == label)),
+                "no launch labeled {label}"
+            );
+        }
+        let anonymous: Vec<&str> = captured
+            .nodes
+            .iter()
+            .map(|node| node.label.as_str())
+            .filter(|label| label.starts_with("kernel#"))
+            .collect();
+        assert!(anonymous.is_empty(), "anonymous launches: {anonymous:?}");
     }
 }

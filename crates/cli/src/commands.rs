@@ -184,6 +184,9 @@ pub fn cmd_lca(args: &Args) -> Result<String, String> {
     let root: u32 = args.opt_parse("root", 0u32)?;
     let graph = load(path, false)?;
     let n = graph.num_nodes();
+    if n == 0 {
+        return Err("not a tree: the file has no nodes".to_string());
+    }
     if graph.num_edges() + 1 != n {
         return Err(format!(
             "not a tree: {n} nodes need {} edges, file has {}",

@@ -169,10 +169,23 @@ fn gen_tree_then_lca_checksums_match_across_algorithms() {
 
 #[test]
 fn lca_rejects_non_tree() {
-    let path = tmp("cycle.txt");
-    std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
-    let err = run(&format!("lca {}", path.display())).unwrap_err();
-    assert!(err.contains("not a tree"));
+    for (name, text, want) in [
+        (
+            "cycle.txt",
+            "0 1\n1 2\n2 0\n",
+            "not a tree: 3 nodes need 2 edges",
+        ),
+        (
+            "comments.txt",
+            "# no edges\n",
+            "not a tree: the file has no nodes",
+        ),
+    ] {
+        let path = tmp(name);
+        std::fs::write(&path, text).unwrap();
+        let err = run(&format!("lca {}", path.display())).unwrap_err();
+        assert!(err.contains(want), "{name}: {err}");
+    }
 }
 
 #[test]

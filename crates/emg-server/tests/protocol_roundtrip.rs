@@ -231,6 +231,8 @@ mod live_session {
 
     /// One shared server for every fuzz case, listening over a one-tree
     /// catalog. Leaked at process exit, like any detached test server.
+    /// Binding loads the catalog, so its directory is removed right
+    /// after; a fuzzed `Reload` then gets an error reply.
     fn fuzz_server_addr() -> &'static str {
         static ADDR: OnceLock<String> = OnceLock::new();
         ADDR.get_or_init(|| {
@@ -239,6 +241,8 @@ mod live_session {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(dir.join("t.txt"), "0\t1\n0\t2\n1\t3\n").unwrap();
             let server = Server::bind("127.0.0.1:0", &dir, BatchConfig::default()).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            assert!(!dir.exists(), "{} outlives the bind", dir.display());
             let addr = server.local_addr();
             std::thread::spawn(move || {
                 let _ = server.run();

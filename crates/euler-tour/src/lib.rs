@@ -51,8 +51,8 @@ pub mod tour;
 pub use dcel::{twin, Dcel};
 pub use list::EulerList;
 pub use ranking::{
-    default_sublist_target, list_prefix_sum, rank_into, rank_wei_jaja_into,
-    rank_wei_jaja_with_sublists, rank_wyllie_into, Ranker,
+    default_sublist_target, list_prefix_sum, rank_into, rank_wei_jaja_into, rank_wyllie_into,
+    Ranker,
 };
 pub use stats::TreeStats;
 pub use tour::{EulerTour, TourError};

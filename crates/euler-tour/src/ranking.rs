@@ -14,7 +14,8 @@
 //!
 //! The paper reports that on GPUs array scans are 7–8× faster than list
 //! ranking, which motivates ranking **once** and scanning arrays thereafter;
-//! `benches/list_ranking.rs` reproduces the comparison.
+//! the `ablations` experiment (`crates/bench`) times that comparison, with
+//! all three rankers on the same tour list.
 //!
 //! Every ranker also reports whether the list was **one path over every
 //! element**, from work it does anyway: the sequential walk counts what it
@@ -71,8 +72,8 @@ pub fn rank_into(device: &Device, list: &EulerList, ranker: Ranker, out: &mut [u
 /// `weights` from the list head to `e`, by weighted pointer jumping
 /// (Wyllie scheme): O(n log n) work per statistic. The paper's pipeline
 /// instead pays one list ranking and then uses O(n)-work array scans for
-/// every statistic; `benches/euler.rs` quantifies the gap with exactly
-/// this function as the strawman.
+/// every statistic; the `ablations` experiment (`crates/bench`) times the
+/// gap with exactly this function as the strawman.
 ///
 /// # Panics
 /// Panics if `weights.len() != list.len()`.
@@ -300,22 +301,10 @@ pub fn rank_wei_jaja_into(device: &Device, list: &EulerList, out: &mut [u32]) ->
     rank_wei_jaja_with_sublists_into(device, list, s_target, out)
 }
 
-/// [`rank_wei_jaja`] with an explicit sublist-count target — the tuning
-/// knob of \[64\] (too few sublists starve workers, too many inflate the
-/// sequential phase 2); `benches/list_ranking.rs` sweeps it. `None` when
-/// the list is not one path over every element.
-pub fn rank_wei_jaja_with_sublists(
-    device: &Device,
-    list: &EulerList,
-    s_target: usize,
-) -> Option<Vec<u32>> {
-    let mut rank = vec![0u32; list.len()];
-    rank_wei_jaja_with_sublists_into(device, list, s_target, &mut rank).then_some(rank)
-}
-
-/// [`rank_wei_jaja_with_sublists`] into a caller buffer. Returns phase 2's
-/// verdict: whether the chain of sublists from the head terminated after
-/// exactly `n` elements.
+/// [`rank_wei_jaja_into`] with an explicit sublist-count target — the
+/// tuning knob of \[64\] (too few sublists starve workers, too many
+/// inflate the sequential phase 2). Returns phase 2's verdict: whether the
+/// chain of sublists from the head terminated after exactly `n` elements.
 ///
 /// # Panics
 /// Panics if `out.len() != list.len()`.
@@ -553,8 +542,9 @@ mod tests {
         let list = random_tree_list(&device, 4000, 5);
         let expected = rank_sequential(&list);
         for s in [1usize, 2, 17, 4000, usize::MAX] {
-            let got = rank_wei_jaja_with_sublists(&device, &list, s);
-            assert_eq!(got, expected, "s={s}");
+            let mut got = vec![0u32; list.len()];
+            let one_path = rank_wei_jaja_with_sublists_into(&device, &list, s, &mut got);
+            assert_eq!(one_path.then_some(got), expected, "s={s}");
         }
     }
 

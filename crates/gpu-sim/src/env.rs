@@ -25,8 +25,8 @@ use std::str::FromStr;
 
 /// Sanitizer plane selector; see [`crate::sanitize`].
 pub const EMG_SANITIZE: &str = "EMG_SANITIZE";
-/// Bench JSONL sink path; read by the benchmark harness (a free-form
-/// path, so any non-empty value "parses").
+/// JSONL sink path for the experiment binaries' perf records (a
+/// free-form path, so any non-empty value "parses").
 pub const EMG_BENCH_JSON: &str = "EMG_BENCH_JSON";
 /// Launch-graph capture plane selector; see [`crate::launch_graph`].
 pub const EMG_CAPTURE: &str = "EMG_CAPTURE";
@@ -148,9 +148,8 @@ pub fn parse_positive_knob(var: &str, default: u64) -> u64 {
 }
 
 /// The benchmark JSONL sink path (`EMG_BENCH_JSON`), if recording is
-/// enabled (unset or empty means off). The bench harness reads the knob
-/// only through here; the vendored criterion, which cannot depend on this
-/// crate, applies the same rule itself.
+/// enabled (unset or empty means off). The experiment harness
+/// (`euler_bench::harness`) reads the knob only through here.
 pub fn bench_json_path() -> Option<std::path::PathBuf> {
     std::env::var_os(EMG_BENCH_JSON)
         .filter(|v| !v.is_empty())

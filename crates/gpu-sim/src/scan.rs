@@ -292,14 +292,6 @@ impl Device {
         self.scan_exclusive_into(input, &mut out, 0u64, |a, b| a + b);
         out
     }
-
-    /// Convenience additive inclusive scan on `i64` (used for ±1 level sums
-    /// along Euler tours; pooled scratch).
-    pub fn add_scan_inclusive_i64(&self, input: &[i64]) -> Vec<i64> {
-        let mut out = vec![0i64; input.len()];
-        self.scan_inclusive_into(input, &mut out, 0i64, |a, b| a + b);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +389,7 @@ mod tests {
         let input: Vec<i64> = (0..10_000)
             .map(|i| if i % 2 == 0 { 1 } else { -1 })
             .collect();
-        let out = device.add_scan_inclusive_i64(&input);
+        let out = device.scan_inclusive(&input, 0, |a, b| a + b);
         assert_eq!(out[0], 1);
         assert_eq!(out[1], 0);
         assert_eq!(*out.last().unwrap(), 0);
