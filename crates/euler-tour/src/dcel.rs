@@ -9,15 +9,17 @@
 //! exactly Figure 2 of the paper.
 //!
 //! The paper gets B from "the costly sorting" of all half-edges. Here B is
-//! the CSR placement of the tree edges ([`Csr::from_pairs_on`]): a
-//! counting sort of the half-edges by tail, then a sort of each tail's run
-//! by head, with ties (parallel edges) broken by edge id. That is the
-//! lexicographic order of the stably sorted A, so `next` and `first` are
-//! the same bit for bit.
+//! graph-core's [`HalfEdgePlacement`] of the tree edges: a counting sort
+//! of the half-edges by tail, then a sort of each tail's run of packed
+//! `(head, half-edge id)` words. Ties on the head (parallel edges) break
+//! by half-edge id, which orders them by edge id: the lexicographic order
+//! of the stably sorted A, so `next` and `first` are the same bit for bit.
+//! The words carry the half-edge ids themselves, so one per-node launch
+//! links each run without gathering anything.
 
 use gpu_sim::Device;
 use graph_core::ids::{NodeId, INVALID_NODE};
-use graph_core::Csr;
+use graph_core::HalfEdgePlacement;
 
 /// Twin of a half-edge: the opposite direction of the same undirected edge.
 #[inline]
@@ -53,18 +55,13 @@ impl Dcel {
     ///
     /// Follows §2.1: create A (implicitly — `twin` is `xor 1` and the
     /// endpoints live in `tails`/`heads`), place the half-edges in B's
-    /// order with the CSR placement, map each B slot to its half-edge id,
-    /// then derive `next` and `first` in one slot-parallel launch.
+    /// order with the [`HalfEdgePlacement`], then derive `next` and
+    /// `first` in one launch over the nodes. A self-loop's two half-edges
+    /// are two distinct entries of its node's run, like any other pair.
     ///
     /// # Panics
-    /// Panics if an endpoint is not below `num_nodes`, or on a self-loop:
-    /// both its half-edges would take one id. A forest has none, and
-    /// [`crate::EulerTour`] rejects them before it builds.
+    /// Panics if an endpoint is not below `num_nodes`.
     pub fn build(device: &Device, num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        assert!(
-            edges.iter().all(|&(u, v)| u != v),
-            "a DCEL edge set holds no self-loop"
-        );
         let h = 2 * edges.len();
 
         // Array A: half-edge endpoints.
@@ -97,59 +94,37 @@ impl Dcel {
             });
         }
 
-        // Array B: slot s of the placement holds the arc (tail x, neighbor)
-        // of edge id j, which is half-edge 2j when the neighbor is the
-        // edge's second endpoint and 2j + 1 otherwise. Each slot's word
-        // packs (x, half-edge), so the link finds run boundaries by
-        // comparing adjacent slots' tails instead of gathering them.
-        // Scratch — pooled.
-        let csr = Csr::from_pairs_on(device, num_nodes, edges);
-        let offsets = csr.offsets();
-        let slots = {
-            let _k = device.kernel_label("dcel_slot_half_edges");
-            let (neighbors, edge_ids) = (csr.raw_neighbors(), csr.raw_edge_ids());
-            device.capture_read(neighbors);
-            device.capture_read(edge_ids);
-            device.capture_read(edges);
-            device.alloc_pooled_map(h, |s| {
-                let j = edge_ids[s];
-                let (u, v) = edges[j as usize];
-                let (x, he) = if neighbors[s] == v {
-                    (u, 2 * j)
-                } else {
-                    (v, 2 * j + 1)
-                };
-                (u64::from(x) << 32) | u64::from(he)
-            })
-        };
+        // Array B: node x's run holds its outgoing half-edges in
+        // lexicographic order, each word's low half the half-edge id.
+        let HalfEdgePlacement { offsets, words } =
+            HalfEdgePlacement::build(device, num_nodes, edges);
 
-        // Link: each slot writes next[] at its half-edge (the slots hold
-        // every half-edge once, so each target has one writer): the next
-        // slot's half-edge, or the run's first at the run's end. The run's
-        // first slot also writes first[x].
+        // Link: node x's virtual thread reads its run in order and points
+        // each half-edge at the next one, the last back at the first, and
+        // returns the first as first[x] (INVALID_NODE for an empty run).
+        // Every half-edge sits in one run, so each next[] slot has one
+        // writer.
         let mut next = vec![0u32; h];
-        let mut first = vec![INVALID_NODE; num_nodes];
+        let mut first = vec![0u32; num_nodes];
         device.capture_fresh(&next[..]);
         device.capture_fresh(&first[..]);
         {
             let _k = device.kernel_label("dcel_link");
-            device.capture_read(&slots[..]);
-            device.capture_read(offsets);
+            device.capture_read(&words[..]);
+            device.capture_read(&offsets[..]);
             let next_shared = device.shared(&mut next);
-            let first_shared = device.shared(&mut first);
-            let slots = &slots;
-            let tail = |s: usize| (slots[s] >> 32) as usize;
-            device.for_each(h, |s| {
-                let (x, he) = (tail(s), slots[s] as u32);
-                let after = if s + 1 < h && tail(s + 1) == x {
-                    s + 1
-                } else {
-                    offsets[x] as usize
+            let (words, offsets) = (&words[..], &offsets[..]);
+            device.map(&mut first, |x| {
+                let run = &words[offsets[x] as usize..offsets[x + 1] as usize];
+                let Some(&last) = run.last() else {
+                    return INVALID_NODE;
                 };
-                next_shared.write(he as usize, slots[after] as u32);
-                if s == 0 || tail(s - 1) != x {
-                    first_shared.write(x, he);
+                let mut prev = last as u32;
+                for &word in run {
+                    next_shared.write(prev as usize, word as u32);
+                    prev = word as u32;
                 }
+                run[0] as u32
             });
         }
 
@@ -277,8 +252,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no self-loop")]
-    fn self_loop_is_rejected() {
-        Dcel::build(&Device::new(), 2, &[(0, 1), (1, 1)]);
+    fn arena_footprint_is_below_one_word_per_half_edge() {
+        // What one build takes from a warmed arena: the placement's
+        // per-node counts and the offset scan's block sums. The packed
+        // words and every output are plain buffers, so nothing of 8 bytes
+        // per half-edge stays resident in the arena after the build.
+        let n = 1usize << 16;
+        let mut state = 0x5EED_u64;
+        let edges: Vec<(u32, u32)> = (1..n as u32)
+            .map(|v| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((state >> 33) as u32 % v, v)
+            })
+            .collect();
+        let word_per_half_edge = 8 * 2 * (n as u64 - 1);
+        for threads in [1, 4] {
+            let device = Device::with_config(gpu_sim::DeviceConfig {
+                threads: Some(threads),
+                ..Default::default()
+            });
+            Dcel::build(&device, n, &edges);
+            let before = device.metrics().snapshot();
+            Dcel::build(&device, n, &edges);
+            let d = device.metrics().snapshot().since(&before);
+            let taken = d.bytes_allocated + d.bytes_reused;
+            assert!(
+                taken < word_per_half_edge,
+                "{threads} workers: the build took {taken} arena bytes, not under \
+                 {word_per_half_edge}"
+            );
+        }
+    }
+
+    #[test]
+    fn self_loop_takes_two_half_edges() {
+        // Half-edges 0 = (0,1), 1 = (1,0), 2 and 3 = the loop (1,1): node
+        // 1's run orders them (1,0) (1,1)#2 (1,1)#3.
+        let dcel = Dcel::build(&Device::new(), 2, &[(0, 1), (1, 1)]);
+        assert_eq!(dcel.next, vec![0, 2, 3, 1]);
+        assert_eq!(dcel.first, vec![0, 1]);
     }
 }

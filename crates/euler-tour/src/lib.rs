@@ -8,7 +8,9 @@
 //!
 //! 1. **DCEL construction** (§2.1, [`dcel`]): from an unordered collection
 //!    of undirected edges, build `twin`/`next` pointers by grouping all
-//!    half-edges in lexicographic order with graph-core's CSR placement.
+//!    half-edges in lexicographic order with graph-core's
+//!    [`HalfEdgePlacement`](graph_core::HalfEdgePlacement), then linking
+//!    each node's sorted run in one launch.
 //! 2. **Tour as a linked list** ([`list`]): `succ(e) = next(twin(e))`,
 //!    split at an arbitrary edge leaving the chosen root.
 //! 3. **One list ranking** (§2.2, [`ranking`]): convert the list into an

@@ -18,7 +18,7 @@
 //! not).
 //!
 //! Every launch — `for_each`, `map`, and the hand-scheduled phases of the
-//! scan, compaction and reduce primitives — crosses one seam: an RAII
+//! scan, compaction, reduce and sort primitives — crosses one seam: an RAII
 //! launch guard opened by `Device::launch`. Opening it counts the launch in
 //! [`Metrics`], runs the [fault plane](crate::fault)'s hook before any other
 //! plane opens (so an injected panic unwinds past a clean device), then
@@ -348,7 +348,7 @@ impl Device {
     /// unless a primitive scope is already open, whose declarations the
     /// launch then inherits instead (a primitive's intermediates stay out
     /// of the graph).
-    fn cap_bare_scope(&self) -> CaptureScope<'_> {
+    pub(crate) fn cap_bare_scope(&self) -> CaptureScope<'_> {
         CaptureScope {
             rec: self.rec.as_deref().filter(|r| r.push_bare_scope()),
         }
@@ -486,7 +486,9 @@ impl Device {
     /// Runs `op` with the device's worker pool pinned as the current pool
     /// (parallel iterators inside `op` execute on it); with no dedicated
     /// pool, `op` runs directly and parallel iterators use the global pool.
-    pub fn run<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
+    /// Crate-private: pool work runs inside a launch, so every plane sees
+    /// it.
+    pub(crate) fn run<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
         match &self.pool {
             Some(p) => p.install(op),
             None => op(),

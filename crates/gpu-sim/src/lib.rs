@@ -29,10 +29,11 @@
 //!
 //! The primitive suite covers the part of moderngpu the pipelines call:
 //! generic [`scan`] and [`reduce`], one fused segmented reduce
-//! ([`segreduce`]) and stream compaction ([`compact`]) of indices, with
-//! kernel and work-item accounting in [`metrics`]. The paper's one sort,
-//! of the Euler tour's half-edges, is the CSR placement's counting sort in
-//! `graph-core`.
+//! ([`segreduce`]), a segmented sort ([`segsort`]) and stream compaction
+//! ([`compact`]) of indices, with kernel and work-item accounting in
+//! [`metrics`]. The paper's one sort, of the Euler tour's half-edges, is
+//! `graph-core`'s half-edge placement: a counting sort by tail, then a
+//! segmented sort of each tail's run.
 //!
 //! Multi-launch pipelines draw their scratch buffers from the device
 //! memory plane ([`arena`]): a size-bucketed pool with RAII handles
@@ -62,7 +63,7 @@
 //!
 //! The three planes meet the device at one seam ([`device`]): every
 //! launch — [`Device::for_each`], [`Device::map`], and the hand-scheduled
-//! phases of the scan, compaction and reduce primitives — opens one
+//! phases of the scan, compaction, reduce and sort primitives — opens one
 //! RAII launch guard, which counts it in [`metrics`], runs the fault hook
 //! first, opens the capture node and the sanitizer launch, and closes both
 //! when it drops, also when a kernel panics. On the access side, each
@@ -86,6 +87,7 @@ pub mod reduce;
 pub mod sanitize;
 pub mod scan;
 pub mod segreduce;
+pub mod segsort;
 
 pub use arena::ArenaError;
 pub use arena::{ArenaPod, ArenaVec, DeviceArena, ScratchGuard};

@@ -4,6 +4,11 @@
 //! twice in the adjacency — once per direction — and both copies carry the
 //! same [`EdgeId`] `e`, so per-edge results (e.g. "is edge `e` a bridge")
 //! can be reported against the caller's original edge order.
+//!
+//! On the device both copies come from one [`HalfEdgePlacement`]: the 2m
+//! arcs grouped by tail, each run sorted. [`Csr::from_pairs_on`] unpacks
+//! it into the adjacency arrays, and the Euler tour's DCEL links its runs
+//! directly.
 
 use crate::edge_list::EdgeList;
 use crate::ids::{EdgeId, NodeId};
@@ -80,17 +85,9 @@ impl Csr {
         csr
     }
 
-    /// Builds the CSR form of `edges` with the device's kernel launches —
-    /// a counting sort of the directed arcs by source node:
-    ///
-    /// 1. per-source arc counts (an atomic histogram launch);
-    /// 2. offsets via [`Device::map_scan_exclusive_into`];
-    /// 3. placement: one virtual thread per tile of 16 edges claims all of
-    ///    its tile's slots with atomic per-node cursors, then stores each
-    ///    arc as one packed word `(neighbor << 32) | edge id`;
-    /// 4. a per-node sort of the packed words on the device's pool;
-    /// 5. two map launches that unpack the words into the neighbor and
-    ///    edge-id arrays.
+    /// Builds the CSR form of `edges` with the device's kernel launches:
+    /// the [`HalfEdgePlacement`] of its arcs, then two map launches that
+    /// unpack each packed word into the neighbor and edge-id arrays.
     ///
     /// Bit-identical to [`Csr::from_edge_list`] (both order each adjacency
     /// by `(neighbor, edge id)`), but every phase runs on the device, so
@@ -104,126 +101,19 @@ impl Csr {
     }
 
     /// [`Csr::from_edge_list_on`] over borrowed pairs: callers that hold
-    /// their edges as a slice (the Euler tour's DCEL) need no
+    /// their edges as a slice (the spanning forest's tree pairs) need no
     /// [`EdgeList`] copy.
     ///
     /// # Panics
     /// Panics if the graph has more than `u32::MAX / 2` edges or an
     /// endpoint is not below `n`.
     pub fn from_pairs_on(device: &Device, n: usize, pairs: &[(NodeId, NodeId)]) -> Self {
-        let m = pairs.len();
-        assert!(m <= (u32::MAX / 2) as usize, "graph too large for u32 CSR");
+        let HalfEdgePlacement { offsets, words } = HalfEdgePlacement::build(device, n, pairs);
 
-        // Phase 1: per-source directed-arc counts (each undirected edge is
-        // two arcs). Arena-backed so the scratch has a deterministic
-        // lifetime in the captured launch graph.
-        let mut counts = device.alloc_filled(n, 0u32);
-        {
-            let _k = device.kernel_label("csr_count_arcs");
-            device.capture_read(pairs);
-            let cells = device
-                .atomic_u32(&mut counts)
-                .benign("degree histogram: colliding fetch_add increments commute");
-            device.for_each(m, |e| {
-                let (u, v) = pairs[e];
-                cells.fetch_add(u as usize, 1);
-                cells.fetch_add(v as usize, 1);
-            });
-        }
-
-        // Phase 2: offsets = exclusive scan of the counts, padded by one
-        // zero so the scan writes all n + 1 slots (offsets[n] = total) in
-        // place — no append, no realloc. Every output is a plain heap
-        // buffer, which capture identifies by base pointer: each is
-        // declared fresh where it is allocated.
-        let mut offsets = vec![0u32; n + 1];
-        device.capture_fresh(&offsets[..]);
-        let total = {
-            let counts_ref = &counts[..];
-            device.capture_read(counts_ref);
-            device.map_scan_exclusive_into(
-                n + 1,
-                |v| if v < n { counts_ref[v] } else { 0 },
-                &mut offsets,
-                0u32,
-                |a, b| a + b,
-            )
-        };
-        drop(counts);
-        debug_assert_eq!(total as usize, 2 * m);
-
-        // The packed words are a plain heap buffer freed at return: an
-        // arena block would stay resident through the caller's pipeline
-        // and raise its peak memory (DESIGN.md §7).
-        let arcs = 2 * m;
-        let mut words = vec![0u64; arcs];
-        device.capture_fresh(&words[..]);
-
-        // Phase 3: place each arc's packed word in its slot. On x86 every
-        // fetch_add is a locked instruction that first drains the store
-        // buffer; claiming all of a tile's slots before storing lets the
-        // tile's scattered stores miss cache together, with one drain per
-        // tile instead of one per arc (DESIGN.md §7).
-        {
-            let _k = device.kernel_label("csr_place_arcs");
-            // The arc pairs and offsets feed the closure, invisible to the
-            // tracked views — declare the reads for the capture plane.
-            device.capture_read(pairs);
-            device.capture_read(&offsets[..]);
-            let cursors: Vec<AtomicU32> = offsets[..n].iter().map(|&o| AtomicU32::new(o)).collect();
-            // fetch_add hands out unique slots within each node's
-            // [offsets[v], offsets[v+1]) range, so each slot has one writer.
-            let slots_out = device.shared(&mut words);
-            device.for_each(m.div_ceil(PLACE_TILE), |t| {
-                let first = t * PLACE_TILE;
-                let tile = &pairs[first..usize::min(first + PLACE_TILE, m)];
-                let mut slots = [(0u32, 0u32); PLACE_TILE];
-                for (slot, &(u, v)) in slots.iter_mut().zip(tile) {
-                    *slot = (
-                        cursors[u as usize].fetch_add(1, Ordering::Relaxed),
-                        cursors[v as usize].fetch_add(1, Ordering::Relaxed),
-                    );
-                }
-                for (k, (&(pu, pv), &(u, v))) in slots.iter().zip(tile).enumerate() {
-                    let e = (first + k) as u64;
-                    slots_out.write(pu as usize, ((v as u64) << 32) | e);
-                    slots_out.write(pv as usize, ((u as u64) << 32) | e);
-                }
-            });
-        }
-
-        // Phase 4: sort every node's run of words on the device's pool. A
-        // word orders by (neighbor, edge id) and equal words are identical,
-        // so the unstable sort is deterministic. The runs are grouped into
-        // node-aligned pieces of about one grid chunk of arcs each.
-        let pieces = device.grid_blocks(arcs);
-        let mut groups = Vec::with_capacity(pieces);
-        let mut rest = &mut words[..];
-        let mut lo = 0;
-        for p in 1..=pieces {
-            let hi = if p == pieces {
-                n
-            } else {
-                let target = arcs * p / pieces;
-                offsets.partition_point(|&o| (o as usize) < target).max(lo)
-            };
-            let (group, tail) = rest.split_at_mut((offsets[hi] - offsets[lo]) as usize);
-            groups.push((lo, hi, group));
-            rest = tail;
-            lo = hi;
-        }
-        device.run(|| {
-            groups.into_par_iter().for_each(|(lo, hi, group)| {
-                let base = offsets[lo];
-                for v in lo..hi {
-                    let run = (offsets[v] - base) as usize..(offsets[v + 1] - base) as usize;
-                    group[run].sort_unstable();
-                }
-            })
-        });
-
-        // Phase 5: unpack — neighbors from the high halves, edge ids from
-        // the low halves.
+        // Unpack: neighbors from the high halves, edge ids from the
+        // half-edge ids in the low halves. A self-loop's two words unpack
+        // to the same (neighbor, edge id) pair.
+        let arcs = words.len();
         let mut neighbors = vec![0 as NodeId; arcs];
         let mut edge_ids = vec![0 as EdgeId; arcs];
         device.capture_fresh(&neighbors[..]);
@@ -237,13 +127,13 @@ impl Csr {
         {
             let _k = device.kernel_label("csr_unpack_edge_ids");
             device.capture_read(words);
-            device.map(&mut edge_ids, |i| words[i] as EdgeId);
+            device.map(&mut edge_ids, |i| (words[i] as u32) >> 1);
         }
         Self {
             offsets,
             neighbors,
             edge_ids,
-            num_edges: m,
+            num_edges: pairs.len(),
         }
     }
 
@@ -437,6 +327,134 @@ impl Csr {
     /// The raw edge-id array, parallel to [`Csr::raw_neighbors`].
     pub fn raw_edge_ids(&self) -> &[EdgeId] {
         &self.edge_ids
+    }
+}
+
+/// The 2m half-edges (directed arcs) of an undirected edge list, grouped
+/// by tail on the device: node `x`'s run is
+/// `words[offsets[x]..offsets[x + 1]]`. Each word packs
+/// `(head << 32) | half-edge id`, where edge `j`'s arc in `pairs[j].0`'s
+/// run is half-edge `2j` and its arc in `pairs[j].1`'s run is `2j + 1`.
+/// Each run is sorted, so it orders by (head, edge id).
+///
+/// The one placement both adjacency builds read: [`Csr::from_pairs_on`]
+/// unpacks it, and the Euler tour's DCEL links each run into a node's
+/// cyclic list of outgoing half-edges (paper §2.1).
+#[derive(Debug)]
+pub struct HalfEdgePlacement {
+    /// Run boundaries, `n + 1` of them; `offsets[n] = 2m`.
+    pub offsets: Vec<u32>,
+    /// The packed half-edges, grouped by tail and sorted within each run.
+    pub words: Vec<u64>,
+}
+
+impl HalfEdgePlacement {
+    /// Places the half-edges of `pairs` over `n` nodes — a counting sort
+    /// of the arcs by tail, then a sort of each run:
+    ///
+    /// 1. per-tail arc counts (an atomic histogram launch);
+    /// 2. offsets via [`Device::map_scan_exclusive_into`];
+    /// 3. placement: one virtual thread per tile of 16 edges claims all of
+    ///    its tile's slots with atomic per-node cursors, then stores each
+    ///    arc as its packed word;
+    /// 4. one [`Device::segmented_sort`] launch over the runs.
+    ///
+    /// No two words are equal (a self-loop's two arcs differ in the low
+    /// bit), so the unstable sort is deterministic and the result is the
+    /// same at every pool width.
+    ///
+    /// # Panics
+    /// Panics if there are more than `u32::MAX / 2` edges or an endpoint
+    /// is not below `n`.
+    pub fn build(device: &Device, n: usize, pairs: &[(NodeId, NodeId)]) -> Self {
+        let m = pairs.len();
+        assert!(m <= (u32::MAX / 2) as usize, "graph too large for u32 CSR");
+
+        // Phase 1: per-tail arc counts (each undirected edge is two arcs).
+        // Arena-backed so the scratch has a deterministic lifetime in the
+        // captured launch graph.
+        let mut counts = device.alloc_filled(n, 0u32);
+        {
+            let _k = device.kernel_label("csr_count_arcs");
+            device.capture_read(pairs);
+            let cells = device
+                .atomic_u32(&mut counts)
+                .benign("degree histogram: colliding fetch_add increments commute");
+            device.for_each(m, |e| {
+                let (u, v) = pairs[e];
+                cells.fetch_add(u as usize, 1);
+                cells.fetch_add(v as usize, 1);
+            });
+        }
+
+        // Phase 2: offsets = exclusive scan of the counts, padded by one
+        // zero so the scan writes all n + 1 slots (offsets[n] = total) in
+        // place — no append, no realloc. Every output is a plain heap
+        // buffer, which capture identifies by base pointer: each is
+        // declared fresh where it is allocated.
+        let mut offsets = vec![0u32; n + 1];
+        device.capture_fresh(&offsets[..]);
+        let total = {
+            let counts_ref = &counts[..];
+            device.capture_read(counts_ref);
+            device.map_scan_exclusive_into(
+                n + 1,
+                |v| if v < n { counts_ref[v] } else { 0 },
+                &mut offsets,
+                0u32,
+                |a, b| a + b,
+            )
+        };
+        drop(counts);
+        debug_assert_eq!(total as usize, 2 * m);
+
+        // The packed words are a plain heap buffer, freed by the caller
+        // once it has read them: an arena block would stay resident
+        // through the caller's pipeline and raise its peak memory
+        // (DESIGN.md §7).
+        let mut words = vec![0u64; 2 * m];
+        device.capture_fresh(&words[..]);
+
+        // Phase 3: place each arc's packed word in its slot. On x86 every
+        // fetch_add is a locked instruction that first drains the store
+        // buffer; claiming all of a tile's slots before storing lets the
+        // tile's scattered stores miss cache together, with one drain per
+        // tile instead of one per arc (DESIGN.md §7).
+        {
+            let _k = device.kernel_label("csr_place_arcs");
+            // The arc pairs and offsets feed the closure, invisible to the
+            // tracked views — declare the reads for the capture plane.
+            device.capture_read(pairs);
+            device.capture_read(&offsets[..]);
+            let cursors: Vec<AtomicU32> = offsets[..n].iter().map(|&o| AtomicU32::new(o)).collect();
+            // fetch_add hands out unique slots within each node's
+            // [offsets[v], offsets[v+1]) range, so each slot has one writer.
+            let slots_out = device.shared(&mut words);
+            device.for_each(m.div_ceil(PLACE_TILE), |t| {
+                let first = t * PLACE_TILE;
+                let tile = &pairs[first..usize::min(first + PLACE_TILE, m)];
+                let mut slots = [(0u32, 0u32); PLACE_TILE];
+                for (slot, &(u, v)) in slots.iter_mut().zip(tile) {
+                    *slot = (
+                        cursors[u as usize].fetch_add(1, Ordering::Relaxed),
+                        cursors[v as usize].fetch_add(1, Ordering::Relaxed),
+                    );
+                }
+                for (k, (&(pu, pv), &(u, v))) in slots.iter().zip(tile).enumerate() {
+                    let he = 2 * (first + k) as u64;
+                    slots_out.write(pu as usize, ((v as u64) << 32) | he);
+                    slots_out.write(pv as usize, ((u as u64) << 32) | (he + 1));
+                }
+            });
+        }
+
+        // Phase 4: sort every run. (head, 2j + side) orders a run as
+        // (head, edge id) does.
+        {
+            let _k = device.kernel_label("csr_sort_runs");
+            device.segmented_sort(&offsets, &mut words);
+        }
+        Self { offsets, words }
     }
 }
 

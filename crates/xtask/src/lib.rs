@@ -21,8 +21,9 @@
 //!
 //! 7. in algorithm crates (`src/` only, not `gpu-sim`), any function that
 //!    launches through a bare `Device` entry point (`device.for_each(`,
-//!    `device.map(`, `device.alloc_map(` — the launchers with no built-in
-//!    scope label) must open a `kernel_label(` somewhere in that function,
+//!    `device.map(`, `device.alloc_map(`, `device.alloc_pooled_map(`,
+//!    `device.segmented_sort(` — the launchers with no built-in scope
+//!    label) must open a `kernel_label(` somewhere in that function,
 //!    so captured graphs never degrade to anonymous `kernel#N` nodes;
 //! 8. empty justification literals — `kernel_label("")` and `.benign("")`
 //!    — are rejected everywhere: a whitelist entry or label that says
@@ -103,7 +104,13 @@ const RAW_PTR_PATTERNS: &[&str] = &[
 /// Bare `Device` launch entry points — the launchers with no built-in
 /// scope label, whose launches show up as anonymous `kernel#N` nodes in
 /// captured graphs unless the enclosing function opens a `kernel_label`.
-const LAUNCH_PATTERNS: &[&str] = &["device.for_each(", "device.map(", "device.alloc_map("];
+const LAUNCH_PATTERNS: &[&str] = &[
+    "device.for_each(",
+    "device.map(",
+    "device.alloc_map(",
+    "device.alloc_pooled_map(",
+    "device.segmented_sort(",
+];
 
 /// Empty justification literals: a label or whitelist reason that says
 /// nothing documents nothing.

@@ -213,6 +213,34 @@ fn unlabeled_launch_in_src_is_flagged() {
     assert_eq!(f[0].line, 3);
 }
 
+/// Lints a one-function crate whose body is `call` and expects an
+/// unlabeled-launch finding on the call's line.
+fn assert_unlabeled(tag: &str, call: &str) {
+    let ws = TempWorkspace::new(tag);
+    ws.write(
+        "crates/algo/src/lib.rs",
+        &format!(
+            "#![deny(unsafe_code)]\npub fn f(device: &Device, out: &mut [u64]) {{\n    {call}\n}}\n"
+        ),
+    );
+    let f = lint_workspace(&ws.root);
+    assert!(rules(&f).contains(&"unlabeled-launch"), "{f:?}");
+    assert_eq!(f[0].line, 3);
+}
+
+#[test]
+fn unlabeled_pooled_map_is_flagged() {
+    assert_unlabeled(
+        "pooledmap",
+        "let _v = device.alloc_pooled_map(4, |i| i as u32);",
+    );
+}
+
+#[test]
+fn unlabeled_segmented_sort_is_flagged() {
+    assert_unlabeled("segsort", "device.segmented_sort(&[0, 2], out);");
+}
+
 #[test]
 fn labeled_launch_in_src_passes() {
     let ws = TempWorkspace::new("labeled");
