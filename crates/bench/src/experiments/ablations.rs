@@ -106,11 +106,8 @@ pub fn run(cfg: &Config) {
     };
 
     // §2.2: one ranking against one scan of the same length.
-    let down: Vec<u32> = tour
-        .order()
-        .iter()
-        .map(|&e| u32::from(tour.is_down(e)))
-        .collect();
+    let order = tour.order(&device);
+    let down: Vec<u32> = order.iter().map(|&e| u32::from(tour.is_down(e))).collect();
     let mut scanned = vec![0u32; h];
     let scan = sample(repeats, || {
         device.map_scan_inclusive_into(h, |p| down[p], &mut scanned, 0, |a, b| a + b)
@@ -161,7 +158,6 @@ pub fn run(cfg: &Config) {
             .each_ref()
             .map(|w| list_prefix_sum(&device, &list, w))
     };
-    let order = tour.order();
     for (by_position, by_edge) in rank_once().iter().zip(&per_statistic()) {
         assert!(
             (0..h).all(|p| by_position[p] == by_edge[order[p] as usize]),

@@ -101,8 +101,8 @@ pub fn bcc_tv(device: &Device, graph: &EdgeList, csr: &Csr) -> Result<BccResult,
     let parent = &stats.parent;
     // A self-loop contributes its own node's preorder, which lies inside
     // every subtree holding the node, so it never makes one escape.
-    let (node_min, node_max) = node_extremes(device, csr, &is_tree, pre);
-    let low_high = LowHigh::build(device, pre, &node_min, &node_max);
+    let extremes = node_extremes(device, csr, &is_tree, pre);
+    let low_high = LowHigh::build(device, pre, &extremes);
     let subtree_low_high = {
         let _k = device.kernel_label("bcc_subtree_low_high");
         device.capture_read(pre);

@@ -158,7 +158,10 @@ pub(crate) fn bfs_device_from(
     device.capture_fresh(&parent[..]);
     device.capture_fresh(&parent_edge[..]);
     device.capture_fresh(&level[..]);
-    device.map(&mut level, |v| levels.load(v));
+    {
+        let _k = device.kernel_label("bfs_unpack_levels");
+        device.map(&mut level, |v| levels.load(v));
+    }
     {
         let _k = device.kernel_label("bfs_assign_parents");
         // One write per node. A root's claim packs the root markers and an

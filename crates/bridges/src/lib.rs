@@ -14,8 +14,8 @@
 //! Substrates built for them: the union-find spanning forest
 //! ([`UnrootedForest`]: lock-free connected components with the forest as
 //! a byproduct, [`cc`]), level-synchronous parallel BFS ([`bfs`]), and a
-//! parallel-buildable segment tree for the low/high range queries
-//! ([`segment_tree`]). TV, the hybrid, biconnectivity and the `emg serve`
+//! parallel-buildable segment tree of (min, max) pairs for the low/high
+//! range queries ([`segment_tree`]). TV, the hybrid, biconnectivity and the `emg serve`
 //! snapshot share one front end over the forest ([`forest`]): tree-edge
 //! flags, then one Euler tour rooting the tree. TV and biconnectivity also
 //! share TV's low/high step, and CK and the hybrid one marking kernel.

@@ -1,60 +1,42 @@
-//! Segment tree for range-minimum / range-maximum queries.
+//! Segment tree for range (minimum, maximum) queries.
 //!
 //! Tarjan–Vishkin needs, per node `v`, the min and max of per-node values
 //! over the preorder interval of `v`'s subtree ("that task boils down to
 //! solving the range minimum query problem, which we do using the segment
-//! tree data structure" — §4.1). The tree is built level-by-level with one
-//! kernel per level, and queried by any number of threads concurrently.
+//! tree data structure" — §4.1). One tree holds both as `(min, max)`
+//! pairs, so a query walks one array for both answers. The tree is built
+//! level-by-level with one kernel per level, and queried by any number of
+//! threads concurrently.
 
 use gpu_sim::Device;
 
-/// Whether a [`SegmentTree`] answers minimum or maximum queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegOp {
-    /// Range minimum; identity `u32::MAX`.
-    Min,
-    /// Range maximum; identity `0`.
-    Max,
+/// The `(min, max)` of an empty range: the identity of [`combine`].
+pub const EMPTY: (u32, u32) = (u32::MAX, 0);
+
+/// Merges two ranges' `(min, max)` pairs.
+#[inline]
+pub fn combine(a: (u32, u32), b: (u32, u32)) -> (u32, u32) {
+    (a.0.min(b.0), a.1.max(b.1))
 }
 
-impl SegOp {
-    #[inline]
-    fn identity(self) -> u32 {
-        match self {
-            SegOp::Min => u32::MAX,
-            SegOp::Max => 0,
-        }
-    }
-
-    #[inline]
-    fn combine(self, a: u32, b: u32) -> u32 {
-        match self {
-            SegOp::Min => a.min(b),
-            SegOp::Max => a.max(b),
-        }
-    }
-}
-
-/// A static segment tree over `u32` values (1-indexed flat layout).
+/// A static segment tree over `(min, max)` pairs (1-indexed flat layout).
 #[derive(Debug, Clone)]
 pub struct SegmentTree {
-    data: Vec<u32>,
+    data: Vec<(u32, u32)>,
     len: usize,
-    op: SegOp,
 }
 
 impl SegmentTree {
     /// Builds the tree on the device, one kernel per level.
-    pub fn build(device: &Device, values: &[u32], op: SegOp) -> Self {
+    pub fn build(device: &Device, values: &[(u32, u32)]) -> Self {
         let len = values.len();
         if len == 0 {
             return Self {
                 data: Vec::new(),
                 len: 0,
-                op,
             };
         }
-        let mut data = vec![op.identity(); 2 * len];
+        let mut data = vec![EMPTY; 2 * len];
         // The leaf copy is a host-side read of `values` (often an arena
         // buffer upstream) — note it for the capture plane.
         device.capture_host_read(values);
@@ -70,32 +52,16 @@ impl SegmentTree {
             // declared by the map itself).
             device.capture_read(&data[..]);
             device.capture_write(&data[..]);
-            // Compute nodes [lo, hi) — but only those with children below
-            // 2*len; in the iterative layout all of [1, len) are internal.
+            // Nodes [lo, hi) have their children in [2lo, 2hi), which lies
+            // at or past `hi`: in the lower half of the split.
             let (upper, lower) = data.split_at_mut(hi);
-            let lower_base = hi;
-            let target = &mut upper[lo..];
-            device.map(target, |j| {
-                let i = lo + j;
-                let l = 2 * i;
-                let r = 2 * i + 1;
-                let lv = if l >= lower_base {
-                    lower[l - lower_base]
-                } else {
-                    // Child still inside `upper` — can't happen: children of
-                    // [lo, hi) live in [2lo, 2hi) ⊇ [hi, ...).
-                    unreachable!()
-                };
-                let rv = if r >= lower_base {
-                    lower[r - lower_base]
-                } else {
-                    unreachable!()
-                };
-                op.combine(lv, rv)
+            device.map(&mut upper[lo..], |j| {
+                let l = 2 * (lo + j) - hi;
+                combine(lower[l], lower[l + 1])
             });
             hi = lo;
         }
-        Self { data, len, op }
+        Self { data, len }
     }
 
     /// Number of leaves.
@@ -115,25 +81,25 @@ impl SegmentTree {
         device.capture_read(&self.data);
     }
 
-    /// Query over the inclusive range `[l, r]`. Returns the identity for
-    /// inverted ranges.
+    /// `(min, max)` over the inclusive range `[l, r]`. Returns [`EMPTY`]
+    /// for inverted ranges.
     #[inline]
-    pub fn query(&self, l: usize, r: usize) -> u32 {
+    pub fn query(&self, l: usize, r: usize) -> (u32, u32) {
         if l > r || self.len == 0 {
-            return self.op.identity();
+            return EMPTY;
         }
         debug_assert!(r < self.len);
-        let mut acc = self.op.identity();
+        let mut acc = EMPTY;
         let mut lo = l + self.len;
         let mut hi = r + self.len + 1;
         while lo < hi {
             if lo & 1 == 1 {
-                acc = self.op.combine(acc, self.data[lo]);
+                acc = combine(acc, self.data[lo]);
                 lo += 1;
             }
             if hi & 1 == 1 {
                 hi -= 1;
-                acc = self.op.combine(acc, self.data[hi]);
+                acc = combine(acc, self.data[hi]);
             }
             lo /= 2;
             hi /= 2;
@@ -146,11 +112,13 @@ impl SegmentTree {
 mod tests {
     use super::*;
 
-    fn naive(values: &[u32], l: usize, r: usize, op: SegOp) -> u32 {
-        values[l..=r]
-            .iter()
-            .copied()
-            .fold(op.identity(), |a, b| op.combine(a, b))
+    /// Each half of the pair folded on its own over `values[l..=r]`.
+    fn naive(values: &[(u32, u32)], l: usize, r: usize) -> (u32, u32) {
+        let range = &values[l..=r];
+        (
+            range.iter().map(|v| v.0).fold(u32::MAX, u32::min),
+            range.iter().map(|v| v.1).fold(0, u32::max),
+        )
     }
 
     #[test]
@@ -162,23 +130,18 @@ mod tests {
             (state >> 33) as u32
         };
         for n in [1usize, 2, 3, 7, 64, 1000, 30_000] {
-            let values: Vec<u32> = (0..n).map(|_| step() % 1_000_000).collect();
-            let min_tree = SegmentTree::build(&device, &values, SegOp::Min);
-            let max_tree = SegmentTree::build(&device, &values, SegOp::Max);
+            let values: Vec<(u32, u32)> = (0..n)
+                .map(|_| (step() % 1_000_000, step() % 1_000_000))
+                .collect();
+            let tree = SegmentTree::build(&device, &values);
             for trial in 0..200 {
                 let a = step() as usize % n;
                 let b = step() as usize % n;
                 let (l, r) = (a.min(b), a.max(b));
-                assert_eq!(
-                    min_tree.query(l, r),
-                    naive(&values, l, r, SegOp::Min),
-                    "min n={n} trial={trial} [{l},{r}]"
-                );
-                assert_eq!(
-                    max_tree.query(l, r),
-                    naive(&values, l, r, SegOp::Max),
-                    "max n={n} trial={trial} [{l},{r}]"
-                );
+                let (min, max) = tree.query(l, r);
+                let (naive_min, naive_max) = naive(&values, l, r);
+                assert_eq!(min, naive_min, "min n={n} trial={trial} [{l},{r}]");
+                assert_eq!(max, naive_max, "max n={n} trial={trial} [{l},{r}]");
             }
         }
     }
@@ -186,8 +149,8 @@ mod tests {
     #[test]
     fn single_element_ranges() {
         let device = Device::new();
-        let values: Vec<u32> = (0..100).map(|i| 99 - i).collect();
-        let t = SegmentTree::build(&device, &values, SegOp::Min);
+        let values: Vec<(u32, u32)> = (0..100).map(|i| (99 - i, 3 * i)).collect();
+        let t = SegmentTree::build(&device, &values);
         for (i, &expected) in values.iter().enumerate() {
             assert_eq!(t.query(i, i), expected);
         }
@@ -196,35 +159,34 @@ mod tests {
     #[test]
     fn full_range() {
         let device = Device::new();
-        let values = vec![5u32, 2, 9, 7];
-        let min_t = SegmentTree::build(&device, &values, SegOp::Min);
-        let max_t = SegmentTree::build(&device, &values, SegOp::Max);
-        assert_eq!(min_t.query(0, 3), 2);
-        assert_eq!(max_t.query(0, 3), 9);
+        let values = [(5, 1), (2, 8), (9, 3), (7, 6)];
+        let t = SegmentTree::build(&device, &values);
+        assert_eq!(t.query(0, 3), (2, 8));
     }
 
     #[test]
     fn inverted_range_yields_identity() {
         let device = Device::new();
-        let t = SegmentTree::build(&device, &[1, 2, 3], SegOp::Min);
-        assert_eq!(t.query(2, 1), u32::MAX);
+        let t = SegmentTree::build(&device, &[(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(t.query(2, 1), EMPTY);
     }
 
     #[test]
     fn empty_tree() {
         let device = Device::new();
-        let t = SegmentTree::build(&device, &[], SegOp::Max);
+        let t = SegmentTree::build(&device, &[]);
         assert!(t.is_empty());
-        assert_eq!(t.query(0, 0), 0);
+        assert_eq!(t.query(0, 0), EMPTY);
     }
 
     #[test]
     fn identities_survive_in_leaves() {
-        // u32::MAX leaves (empty segreduce results) must not break queries.
+        // EMPTY leaves (nodes with no non-tree neighbor) must not break
+        // queries on either half.
         let device = Device::new();
-        let values = vec![u32::MAX, 4, u32::MAX];
-        let t = SegmentTree::build(&device, &values, SegOp::Min);
-        assert_eq!(t.query(0, 2), 4);
-        assert_eq!(t.query(0, 0), u32::MAX);
+        let values = [EMPTY, (4, 4), EMPTY];
+        let t = SegmentTree::build(&device, &values);
+        assert_eq!(t.query(0, 2), (4, 4));
+        assert_eq!(t.query(0, 0), EMPTY);
     }
 }

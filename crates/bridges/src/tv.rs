@@ -6,18 +6,19 @@
 //! 1. **`spanning_tree`** — lock-free connected components ([`crate::cc`])
 //!    emit a spanning tree as a byproduct;
 //! 2. **`euler_tour`** — root the tree, compute preorder numbers and
-//!    subtree sizes ([`euler_tour`] crate), and per-node min/max non-tree
-//!    neighbor preorders (segmented reduce);
-//! 3. **`detect_bridges`** — aggregate min/max over subtree intervals with
-//!    segment-tree RMQ: tree edge `{u, parent(u)}` is a bridge iff both
-//!    `low(u)` and `high(u)` stay inside `[pre(u), pre(u) + size(u))`.
+//!    subtree sizes ([`euler_tour`] crate), and per-node (min, max)
+//!    non-tree neighbor preorders as pairs, in one segmented reduce;
+//! 3. **`detect_bridges`** — aggregate the pairs over subtree intervals
+//!    with one segment tree of (min, max) pairs: tree edge
+//!    `{u, parent(u)}` is a bridge iff both `low(u)` and `high(u)` stay
+//!    inside `[pre(u), pre(u) + size(u))`.
 //!
 //! Biconnectivity ([`crate::bcc`]) reuses the low/high steps of phases 2
 //! and 3: `node_extremes` and `LowHigh`.
 
 use crate::forest::UnrootedForest;
 use crate::result::{BridgesError, BridgesResult, PhaseClock};
-use crate::segment_tree::{SegOp, SegmentTree};
+use crate::segment_tree::{combine, SegmentTree, EMPTY};
 use euler_tour::TreeStats;
 use gpu_sim::{ArenaVec, Device};
 use graph_core::bitset::BitSet;
@@ -74,17 +75,17 @@ fn tv(
     let (is_tree, tour) = forest.tour(device, graph, &mut clock)?;
     let stats = TreeStats::compute(device, &tour);
     let pre = &stats.preorder;
-    let (node_min, node_max) = node_extremes(device, csr, &is_tree, pre);
+    let extremes = node_extremes(device, csr, &is_tree, pre);
     clock.lap("euler_tour");
 
-    // Phase 3: low/high via RMQ over preorder-indexed arrays, then the
+    // Phase 3: low/high via RMQ over the preorder-indexed pairs, then the
     // bridge predicate per tree edge.
-    let low_high = LowHigh::build(device, pre, &node_min, &node_max);
+    let low_high = LowHigh::build(device, pre, &extremes);
     let mut bridge_flags = device.alloc_filled(graph.num_edges(), 0u8);
     {
         let _k = device.kernel_label("tv_detect_bridges");
         // Closure-side inputs: tree edge ids, tour statistics, the edge
-        // endpoints, and both segment trees' backing arrays.
+        // endpoints, and the segment tree's backing array.
         device.capture_read(&forest.tree_edges);
         device.capture_read(pre);
         device.capture_read(&stats.parent);
@@ -118,35 +119,20 @@ fn tv(
     Ok((BridgesResult { is_bridge, phases }, stats))
 }
 
-/// Per-node minimum and maximum of the preorder numbers `pre` of non-tree
-/// neighbors (`u32::MAX` and `0` for a node with none). The gather of each
-/// adjacency slot's contribution is fused into the segmented reduce (the
-/// paper's `segreduce`) — no materialized per-slot value arrays.
+/// Per-node `(min, max)` of the preorder numbers `pre` of non-tree
+/// neighbors ([`EMPTY`], `(u32::MAX, 0)`, for a node with none). One
+/// segmented reduce of pairs over the adjacency (the paper's `segreduce`),
+/// with each slot's contribution gathered inside it — no materialized
+/// per-slot value array.
 pub(crate) fn node_extremes<'d>(
     device: &'d Device,
     csr: &Csr,
     is_tree: &[u8],
     pre: &[u32],
-) -> (ArenaVec<'d, u32>, ArenaVec<'d, u32>) {
-    (
-        non_tree_extreme(device, csr, is_tree, pre, u32::MAX, u32::min),
-        non_tree_extreme(device, csr, is_tree, pre, 0, u32::max),
-    )
-}
-
-/// One half of [`node_extremes`]: `op` over each node's non-tree neighbor
-/// preorders, from `identity`.
-fn non_tree_extreme<'d>(
-    device: &'d Device,
-    csr: &Csr,
-    is_tree: &[u8],
-    pre: &[u32],
-    identity: u32,
-    op: impl Fn(u32, u32) -> u32 + Sync,
-) -> ArenaVec<'d, u32> {
+) -> ArenaVec<'d, (u32, u32)> {
     let neighbors = csr.raw_neighbors();
     let edge_ids = csr.raw_edge_ids();
-    let mut out = device.alloc_pooled::<u32>(pre.len());
+    let mut out = device.alloc_pooled::<(u32, u32)>(pre.len());
     // The per-slot contributions read the CSR arrays, tree flags, and
     // preorders through the fused generator closure — declare them.
     device.capture_read(is_tree);
@@ -155,52 +141,46 @@ fn non_tree_extreme<'d>(
     device.capture_read(pre);
     device.map_segmented_reduce_into(
         csr.offsets(),
-        identity,
+        EMPTY,
         |s| {
             if is_tree[edge_ids[s] as usize] == 1 {
-                identity
+                EMPTY
             } else {
-                pre[neighbors[s] as usize]
+                let p = pre[neighbors[s] as usize];
+                (p, p)
             }
         },
-        op,
+        combine,
         &mut out,
     );
     out
 }
 
 /// Subtree low/high by range queries: the [`node_extremes`] laid out by
-/// preorder under one range-minimum and one range-maximum segment tree.
+/// preorder under one segment tree of `(min, max)` pairs.
 pub(crate) struct LowHigh {
-    min_tree: SegmentTree,
-    max_tree: SegmentTree,
+    tree: SegmentTree,
 }
 
 impl LowHigh {
-    /// Permutes the per-node extremes into preorder slots and builds both
-    /// segment trees.
-    pub(crate) fn build(device: &Device, pre: &[u32], node_min: &[u32], node_max: &[u32]) -> Self {
+    /// Permutes the per-node extremes into preorder slots and builds the
+    /// segment tree.
+    pub(crate) fn build(device: &Device, pre: &[u32], extremes: &[(u32, u32)]) -> Self {
         let n = pre.len();
-        let mut by_pre_min = device.alloc_filled(n, u32::MAX);
-        let mut by_pre_max = device.alloc_filled(n, 0u32);
+        let mut by_pre = device.alloc_filled(n, EMPTY);
         {
             let _k = device.kernel_label("tv_permute_by_preorder");
             device.capture_read(pre);
-            device.capture_read(node_min);
-            device.capture_read(node_max);
+            device.capture_read(extremes);
             // Preorder is a permutation of 1..=n, so each slot has one
             // writer.
-            let min_shared = device.shared(&mut by_pre_min);
-            let max_shared = device.shared(&mut by_pre_max);
+            let by_pre_shared = device.shared(&mut by_pre);
             device.for_each(n, |v| {
-                let slot = (pre[v] - 1) as usize;
-                min_shared.write(slot, node_min[v]);
-                max_shared.write(slot, node_max[v]);
+                by_pre_shared.write((pre[v] - 1) as usize, extremes[v]);
             });
         }
         Self {
-            min_tree: SegmentTree::build(device, &by_pre_min, SegOp::Min),
-            max_tree: SegmentTree::build(device, &by_pre_max, SegOp::Max),
+            tree: SegmentTree::build(device, &by_pre),
         }
     }
 
@@ -210,15 +190,13 @@ impl LowHigh {
     #[inline]
     pub(crate) fn subtree(&self, pre: u32, size: u32) -> (u32, u32) {
         let lo = (pre - 1) as usize;
-        let hi = lo + size as usize - 1;
-        (self.min_tree.query(lo, hi), self.max_tree.query(lo, hi))
+        self.tree.query(lo, lo + size as usize - 1)
     }
 
-    /// Declares both trees' backing arrays as reads of the next launch —
+    /// Declares the tree's backing array as a read of the next launch —
     /// call before a kernel whose closure runs [`LowHigh::subtree`].
     pub(crate) fn declare_query_reads(&self, device: &Device) {
-        self.min_tree.declare_query_reads(device);
-        self.max_tree.declare_query_reads(device);
+        self.tree.declare_query_reads(device);
     }
 }
 

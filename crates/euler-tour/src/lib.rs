@@ -13,16 +13,19 @@
 //!    each node's sorted run in one launch.
 //! 2. **Tour as a linked list** ([`list`]): `succ(e) = next(twin(e))`,
 //!    split at an arbitrary edge leaving the chosen root.
-//! 3. **One list ranking** (§2.2, [`ranking`]): convert the list into an
-//!    *array* of edges in tour order. We provide the sequential baseline,
-//!    Wyllie pointer jumping (O(n log n) work) and the GPU-optimized
-//!    Wei–JáJá algorithm (O(n) work) the paper uses. Each also reports
-//!    whether the list was one path over every half-edge, which, with
-//!    every node touched by an edge, proves the input a spanning tree.
+//! 3. **One list ranking** (§2.2, [`ranking`]): convert the list into
+//!    array form, each half-edge's tour position. We provide the
+//!    sequential baseline, Wyllie pointer jumping (O(n log n) work) and
+//!    the GPU-optimized Wei–JáJá algorithm (O(n) work) the paper uses.
+//!    Each also reports whether the list was one path over every
+//!    half-edge, which, with every node touched by an edge, proves the
+//!    input a spanning tree.
 //! 4. **Array scans** ([`stats`]): preorder numbers, subtree sizes, node
 //!    levels and parents via the fast scan primitive — the paper's key
 //!    optimization ("perform all the following prefix sum calculations on
-//!    the Euler tour by using a fast scan primitive on the array").
+//!    the Euler tour by using a fast scan primitive on the array"). The
+//!    kernels around the scan run one thread per tree edge and read the
+//!    edge's two ranks side by side.
 //!
 //! Around the pipeline, [`cpu`] is the sequential oracle.
 //!

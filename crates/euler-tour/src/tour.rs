@@ -1,5 +1,11 @@
-//! The [`EulerTour`] facade: DCEL → successor list → one list ranking →
-//! tour array (§2.2's central optimization).
+//! The [`EulerTour`] facade: DCEL → successor list → one list ranking
+//! (§2.2's central optimization).
+//!
+//! The ranking is the tour in array form: `rank[e]` is half-edge `e`'s
+//! position, and edge `j`'s two ranks sit side by side at `rank[2j]` and
+//! `rank[2j + 1]`, so the statistics kernels ([`crate::stats`]) read them
+//! by edge. No pipeline needs the inverse, the half-edge at each
+//! position; [`EulerTour::order`] builds it on request.
 
 use crate::dcel::{twin, Dcel};
 use crate::list::EulerList;
@@ -46,8 +52,8 @@ impl std::error::Error for TourError {}
 
 /// An Euler tour of a rooted tree, in array form.
 ///
-/// After construction every subtree is a contiguous interval of the tour
-/// array, so node statistics reduce to scans (see [`crate::stats`]).
+/// After construction every subtree is a contiguous interval of tour
+/// positions, so node statistics reduce to scans (see [`crate::stats`]).
 #[derive(Debug, Clone)]
 pub struct EulerTour {
     num_nodes: usize,
@@ -55,8 +61,6 @@ pub struct EulerTour {
     dcel: Dcel,
     /// `rank[e]` = tour position of half-edge `e`.
     rank: Vec<u32>,
-    /// `order[p]` = half-edge at tour position `p` (inverse of `rank`).
-    order: Vec<u32>,
 }
 
 impl EulerTour {
@@ -120,16 +124,25 @@ impl EulerTour {
                 root,
                 dcel: Dcel::build(device, 1, &[]),
                 rank: Vec::new(),
-                order: Vec::new(),
             });
         }
-        for &(u, v) in edges {
-            if (u as usize) >= num_nodes || (v as usize) >= num_nodes {
-                return Err(TourError::NotASpanningTree);
-            }
-            if u == v {
-                return Err(TourError::NotASpanningTree);
-            }
+        // An endpoint out of range or a self-loop cannot be a tree edge;
+        // checked before the DCEL, which indexes by endpoint.
+        let bad_edge = {
+            let _k = device.kernel_label("tour_edge_check");
+            device.capture_read(edges);
+            device.map_reduce(
+                edges.len(),
+                |j| {
+                    let (u, v) = edges[j];
+                    u == v || u as usize >= num_nodes || v as usize >= num_nodes
+                },
+                false,
+                |a, b| a | b,
+            )
+        };
+        if bad_edge {
+            return Err(TourError::NotASpanningTree);
         }
 
         // The spanning-tree proof. The ranker reports whether the tour list
@@ -150,24 +163,13 @@ impl EulerTour {
             return Err(TourError::NotASpanningTree);
         }
         let list = EulerList::build(device, &dcel, root);
-        let rank_arr = rank(device, &list, ranker).ok_or(TourError::NotASpanningTree)?;
-
-        // Invert the ranking into the tour array (a permutation scatter).
-        let h = rank_arr.len();
-        let src = {
-            let _k = device.kernel_label("tour_iota");
-            device.alloc_pooled_map(h, |i| i as u32)
-        };
-        let mut order = vec![0u32; h];
-        device.capture_fresh(&order[..]);
-        device.scatter(&mut order, &rank_arr, &src);
+        let rank = rank(device, &list, ranker).ok_or(TourError::NotASpanningTree)?;
 
         Ok(Self {
             num_nodes,
             root,
             dcel,
-            rank: rank_arr,
-            order,
+            rank,
         })
     }
 
@@ -183,12 +185,12 @@ impl EulerTour {
 
     /// Number of half-edges on the tour (`2(n-1)`).
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.rank.len()
     }
 
     /// True only for the single-node tree.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.rank.is_empty()
     }
 
     /// The underlying DCEL.
@@ -201,9 +203,23 @@ impl EulerTour {
         &self.rank
     }
 
-    /// `order[p]` = half-edge at tour position `p`.
-    pub fn order(&self) -> &[u32] {
-        &self.order
+    /// The tour as a sequence of half-edges: `order[p]` = half-edge at
+    /// tour position `p`, the inverse of [`EulerTour::rank`]. One launch
+    /// writes `order[rank[e]] = e`; `rank` is a permutation, so each
+    /// position has one writer.
+    pub fn order(&self, device: &Device) -> Vec<u32> {
+        let mut order = vec![0u32; self.len()];
+        device.capture_fresh(&order[..]);
+        {
+            let _k = device.kernel_label("tour_order");
+            let rank = &self.rank;
+            device.capture_read(rank);
+            let order_shared = device.shared(&mut order);
+            device.for_each(rank.len(), |e| {
+                order_shared.write(rank[e] as usize, e as u32)
+            });
+        }
+        order
     }
 
     /// Whether half-edge `e` points away from the root ("goes down").
@@ -230,8 +246,10 @@ mod tests {
     fn rank_and_order_are_inverse() {
         let device = Device::new();
         let tour = paper_tour(&device);
-        for p in 0..tour.len() {
-            assert_eq!(tour.rank()[tour.order()[p] as usize] as usize, p);
+        let order = tour.order(&device);
+        assert_eq!(order.len(), tour.len());
+        for (p, &e) in order.iter().enumerate() {
+            assert_eq!(tour.rank()[e as usize] as usize, p);
         }
     }
 

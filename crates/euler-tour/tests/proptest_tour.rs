@@ -38,7 +38,7 @@ proptest! {
         let device = small_device();
         let tour = EulerTour::build(&device, &tree).unwrap();
         let dcel = tour.dcel();
-        let order = tour.order();
+        let order = tour.order(&device);
         // Consecutive edges chain head-to-tail; the walk starts and ends at
         // the root.
         prop_assert_eq!(dcel.tails[order[0] as usize], tree.root());
@@ -55,10 +55,10 @@ proptest! {
     fn every_edge_appears_twice(tree in arb_tree(150)) {
         let device = small_device();
         let tour = EulerTour::build(&device, &tree).unwrap();
-        let order = tour.order();
+        let order = tour.order(&device);
         prop_assert_eq!(order.len(), 2 * (tree.num_nodes() - 1));
         let mut seen = vec![0u32; order.len()];
-        for &e in order {
+        for &e in &order {
             seen[e as usize] += 1;
         }
         prop_assert!(seen.iter().all(|&c| c == 1));

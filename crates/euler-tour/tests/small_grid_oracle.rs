@@ -1,8 +1,9 @@
 //! Euler tours and tree statistics on a small grid — 64-thread blocks and
-//! a 16-element sequential threshold, so the CSR placement, ranking, order
-//! inversion and the preorder scan take their multi-block parallel paths —
-//! must equal the sequential DFS oracle, and the DCEL must equal the
-//! paper's sorted-half-edge construction done on the host.
+//! a 16-element sequential threshold, so the CSR placement, ranking, the
+//! per-edge statistics kernels and the preorder scan take their
+//! multi-block parallel paths — must equal the sequential DFS oracle, and
+//! the DCEL must equal the paper's sorted-half-edge construction done on
+//! the host.
 
 use euler_tour::cpu::sequential_stats;
 use euler_tour::{Dcel, EulerTour, TreeStats};
@@ -119,6 +120,40 @@ fn dcel_matches_the_host_sorted_half_edges() {
             let (next, first) = reference_dcel(*n, edges);
             assert_eq!(dcel.next, next, "next: n={n}, width {threads}");
             assert_eq!(dcel.first, first, "first: n={n}, width {threads}");
+        }
+    }
+}
+
+#[test]
+fn per_edge_stats_on_mixed_orientations_and_roots() {
+    // The statistics kernels find each edge's down half-edge from its two
+    // ranks, so edges given (parent, child), (child, parent) or shuffled,
+    // and roots other than node 0, must all give the oracle's statistics.
+    let star: Vec<(u32, u32)> = (1..700u32)
+        .map(|v| if v % 3 == 0 { (v, 0) } else { (0, v) })
+        .collect();
+    let path: Vec<(u32, u32)> = (1..700u32)
+        .map(|v| if v % 2 == 0 { (v, v - 1) } else { (v - 1, v) })
+        .collect();
+    let mut shapes = vec![(700, star), (700, path)];
+    for (n, seed) in [(65, 1), (300, 2), (1500, 3), (20_000, 4)] {
+        shapes.push((n, scrambled_edges(&scraggly_tree(n), seed)));
+    }
+    for threads in [1, 4] {
+        let device = small_grid_of(threads);
+        for (n, edges) in &shapes {
+            for root in [0, *n as u32 / 3] {
+                let tour = EulerTour::build_from_edges(&device, *n, edges, root).unwrap();
+                let stats = TreeStats::compute(&device, &tour);
+                let tree = Tree::from_edges(*n, edges, root).unwrap();
+                let at = format!("n={n}, root {root}, width {threads}");
+                assert_eq!(stats, sequential_stats(&tree), "{at}");
+                let order = tour.order(&device);
+                assert_eq!(order.len(), tour.len(), "{at}");
+                for (p, &e) in order.iter().enumerate() {
+                    assert_eq!(tour.rank()[e as usize] as usize, p, "{at}");
+                }
+            }
         }
     }
 }

@@ -50,16 +50,26 @@ impl<'d> GpuRmqLca<'d> {
         // root and then visits the head of every tour edge in order.
         let walk_len = 2 * n - 1;
         let heads = &tour.dcel().heads;
-        let order = tour.order();
+        let order = tour.order(device);
         let root = tour.root();
-        let euler = device.alloc_map(walk_len, |p| {
-            if p == 0 {
-                root
-            } else {
-                heads[order[p - 1] as usize]
-            }
-        });
-        let depth = device.alloc_map(walk_len, |p| level[euler[p] as usize]);
+        let euler = {
+            let _k = device.kernel_label("rmq_euler_walk");
+            device.capture_read(heads);
+            device.capture_read(&order);
+            device.alloc_map(walk_len, |p| {
+                if p == 0 {
+                    root
+                } else {
+                    heads[order[p - 1] as usize]
+                }
+            })
+        };
+        let depth = {
+            let _k = device.kernel_label("rmq_walk_depth");
+            device.capture_read(&euler);
+            device.capture_read(level);
+            device.alloc_map(walk_len, |p| level[euler[p] as usize])
+        };
 
         // First occurrence: the root sits at position 0; every other node is
         // first entered through its unique down edge, one write per node.
@@ -80,11 +90,17 @@ impl<'d> GpuRmqLca<'d> {
         // Sparse table, one kernel launch per level.
         let levels = usize::BITS as usize - walk_len.leading_zeros() as usize;
         let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        table.push(device.alloc_map(walk_len, |i| i as u32));
+        {
+            let _k = device.kernel_label("rmq_table_base");
+            table.push(device.alloc_map(walk_len, |i| i as u32));
+        }
         let mut width = 1usize;
         while 2 * width <= walk_len {
             let prev = table.last().unwrap();
             let depth_ref = &depth;
+            let _k = device.kernel_label("rmq_table_level");
+            device.capture_read(prev);
+            device.capture_read(depth_ref);
             let row = device.alloc_map(walk_len - 2 * width + 1, |i| {
                 let (a, b) = (prev[i], prev[i + width]);
                 if depth_ref[b as usize] < depth_ref[a as usize] {

@@ -19,12 +19,13 @@
 //! Two further rules keep the **launch-graph capture plane** honest
 //! (DESIGN.md §11):
 //!
-//! 7. in algorithm crates (`src/` only, not `gpu-sim`), any function that
-//!    launches through a bare `Device` entry point (`device.for_each(`,
+//! 7. in algorithm crates (`src/` only, not `gpu-sim`), every launch
+//!    through a bare `Device` entry point (`device.for_each(`,
 //!    `device.map(`, `device.alloc_map(`, `device.alloc_pooled_map(`,
 //!    `device.segmented_sort(` — the launchers with no built-in scope
-//!    label) must open a `kernel_label(` somewhere in that function,
-//!    so captured graphs never degrade to anonymous `kernel#N` nodes;
+//!    label) must follow a `kernel_label(` opened after the enclosing
+//!    function's previous such launch, so each launch site carries its
+//!    own label and captured graphs never show anonymous `kernel#N` nodes;
 //! 8. empty justification literals — `kernel_label("")` and `.benign("")`
 //!    — are rejected everywhere: a whitelist entry or label that says
 //!    nothing documents nothing.
@@ -476,8 +477,8 @@ fn code_part(line: &str) -> &str {
     }
 }
 
-/// Whether a line opens a function item (the chunk boundary for the
-/// unlabeled-launch rule).
+/// Whether a line opens a function item (where the unlabeled-launch rule
+/// forgets any label opened before it).
 fn is_fn_line(raw: &str) -> bool {
     let t = code_part(raw).trim_start();
     t.starts_with("fn ")
@@ -486,37 +487,37 @@ fn is_fn_line(raw: &str) -> bool {
         || (t.starts_with("pub") && t.contains("fn "))
 }
 
-/// Rule 7: in algorithm-crate `src/` files, a function that launches via a
-/// bare entry point must open a `kernel_label` somewhere in its body.
+/// Rule 7: in algorithm-crate `src/` files, every bare launch site needs a
+/// `kernel_label` opened after the enclosing function's previous bare
+/// launch (or after its start, for the first), so no two sites share one
+/// label and no site goes without.
 fn lint_launch_labels(root: &Path, file: &Path, lines: &[&str], findings: &mut Vec<Finding>) {
-    let fn_starts: Vec<usize> = lines
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| is_fn_line(l))
-        .map(|(i, _)| i)
-        .collect();
-    for (k, &start) in fn_starts.iter().enumerate() {
-        let end = fn_starts.get(k + 1).copied().unwrap_or(lines.len());
-        let chunk = &lines[start..end];
-        if chunk.iter().any(|l| code_part(l).contains("kernel_label(")) {
+    let mut label_open = false;
+    for (i, raw) in lines.iter().enumerate() {
+        let code = code_part(raw);
+        if is_fn_line(raw) {
+            label_open = false;
+        }
+        if code.contains("kernel_label(") {
+            label_open = true;
+        }
+        let Some(pat) = LAUNCH_PATTERNS.iter().find(|p| code.contains(*p)) else {
             continue;
+        };
+        if !label_open {
+            findings.push(finding_at(
+                root,
+                file,
+                i + 1,
+                "unlabeled-launch",
+                format!(
+                    "`{pat}` launches without a `kernel_label` opened since the \
+                     function's previous launch; the captured graph would show an \
+                     anonymous kernel#N node"
+                ),
+            ));
         }
-        for (j, l) in chunk.iter().enumerate() {
-            let code = code_part(l);
-            if let Some(pat) = LAUNCH_PATTERNS.iter().find(|p| code.contains(*p)) {
-                findings.push(finding_at(
-                    root,
-                    file,
-                    start + j + 1,
-                    "unlabeled-launch",
-                    format!(
-                        "`{pat}` launches without a `kernel_label` in the enclosing \
-                         function; the captured graph would show an anonymous kernel#N node"
-                    ),
-                ));
-                break; // one finding per function is enough to act on
-            }
-        }
+        label_open = false;
     }
 }
 

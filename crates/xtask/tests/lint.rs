@@ -242,6 +242,22 @@ fn unlabeled_segmented_sort_is_flagged() {
 }
 
 #[test]
+fn two_launches_under_one_label_are_flagged() {
+    // The label names the first launch only; the second would show up as
+    // an anonymous kernel#N node.
+    let ws = TempWorkspace::new("onelabel");
+    ws.write(
+        "crates/algo/src/lib.rs",
+        "#![deny(unsafe_code)]\npub fn f(device: &Device, out: &mut [u32]) {\n    \
+         let _k = device.kernel_label(\"algo_fill\");\n    device.map(out, |i| i as u32);\n    \
+         let _v = device.alloc_map(4, |i| i as u32);\n}\n",
+    );
+    let f = lint_workspace(&ws.root);
+    assert_eq!(rules(&f), ["unlabeled-launch"], "{f:?}");
+    assert_eq!(f[0].line, 5);
+}
+
+#[test]
 fn labeled_launch_in_src_passes() {
     let ws = TempWorkspace::new("labeled");
     ws.write(

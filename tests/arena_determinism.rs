@@ -92,7 +92,7 @@ fn euler_tour_pipeline_bit_identical_on_warm_pool() {
             let warm =
                 EulerTour::build_from_edges_with_ranker(&shared, n, &edges, 0, ranker).unwrap();
             assert_eq!(warm.rank(), base.rank(), "{ranker:?} warm round {round}");
-            assert_eq!(warm.order(), base.order());
+            assert_eq!(warm.order(&shared), base.order(&shared));
             let fresh_dev = Device::new();
             let fresh =
                 EulerTour::build_from_edges_with_ranker(&fresh_dev, n, &edges, 0, ranker).unwrap();
