@@ -99,7 +99,8 @@ pub fn run(cfg: &Config) {
 
     let tree = random_tree(n, None, 0xAB1A);
     let tour = EulerTour::build(&device, &tree).expect("a generated tree has a tour");
-    let list = EulerList::build(&device, tour.dcel(), tour.root());
+    let list = EulerList::build(&device, tree.num_nodes(), &tree.edges(), tree.root())
+        .expect("a generated tree has a tour list");
     let h = list.len();
     let rank_with = |ranker, out: &mut [u32]| {
         assert!(rank_into(&device, &list, ranker, out), "a tour is one path");

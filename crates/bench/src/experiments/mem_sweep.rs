@@ -26,7 +26,7 @@ use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
 use bridges::forest::components_sequential;
 use bridges::UnrootedForest;
 use euler_tour::ranking::{rank_wei_jaja_into, rank_wyllie_into};
-use euler_tour::{Dcel, EulerList};
+use euler_tour::EulerList;
 use gpu_sim::{Device, DeviceConfig};
 use graph_core::EdgeList;
 use graphgen::{ba_graph, random_tree};
@@ -242,8 +242,7 @@ pub fn run(cfg: &Config) {
     let tree = random_tree(n, Some(8), 0xA11C);
     let list = {
         let build_dev = pooled_device();
-        let dcel = Dcel::build(&build_dev, n, &tree.edges());
-        EulerList::build(&build_dev, &dcel, 0)
+        EulerList::build(&build_dev, n, &tree.edges(), 0).expect("a tree has a tour list")
     };
     let h = list.len() as u64;
     let wyllie = |device: &Device| {

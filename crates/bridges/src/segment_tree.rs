@@ -4,9 +4,10 @@
 //! over the preorder interval of `v`'s subtree ("that task boils down to
 //! solving the range minimum query problem, which we do using the segment
 //! tree data structure" — §4.1). One tree holds both as `(min, max)`
-//! pairs, so a query walks one array for both answers. The tree is built
-//! level-by-level with one kernel per level, and queried by any number of
-//! threads concurrently.
+//! pairs, so a query walks one array for both answers. The caller's own
+//! launch writes the leaves in place, the internal nodes are built level by
+//! level with one kernel per level, and any number of threads may query
+//! the tree concurrently.
 
 use gpu_sim::Device;
 
@@ -27,20 +28,17 @@ pub struct SegmentTree {
 }
 
 impl SegmentTree {
-    /// Builds the tree on the device, one kernel per level.
-    pub fn build(device: &Device, values: &[(u32, u32)]) -> Self {
-        let len = values.len();
-        if len == 0 {
-            return Self {
-                data: Vec::new(),
-                len: 0,
-            };
-        }
+    /// Builds the tree over `len` leaves on the device: `fill_leaves`
+    /// writes the leaf half, one launch of the caller's, then one kernel
+    /// per level computes the internal nodes.
+    pub fn build(device: &Device, len: usize, fill_leaves: impl FnOnce(&mut [(u32, u32)])) -> Self {
         let mut data = vec![EMPTY; 2 * len];
-        // The leaf copy is a host-side read of `values` (often an arena
-        // buffer upstream) — note it for the capture plane.
-        device.capture_host_read(values);
-        data[len..].copy_from_slice(values);
+        device.capture_fresh(&data[..]);
+        device.capture_fresh(&data[len..]);
+        // The filler's launch writes the leaf half, a region of its own;
+        // declare the write on the whole array the levels read too.
+        device.capture_write(&data[..]);
+        fill_leaves(&mut data[len..]);
         // Internal nodes level by level: node i covers children 2i, 2i+1.
         // Process ranges [len/2, len), [len/4, len/2) ... each as a kernel.
         let mut hi = len; // exclusive
@@ -112,6 +110,15 @@ impl SegmentTree {
 mod tests {
     use super::*;
 
+    /// The tree over `values`, its leaves filled by one launch.
+    fn tree_of(device: &Device, values: &[(u32, u32)]) -> SegmentTree {
+        SegmentTree::build(device, values.len(), |leaves| {
+            let _k = device.kernel_label("segtree_test_leaves");
+            device.capture_read(values);
+            device.map(leaves, |i| values[i]);
+        })
+    }
+
     /// Each half of the pair folded on its own over `values[l..=r]`.
     fn naive(values: &[(u32, u32)], l: usize, r: usize) -> (u32, u32) {
         let range = &values[l..=r];
@@ -133,7 +140,7 @@ mod tests {
             let values: Vec<(u32, u32)> = (0..n)
                 .map(|_| (step() % 1_000_000, step() % 1_000_000))
                 .collect();
-            let tree = SegmentTree::build(&device, &values);
+            let tree = tree_of(&device, &values);
             for trial in 0..200 {
                 let a = step() as usize % n;
                 let b = step() as usize % n;
@@ -150,7 +157,7 @@ mod tests {
     fn single_element_ranges() {
         let device = Device::new();
         let values: Vec<(u32, u32)> = (0..100).map(|i| (99 - i, 3 * i)).collect();
-        let t = SegmentTree::build(&device, &values);
+        let t = tree_of(&device, &values);
         for (i, &expected) in values.iter().enumerate() {
             assert_eq!(t.query(i, i), expected);
         }
@@ -160,21 +167,21 @@ mod tests {
     fn full_range() {
         let device = Device::new();
         let values = [(5, 1), (2, 8), (9, 3), (7, 6)];
-        let t = SegmentTree::build(&device, &values);
+        let t = tree_of(&device, &values);
         assert_eq!(t.query(0, 3), (2, 8));
     }
 
     #[test]
     fn inverted_range_yields_identity() {
         let device = Device::new();
-        let t = SegmentTree::build(&device, &[(1, 1), (2, 2), (3, 3)]);
+        let t = tree_of(&device, &[(1, 1), (2, 2), (3, 3)]);
         assert_eq!(t.query(2, 1), EMPTY);
     }
 
     #[test]
     fn empty_tree() {
         let device = Device::new();
-        let t = SegmentTree::build(&device, &[]);
+        let t = tree_of(&device, &[]);
         assert!(t.is_empty());
         assert_eq!(t.query(0, 0), EMPTY);
     }
@@ -185,7 +192,7 @@ mod tests {
         // queries on either half.
         let device = Device::new();
         let values = [EMPTY, (4, 4), EMPTY];
-        let t = SegmentTree::build(&device, &values);
+        let t = tree_of(&device, &values);
         assert_eq!(t.query(0, 2), (4, 4));
         assert_eq!(t.query(0, 0), EMPTY);
     }

@@ -163,25 +163,22 @@ pub(crate) struct LowHigh {
 }
 
 impl LowHigh {
-    /// Permutes the per-node extremes into preorder slots and builds the
-    /// segment tree.
+    /// Builds the segment tree with the per-node extremes permuted
+    /// straight into its preorder-ordered leaves.
     pub(crate) fn build(device: &Device, pre: &[u32], extremes: &[(u32, u32)]) -> Self {
         let n = pre.len();
-        let mut by_pre = device.alloc_filled(n, EMPTY);
-        {
+        let tree = SegmentTree::build(device, n, |leaves| {
             let _k = device.kernel_label("tv_permute_by_preorder");
             device.capture_read(pre);
             device.capture_read(extremes);
-            // Preorder is a permutation of 1..=n, so each slot has one
-            // writer.
-            let by_pre_shared = device.shared(&mut by_pre);
+            // Preorder is a permutation of 1..=n, so each leaf has one
+            // writer and every leaf is written.
+            let leaves = device.shared(leaves);
             device.for_each(n, |v| {
-                by_pre_shared.write((pre[v] - 1) as usize, extremes[v]);
+                leaves.write((pre[v] - 1) as usize, extremes[v]);
             });
-        }
-        Self {
-            tree: SegmentTree::build(device, &by_pre),
-        }
+        });
+        Self { tree }
     }
 
     /// `(low, high)` of the subtree whose 1-based preorder interval is

@@ -47,7 +47,7 @@ fn a_load_builds_one_forest_and_one_tour() {
         let captured = snapshot.device.launch_graph().expect("capture is on");
         let count = |label: &str| captured.nodes.iter().filter(|n| n.label == label).count();
         assert_eq!(count("cc_hook"), 1, "{name}: union-find forests built");
-        assert_eq!(count("tour_succ"), 1, "{name}: Euler tours built");
+        assert_eq!(count("tour_heads"), 1, "{name}: Euler tours built");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

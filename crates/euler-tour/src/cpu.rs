@@ -3,7 +3,7 @@
 //! GPU pipeline.
 //!
 //! The traversal deliberately visits children in the *same order as the
-//! DCEL-derived tour*: sorted neighbor lists, walked cyclically starting
+//! device tour list*: sorted neighbor lists, walked cyclically starting
 //! just after the edge the traversal arrived on. This makes every array
 //! (including preorder) bit-for-bit comparable with
 //! [`crate::stats::TreeStats::compute`].

@@ -6,21 +6,23 @@
 //!
 //! The pipeline follows the paper exactly:
 //!
-//! 1. **DCEL construction** (§2.1, [`dcel`]): from an unordered collection
-//!    of undirected edges, build `twin`/`next` pointers by grouping all
-//!    half-edges in lexicographic order with graph-core's
-//!    [`HalfEdgePlacement`](graph_core::HalfEdgePlacement), then linking
-//!    each node's sorted run in one launch.
-//! 2. **Tour as a linked list** ([`list`]): `succ(e) = next(twin(e))`,
-//!    split at an arbitrary edge leaving the chosen root.
-//! 3. **One list ranking** (§2.2, [`ranking`]): convert the list into
+//! 1. **Tour as a linked list** (§2.1, [`list`]): from an unordered
+//!    collection of undirected edges, group all half-edges in
+//!    lexicographic order with graph-core's
+//!    [`HalfEdgePlacement`](graph_core::HalfEdgePlacement), then link each
+//!    node's sorted run in one launch straight into the tour successor
+//!    `succ(e) = next(twin(e))`, where `next` is the DCEL's cyclic order of
+//!    the half-edges leaving a node. The cycle is split at the chosen
+//!    root's first half-edge, and the link reports whether every node has
+//!    one.
+//! 2. **One list ranking** (§2.2, [`ranking`]): convert the list into
 //!    array form, each half-edge's tour position. We provide the
 //!    sequential baseline, Wyllie pointer jumping (O(n log n) work) and
 //!    the GPU-optimized Wei–JáJá algorithm (O(n) work) the paper uses.
 //!    Each also reports whether the list was one path over every
 //!    half-edge, which, with every node touched by an edge, proves the
 //!    input a spanning tree.
-//! 4. **Array scans** ([`stats`]): preorder numbers, subtree sizes, node
+//! 3. **Array scans** ([`stats`]): preorder numbers, subtree sizes, node
 //!    levels and parents via the fast scan primitive — the paper's key
 //!    optimization ("perform all the following prefix sum calculations on
 //!    the Euler tour by using a fast scan primitive on the array"). The
@@ -47,14 +49,12 @@
 #![warn(missing_docs)]
 
 pub mod cpu;
-pub mod dcel;
 pub mod list;
 pub mod ranking;
 pub mod stats;
 pub mod tour;
 
-pub use dcel::{twin, Dcel};
-pub use list::EulerList;
+pub use list::{twin, EulerList};
 pub use ranking::{
     default_sublist_target, list_prefix_sum, rank_into, rank_wei_jaja_into, rank_wyllie_into,
     Ranker,

@@ -21,8 +21,8 @@
 //! element**, from work it does anyway: the sequential walk counts what it
 //! visits, Wyllie watches every pointer reach the end, and Wei–JáJá's
 //! phase 2 checks that its chain of sublists terminates after exactly `n`
-//! elements. A list built from a DCEL whose edges are not a spanning tree
-//! fails that test, so [`crate::EulerTour`] rejects such inputs from the
+//! elements. A list whose edges touch every node but are not a spanning
+//! tree fails that test, so [`crate::EulerTour`] rejects such inputs from the
 //! verdict without a pass of its own. On `false` the output is unspecified.
 
 use crate::list::{EulerList, NIL};
@@ -446,7 +446,6 @@ pub fn rank_wei_jaja_with_sublists_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcel::Dcel;
     use crate::list::EulerList;
 
     /// Builds an Euler list for a deterministic pseudo-random tree.
@@ -461,8 +460,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..n as u64)
             .map(|v| ((step() % v) as u32, v as u32))
             .collect();
-        let dcel = Dcel::build(device, n, &edges);
-        EulerList::build(device, &dcel, 0)
+        EulerList::build(device, n, &edges, 0).unwrap()
     }
 
     fn assert_ranks_match(list: &EulerList, rank: &[u32]) {
@@ -507,8 +505,7 @@ mod tests {
         let device = Device::new();
         let n = 30_000usize;
         let edges: Vec<(u32, u32)> = (1..n as u32).map(|v| (v - 1, v)).collect();
-        let dcel = Dcel::build(&device, n, &edges);
-        let list = EulerList::build(&device, &dcel, 0);
+        let list = EulerList::build(&device, n, &edges, 0).unwrap();
         let rank = rank_wei_jaja(&device, &list).unwrap();
         assert_ranks_match(&list, &rank);
     }

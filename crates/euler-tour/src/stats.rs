@@ -16,8 +16,9 @@
 //!   `level(v) = 2·D(p) − p − 1` (root = 0) with no second scan;
 //! * **subtree size** — no scan needed: the tour enters `v` at position `p`
 //!   and leaves at `q = rank(twin)`, and `size(v) = (q − p + 1) / 2`;
-//! * **parent** — the tail of the down-edge into `v`.
+//! * **parent** — the tail of the down-edge into `v`, the head of its twin.
 
+use crate::list::twin;
 use crate::tour::EulerTour;
 use gpu_sim::Device;
 use graph_core::ids::{NodeId, INVALID_NODE};
@@ -52,7 +53,7 @@ impl TreeStats {
         }
         let h = tour.len();
         let rank = tour.rank();
-        let dcel = tour.dcel();
+        let heads = tour.heads();
         // Edge j's down half-edge, its tour position and its twin's: the
         // half-edge ranked first goes down.
         let down_edge = |j: usize| {
@@ -107,11 +108,10 @@ impl TreeStats {
 
         {
             let _k = device.kernel_label("tree_stats_scatter");
-            // Closure-side inputs: the ranks, the scan and the endpoints.
+            // Closure-side inputs: the ranks, the scan and the heads.
             device.capture_read(rank);
             device.capture_read(&pre_scan[..]);
-            device.capture_read(&dcel.heads);
-            device.capture_read(&dcel.tails);
+            device.capture_read(heads);
             // Each non-root node has exactly one down-edge, so targets are
             // distinct across virtual threads.
             let pre_shared = device.shared(&mut preorder);
@@ -121,14 +121,14 @@ impl TreeStats {
             let pre_scan = &pre_scan;
             device.for_each(n - 1, |j| {
                 let (e, p, q) = down_edge(j);
-                let v = dcel.heads[e] as usize;
+                let v = heads[e] as usize;
                 let d = pre_scan[p as usize];
                 pre_shared.write(v, d + 1);
                 size_shared.write(v, (q - p).div_ceil(2));
                 // 2·D(p) can pass u32::MAX on a tree of over 2^31
                 // nodes; the level itself cannot.
                 level_shared.write(v, (2 * u64::from(d) - u64::from(p) - 1) as u32);
-                parent_shared.write(v, dcel.tails[e]);
+                parent_shared.write(v, heads[twin(e as u32) as usize]);
             });
         }
 

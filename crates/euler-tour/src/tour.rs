@@ -1,17 +1,18 @@
-//! The [`EulerTour`] facade: DCEL → successor list → one list ranking
-//! (§2.2's central optimization).
+//! The [`EulerTour`] facade: tour list → one list ranking (§2.2's central
+//! optimization) → each half-edge's head.
 //!
 //! The ranking is the tour in array form: `rank[e]` is half-edge `e`'s
 //! position, and edge `j`'s two ranks sit side by side at `rank[2j]` and
 //! `rank[2j + 1]`, so the statistics kernels ([`crate::stats`]) read them
-//! by edge. No pipeline needs the inverse, the half-edge at each
-//! position; [`EulerTour::order`] builds it on request.
+//! by edge. Beside it the tour keeps one node per half-edge, its head; the
+//! tail of `e` is the head of `twin(e)`. No pipeline needs the inverse of
+//! the ranking, the half-edge at each position; [`EulerTour::order`]
+//! builds it on request.
 
-use crate::dcel::{twin, Dcel};
-use crate::list::EulerList;
+use crate::list::{twin, EulerList};
 use crate::ranking::{rank, Ranker};
 use gpu_sim::Device;
-use graph_core::ids::{NodeId, INVALID_NODE};
+use graph_core::ids::NodeId;
 use graph_core::Tree;
 
 /// Errors from Euler tour construction.
@@ -28,8 +29,8 @@ pub enum TourError {
         /// Edges required (`n - 1`).
         expected: usize,
     },
-    /// The edges do not form a spanning tree (detected as a broken tour or
-    /// a node no edge touches).
+    /// The edges do not form a spanning tree (detected as a node no edge
+    /// touches or a broken tour).
     NotASpanningTree,
 }
 
@@ -58,9 +59,10 @@ impl std::error::Error for TourError {}
 pub struct EulerTour {
     num_nodes: usize,
     root: NodeId,
-    dcel: Dcel,
     /// `rank[e]` = tour position of half-edge `e`.
     rank: Vec<u32>,
+    /// `heads[e]` = the node half-edge `e` enters.
+    heads: Vec<NodeId>,
 }
 
 impl EulerTour {
@@ -122,12 +124,12 @@ impl EulerTour {
             return Ok(Self {
                 num_nodes,
                 root,
-                dcel: Dcel::build(device, 1, &[]),
                 rank: Vec::new(),
+                heads: Vec::new(),
             });
         }
         // An endpoint out of range or a self-loop cannot be a tree edge;
-        // checked before the DCEL, which indexes by endpoint.
+        // checked before the tour list, which indexes by endpoint.
         let bad_edge = {
             let _k = device.kernel_label("tour_edge_check");
             device.capture_read(edges);
@@ -145,31 +147,41 @@ impl EulerTour {
             return Err(TourError::NotASpanningTree);
         }
 
-        // The spanning-tree proof. The ranker reports whether the tour list
-        // is one path over all 2(n − 1) half-edges: then the DCEL's rotation
-        // system has one face, and the face walk only moves between edges
-        // that share a node, so every edge lies in one component. A node
-        // with no half-edge would sit outside it (`first` is INVALID_NODE,
-        // i.e. u32::MAX, exactly there), and with every node covered the
+        // The spanning-tree proof. The link reports whether every node has
+        // a half-edge, and the ranker whether the tour list is one path over
+        // all 2(n − 1) half-edges: then the rotation system has one face,
+        // and the face walk only moves between edges that share a node, so
+        // every edge lies in one component. With every node in it, the
         // n − 1 edges connect all n nodes: a spanning tree. One face alone
         // is not enough — three parallel edges between two of four nodes
         // form one face and leave two nodes isolated.
-        let dcel = Dcel::build(device, num_nodes, edges);
-        let uncovered = {
-            let _k = device.kernel_label("tour_node_coverage");
-            device.reduce_max_u32(&dcel.first) == INVALID_NODE
+        let rank = {
+            let list = EulerList::build(device, num_nodes, edges, root)
+                .ok_or(TourError::NotASpanningTree)?;
+            rank(device, &list, ranker).ok_or(TourError::NotASpanningTree)?
         };
-        if uncovered {
-            return Err(TourError::NotASpanningTree);
+
+        // Half-edge 2j enters edges[j].1 and 2j + 1 enters edges[j].0.
+        let mut heads = vec![0 as NodeId; rank.len()];
+        device.capture_fresh(&heads[..]);
+        {
+            let _k = device.kernel_label("tour_heads");
+            device.capture_read(edges);
+            device.map(&mut heads, |e| {
+                let (u, v) = edges[e / 2];
+                if e % 2 == 0 {
+                    v
+                } else {
+                    u
+                }
+            });
         }
-        let list = EulerList::build(device, &dcel, root);
-        let rank = rank(device, &list, ranker).ok_or(TourError::NotASpanningTree)?;
 
         Ok(Self {
             num_nodes,
             root,
-            dcel,
             rank,
+            heads,
         })
     }
 
@@ -193,14 +205,15 @@ impl EulerTour {
         self.rank.is_empty()
     }
 
-    /// The underlying DCEL.
-    pub fn dcel(&self) -> &Dcel {
-        &self.dcel
-    }
-
     /// `rank[e]` = tour position of half-edge `e`.
     pub fn rank(&self) -> &[u32] {
         &self.rank
+    }
+
+    /// `heads[e]` = the node half-edge `e` enters; its tail is
+    /// `heads[twin(e)]`.
+    pub fn heads(&self) -> &[NodeId] {
+        &self.heads
     }
 
     /// The tour as a sequence of half-edges: `order[p]` = half-edge at
@@ -237,6 +250,8 @@ mod tests {
     use super::*;
     use graph_core::ids::INVALID_NODE;
 
+    const RANKERS: [Ranker; 3] = [Ranker::Sequential, Ranker::Wyllie, Ranker::WeiJaJa];
+
     fn paper_tour(device: &Device) -> EulerTour {
         EulerTour::build_from_edges(device, 6, &[(0, 2), (0, 3), (0, 4), (2, 1), (2, 5)], 0)
             .unwrap()
@@ -257,10 +272,10 @@ mod tests {
     fn down_edges_match_direction() {
         let device = Device::new();
         let tour = paper_tour(&device);
-        let dcel = tour.dcel();
+        let heads = tour.heads();
         // Down half-edges of the paper tree point 0→{2,3,4} and 2→{1,5}.
         for e in 0..tour.len() as u32 {
-            let (t, h) = (dcel.tails[e as usize], dcel.heads[e as usize]);
+            let (t, h) = (heads[twin(e) as usize], heads[e as usize]);
             let expected_down = matches!((t, h), (0, 2) | (0, 3) | (0, 4) | (2, 1) | (2, 5));
             assert_eq!(tour.is_down(e), expected_down, "half-edge ({t},{h})");
         }
@@ -332,13 +347,18 @@ mod tests {
     #[test]
     fn one_face_with_isolated_nodes_is_rejected() {
         // Three parallel edges between 0 and 3: the rotation system has one
-        // face over all six half-edges, so the tour list is one path, but
-        // nodes 1 and 2 have no edge. Only the coverage check rejects it.
+        // face over all six half-edges, but nodes 1 and 2 have no edge.
+        // Over nodes 0 and 1 instead, the same edges link the same runs
+        // into the same list, and every ranker accepts it as one path. Only
+        // the link's coverage verdict rejects the four-node input.
         let device = Device::new();
+        let one_face = EulerList::build(&device, 2, &[(0, 1), (1, 0), (1, 0)], 0).unwrap();
+        for ranker in RANKERS {
+            assert!(rank(&device, &one_face, ranker).is_some(), "{ranker:?}");
+        }
         let edges = [(0, 3), (3, 0), (3, 0)];
-        let list = EulerList::build(&device, &Dcel::build(&device, 4, &edges), 0);
-        assert!(crate::ranking::rank_sequential(&list).is_some());
-        for ranker in [Ranker::Sequential, Ranker::Wyllie, Ranker::WeiJaJa] {
+        assert!(EulerList::build(&device, 4, &edges, 0).is_none());
+        for ranker in RANKERS {
             let err =
                 EulerTour::build_from_edges_with_ranker(&device, 4, &edges, 0, ranker).unwrap_err();
             assert_eq!(err, TourError::NotASpanningTree, "{ranker:?}");

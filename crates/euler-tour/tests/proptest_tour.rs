@@ -2,7 +2,7 @@
 //! deliberately hostile device configuration (tiny blocks, parallel paths
 //! forced).
 
-use euler_tour::{cpu, EulerTour, Ranker, TreeStats};
+use euler_tour::{cpu, twin, EulerTour, Ranker, TreeStats};
 use gpu_sim::{Device, DeviceConfig};
 use graph_core::ids::INVALID_NODE;
 use graph_core::Tree;
@@ -37,18 +37,16 @@ proptest! {
     fn tour_is_a_closed_walk(tree in arb_tree(200)) {
         let device = small_device();
         let tour = EulerTour::build(&device, &tree).unwrap();
-        let dcel = tour.dcel();
+        let heads = tour.heads();
+        let tail = |e: u32| heads[twin(e) as usize];
         let order = tour.order(&device);
         // Consecutive edges chain head-to-tail; the walk starts and ends at
         // the root.
-        prop_assert_eq!(dcel.tails[order[0] as usize], tree.root());
+        prop_assert_eq!(tail(order[0]), tree.root());
         for w in order.windows(2) {
-            prop_assert_eq!(
-                dcel.heads[w[0] as usize],
-                dcel.tails[w[1] as usize]
-            );
+            prop_assert_eq!(heads[w[0] as usize], tail(w[1]));
         }
-        prop_assert_eq!(dcel.heads[*order.last().unwrap() as usize], tree.root());
+        prop_assert_eq!(heads[*order.last().unwrap() as usize], tree.root());
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! a 16-element sequential threshold, so the CSR placement, ranking, the
 //! per-edge statistics kernels and the preorder scan take their
 //! multi-block parallel paths — must equal the sequential DFS oracle, and
-//! the DCEL must equal the paper's sorted-half-edge construction done on
-//! the host.
+//! the tour list must equal the paper's sorted-half-edge construction done
+//! on the host.
 
 use euler_tour::cpu::sequential_stats;
-use euler_tour::{Dcel, EulerTour, TreeStats};
+use euler_tour::list::NIL;
+use euler_tour::{twin, EulerList, EulerTour, TreeStats};
 use gpu_sim::{Device, DeviceConfig};
 use graph_core::ids::INVALID_NODE;
 use graph_core::Tree;
@@ -76,7 +77,7 @@ fn reference_dcel(num_nodes: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>
 }
 
 /// `tree`'s edges in a scrambled order, each flipped with probability 1/2:
-/// the DCEL's input is an unordered collection of undirected edges.
+/// the tour's input is an unordered collection of undirected edges.
 fn scrambled_edges(tree: &Tree, seed: u64) -> Vec<(u32, u32)> {
     let mut edges = tree.edges();
     let mut state = seed;
@@ -116,10 +117,26 @@ fn dcel_matches_the_host_sorted_half_edges() {
     for threads in [1, 4] {
         let device = small_grid_of(threads);
         for (n, edges) in &shapes {
-            let dcel = Dcel::build(&device, *n, edges);
             let (next, first) = reference_dcel(*n, edges);
-            assert_eq!(dcel.next, next, "next: n={n}, width {threads}");
-            assert_eq!(dcel.first, first, "first: n={n}, width {threads}");
+            for root in [0, *n - 1] {
+                // succ = next ∘ twin, split before the root's first
+                // half-edge; no list if a node has no half-edge.
+                let expected = (!first.contains(&INVALID_NODE)).then(|| {
+                    let head = first[root];
+                    let mut succ: Vec<u32> = (0..next.len() as u32)
+                        .map(|e| next[twin(e) as usize])
+                        .collect();
+                    let tail = succ.iter().position(|&s| s == head).unwrap();
+                    succ[tail] = NIL;
+                    (succ, head, tail as u32)
+                });
+                let list = EulerList::build(&device, *n, edges, root as u32);
+                assert_eq!(
+                    list.map(|list| (list.succ, list.head, list.tail)),
+                    expected,
+                    "n={n}, root {root}, width {threads}"
+                );
+            }
         }
     }
 }

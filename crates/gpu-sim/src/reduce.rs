@@ -15,7 +15,9 @@ impl Device {
     }
 
     /// Fused transform + reduce: reduces `gen(0) … gen(n-1)` without
-    /// materializing the generated array. `gen` must be pure.
+    /// materializing the generated array. `gen` runs exactly once per
+    /// index, so like a [`Device::for_each`] body it may also write
+    /// through a [`Device::shared`] view, one writer per slot.
     pub fn map_reduce<T, G, F>(&self, n: usize, gen: G, identity: T, op: F) -> T
     where
         T: Copy + Send + Sync,

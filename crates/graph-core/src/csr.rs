@@ -7,8 +7,8 @@
 //!
 //! On the device both copies come from one [`HalfEdgePlacement`]: the 2m
 //! arcs grouped by tail, each run sorted. [`Csr::from_pairs_on`] unpacks
-//! it into the adjacency arrays, and the Euler tour's DCEL links its runs
-//! directly.
+//! it into the adjacency arrays, and the Euler tour links its runs
+//! directly into the tour successor.
 
 use crate::edge_list::EdgeList;
 use crate::ids::{EdgeId, NodeId};
@@ -338,8 +338,9 @@ impl Csr {
 /// Each run is sorted, so it orders by (head, edge id).
 ///
 /// The one placement both adjacency builds read: [`Csr::from_pairs_on`]
-/// unpacks it, and the Euler tour's DCEL links each run into a node's
-/// cyclic list of outgoing half-edges (paper §2.1).
+/// unpacks it, and the Euler tour reads each run as a node's cyclic list
+/// of outgoing half-edges (paper §2.1) and links it into the tour
+/// successor.
 #[derive(Debug)]
 pub struct HalfEdgePlacement {
     /// Run boundaries, `n + 1` of them; `offsets[n] = 2m`.

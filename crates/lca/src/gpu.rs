@@ -1,7 +1,7 @@
 //! GPU Inlabel — the paper's theoretically optimal algorithm on the
 //! simulated device.
 //!
-//! Preprocessing: Euler tour (DCEL → one list ranking → scans) yields
+//! Preprocessing: Euler tour (tour list → one list ranking → scans) yields
 //! preorder, subtree size, level and parent; O(1)-per-node kernels build the
 //! inlabel/ascendant/head tables. Queries: one virtual thread per query,
 //! O(1) each.

@@ -49,7 +49,7 @@ impl<'d> GpuRmqLca<'d> {
         // Node-level walk from the edge-level tour: the walk starts at the
         // root and then visits the head of every tour edge in order.
         let walk_len = 2 * n - 1;
-        let heads = &tour.dcel().heads;
+        let heads = tour.heads();
         let order = tour.order(device);
         let root = tour.root();
         let euler = {
@@ -74,11 +74,15 @@ impl<'d> GpuRmqLca<'d> {
         // First occurrence: the root sits at position 0; every other node is
         // first entered through its unique down edge, one write per node.
         let mut first = vec![0u32; n];
+        device.capture_fresh(&first[..]);
         {
             let _k = device.kernel_label("rmq_first_occurrence");
+            let rank = tour.rank();
+            // The ranks and heads feed the closure.
+            device.capture_read(rank);
+            device.capture_read(heads);
             // Each non-root node has exactly one down edge.
             let shared = device.shared(&mut first);
-            let rank = tour.rank();
             device.for_each(tour.len(), |e| {
                 let e = e as u32;
                 if rank[e as usize] < rank[twin(e) as usize] {
@@ -211,6 +215,45 @@ mod tests {
         for v in 0..500 {
             assert_eq!(gpu.euler[gpu.first[v] as usize], v as u32);
         }
+    }
+
+    #[test]
+    fn first_occurrence_declares_its_closure_reads() {
+        // The kernel reads the ranks and the heads inside its closure, so
+        // its captured node must read the region `tour_order` reads (the
+        // ranks) and the one `tour_heads` writes, and write `first`.
+        use gpu_sim::launch_graph::{mask_reads, mask_writes};
+        let device = Device::with_config(gpu_sim::DeviceConfig {
+            capture: gpu_sim::CaptureMode::On,
+            ..Default::default()
+        });
+        let n = 5000;
+        GpuRmqLca::preprocess(&device, &random_tree(n, 12)).unwrap();
+        let graph = device.launch_graph().expect("capture is on");
+        let regions = |label: &str, side: fn(u8) -> bool| -> Vec<u32> {
+            let node = graph.nodes.iter().find(|node| node.label == label);
+            let node = node.unwrap_or_else(|| panic!("no {label} launch"));
+            node.accesses
+                .iter()
+                .filter(|&(_, &mask)| side(mask))
+                .map(|(&region, _)| region)
+                .collect()
+        };
+        let reads = regions("rmq_first_occurrence", mask_reads);
+        let rank = regions("tour_order", mask_reads);
+        let heads = regions("tour_heads", mask_writes);
+        assert_eq!((rank.len(), heads.len()), (1, 1));
+        assert!(
+            reads.contains(&rank[0]),
+            "the ranks are not read: {reads:?}"
+        );
+        assert!(
+            reads.contains(&heads[0]),
+            "the heads are not read: {reads:?}"
+        );
+        let writes = regions("rmq_first_occurrence", mask_writes);
+        let first = graph.regions.iter().find(|r| r.id == writes[0]).unwrap();
+        assert_eq!((writes.len(), first.len), (1, n));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * [`gpu_sim`] — the simulated device and its moderngpu-style primitives;
 //! * [`graph_core`] — CSR graphs, edge lists, rooted trees, bitsets;
-//! * [`euler_tour`] — DCEL construction, list ranking, tour arrays and tree
-//!   statistics (the paper's §2);
+//! * [`euler_tour`] — the tour as a linked list, list ranking, tour arrays
+//!   and tree statistics (the paper's §2);
 //! * [`lca`] — Schieber–Vishkin Inlabel on three substrates plus the naïve
 //!   GPU walker and the RMQ baseline (§3);
 //! * [`bridges`] — Tarjan–Vishkin, Chaitanya–Kothapalli, the hybrid and the

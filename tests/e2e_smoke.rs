@@ -1,5 +1,5 @@
 //! End-to-end smoke test of the paper's full pipeline on small random
-//! inputs: graphgen tree → DCEL → Euler tour list ranking → tree statistics
+//! inputs: graphgen tree → Euler tour list → list ranking → tree statistics
 //! → batched LCA → bridges, each stage validated against its sequential
 //! oracle (`rank_sequential`, `sequential_stats`, `BruteLca`, DFS bridges).
 //!
@@ -7,7 +7,6 @@
 //! single fast target proves the stages still *compose*.
 
 use euler_meets_gpu::prelude::*;
-use euler_tour::dcel::Dcel;
 use euler_tour::list::EulerList;
 use euler_tour::ranking::{rank, rank_sequential, Ranker};
 use rand::rngs::SmallRng;
@@ -22,8 +21,7 @@ fn pipeline_stages_compose_on_random_trees() {
 
         // Stage 1: Euler tour list, ranked by all three rankers; the
         // sequential walk is the oracle.
-        let dcel = Dcel::build(&device, n, &tree.edges());
-        let list = EulerList::build(&device, &dcel, tree.root());
+        let list = EulerList::build(&device, n, &tree.edges(), tree.root()).unwrap();
         let oracle_rank = rank_sequential(&list);
         assert!(
             oracle_rank.is_some(),

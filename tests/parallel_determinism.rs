@@ -1,5 +1,5 @@
 //! End-to-end determinism across pool widths: the full paper pipeline
-//! (DCEL → Euler list → list ranking → tree stats → batched LCA → bridges)
+//! (Euler list → list ranking → tree stats → batched LCA → bridges)
 //! must produce bit-identical results on a 1-worker and a 4-worker device.
 //!
 //! The Wei–JáJá sublist heuristic *does* consult the worker count, so the
@@ -8,7 +8,6 @@
 //! defined, and the engine combines all partial results in source order.
 
 use euler_meets_gpu::prelude::*;
-use euler_tour::dcel::Dcel;
 use euler_tour::list::EulerList;
 use euler_tour::ranking::{rank_wei_jaja, rank_wyllie};
 use rand::rngs::SmallRng;
@@ -31,10 +30,8 @@ fn list_ranking_bit_identical_across_thread_counts() {
         let n = 2_000 + 511 * seed as usize;
         let tree = random_tree(n, None, seed);
 
-        let dcel1 = Dcel::build(&d1, n, &tree.edges());
-        let dcel4 = Dcel::build(&d4, n, &tree.edges());
-        let list1 = EulerList::build(&d1, &dcel1, tree.root());
-        let list4 = EulerList::build(&d4, &dcel4, tree.root());
+        let list1 = EulerList::build(&d1, n, &tree.edges(), tree.root()).unwrap();
+        let list4 = EulerList::build(&d4, n, &tree.edges(), tree.root()).unwrap();
 
         assert_eq!(
             rank_wyllie(&d1, &list1).unwrap(),
