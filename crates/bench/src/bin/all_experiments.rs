@@ -21,7 +21,6 @@ fn main() {
     euler_bench::experiments::io_sweep::run(&cfg);
     euler_bench::experiments::mem_sweep::run(&cfg);
     euler_bench::experiments::sanitize_sweep::run(&cfg);
-    euler_bench::experiments::scan_war::run(&cfg);
     euler_bench::experiments::qps_sweep::run(&cfg);
     euler_bench::experiments::chaos_sweep::run(&cfg);
     euler_bench::experiments::graph_audit::run(&cfg);

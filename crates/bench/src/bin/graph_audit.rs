@@ -1,5 +1,4 @@
-//! Graph audit: launch-capture overhead on-vs-off plus the static
-//! analyzer's per-pipeline counts (host-independent, pinned 4-worker grid).
+//! Graph audit: launch-capture overhead, capture on vs off.
 fn main() {
     let cfg = euler_bench::Config::from_args();
     euler_bench::experiments::graph_audit::run(&cfg);

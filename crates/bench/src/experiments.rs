@@ -18,7 +18,6 @@ pub mod mem_sweep;
 pub mod prelim_rmq;
 pub mod qps_sweep;
 pub mod sanitize_sweep;
-pub mod scan_war;
 pub mod table1;
 
 pub(crate) mod lca_common;

@@ -1,32 +1,22 @@
-//! Graph audit: what the launch-capture plane costs and what it sees.
+//! Graph audit: what the launch-capture plane costs.
 //!
-//! Two sections:
-//!
-//! * **overhead** — the same pipeline entry point the golden gate uses
-//!   (`emg_cli::analyze::run_pipeline`) raced on a capture-off vs a
-//!   capture-on device. Capture's per-launch work is a mutex-guarded
-//!   region/label bookkeeping pass, so the gap prices the plane for
-//!   anyone tempted to leave `EMG_CAPTURE=1` on in production runs.
-//! * **pipelines** — every shipped pipeline captured once at the
-//!   canonical 4-worker grid, with the analyzer's verdict emitted as
-//!   JSONL fields (launches, regions, dependence-edge counts, hazards,
-//!   whitelisted conflicts, dead bytes, fused launches, fusion
-//!   candidates). CI pins the same structure via `ci/golden_graphs/`;
-//!   this emits it in benchmark form so regressions show up next to the
-//!   timing data they explain.
-//!
-//! Counts are host-independent: devices pin `threads = Some(4)` like the
-//! golden graphs and `ci/launch_baseline.json` do.
+//! The same pipeline entry point the golden gate uses
+//! (`emg_cli::analyze::run_pipeline`) raced on a capture-off vs a
+//! capture-on device. Capture's per-launch work is a mutex-guarded
+//! region/label bookkeeping pass, so the gap prices the plane for anyone
+//! tempted to leave `EMG_CAPTURE=1` on in production runs. What capture
+//! sees — each pipeline's launch graph and modeled traffic — is pinned by
+//! the `analyze_pipelines` test against `ci/golden_graphs/`.
 
 use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
-use emg_cli::analyze::{capture_pipeline, run_pipeline, PIPELINES};
+use emg_cli::analyze::run_pipeline;
 use gpu_sim::{CaptureMode, Device, DeviceConfig};
 use std::time::Duration;
 
-/// The pipeline the overhead section races. The TV bridge pipeline is the
-/// longest shipped launch sequence, so it gives capture the most
-/// bookkeeping work per wall-clock second.
+/// The pipeline the audit races. The TV bridge pipeline is the longest
+/// shipped launch sequence, so it gives capture the most bookkeeping work
+/// per wall-clock second.
 const OVERHEAD_PIPELINE: &str = "tv_bridges_uf";
 
 /// A pinned 4-worker device with capture on or off.
@@ -50,25 +40,11 @@ fn drive(device: &Device, repeats: usize) -> Vec<Duration> {
     samples
 }
 
-/// Runs the audit: capture overhead, then per-pipeline analyzer counts.
+/// Runs the audit: the pipeline with capture off, then on.
 pub fn run(cfg: &Config) {
     let repeats = cfg.repeats.max(3);
-    let mut table = Table::new(
-        "Graph audit: capture-plane overhead + per-pipeline analyzer counts",
-        &[
-            "section",
-            "pipeline",
-            "mean",
-            "launches",
-            "regions",
-            "raw/war/waw",
-            "hazards",
-            "dead B",
-            "fusion",
-        ],
-    );
+    let mut table = Table::new("Graph audit: capture-plane overhead", &["pipeline", "mean"]);
 
-    // ---- overhead: capture off vs on -----------------------------------
     let mut means = [0.0f64; 2];
     for (slot, (mode, mode_name)) in [(CaptureMode::Off, "off"), (CaptureMode::On, "on")]
         .into_iter()
@@ -78,15 +54,8 @@ pub fn run(cfg: &Config) {
         let (mean, std) = mean_std(&samples);
         means[slot] = mean;
         table.row(vec![
-            "overhead".to_string(),
             format!("{OVERHEAD_PIPELINE}/capture_{mode_name}"),
             fmt_secs(mean),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
         ]);
         emit_bench_json_fields(
             "graph_audit",
@@ -104,49 +73,6 @@ pub fn run(cfg: &Config) {
         1.0
     };
 
-    // ---- pipelines: analyzer verdict per shipped pipeline ---------------
-    for pipeline in PIPELINES {
-        let (graph, d) = time(|| capture_pipeline(pipeline, 4).expect("capture failed"));
-        let a = graph.analyze();
-        let launches = graph.launch_count() as f64;
-        table.row(vec![
-            "pipelines".to_string(),
-            (*pipeline).to_string(),
-            fmt_secs(d.as_secs_f64()),
-            graph.launch_count().to_string(),
-            graph.regions.len().to_string(),
-            format!("{}/{}/{}", a.deps.raw, a.deps.war, a.deps.waw),
-            a.hazards.len().to_string(),
-            a.dead_bytes.to_string(),
-            a.fusion_candidates.len().to_string(),
-        ]);
-        emit_bench_json_fields(
-            "graph_audit",
-            &format!("pipelines/{pipeline}"),
-            d.as_secs_f64(),
-            0.0,
-            1,
-            None,
-            &[
-                ("launches", launches),
-                ("fused_launches", a.fused_launches as f64),
-                ("regions", graph.regions.len() as f64),
-                ("deps_raw", a.deps.raw as f64),
-                ("deps_war", a.deps.war as f64),
-                ("deps_waw", a.deps.waw as f64),
-                ("hazards", a.hazards.len() as f64),
-                ("whitelisted", a.whitelisted as f64),
-                ("dead_bytes", a.dead_bytes as f64),
-                ("dead_writes", a.dead_writes.len() as f64),
-                ("fusion_candidates", a.fusion_candidates.len() as f64),
-            ],
-        );
-        assert!(
-            a.hazards.is_empty() && a.dead_bytes == 0,
-            "{pipeline}: analyzer found hazards or dead writes"
-        );
-    }
-
     table.print();
     let _ = table.write_csv(&cfg.out_dir, "graph_audit");
     println!(
@@ -154,8 +80,6 @@ pub fn run(cfg: &Config) {
          expected shape: capture pays per launch (region/label bookkeeping\n\
          behind a mutex), not per element, so the ratio is a few x at this\n\
          tiny audit workload and amortizes toward 1 as inputs grow — which\n\
-         is why capture is opt-in, not default. Every pipeline row shows\n\
-         zero hazards and zero dead bytes: the same invariant\n\
-         `cargo run -p xtask -- analyze` pins bit-exactly.\n"
+         is why capture is opt-in, not default.\n"
     );
 }

@@ -318,21 +318,6 @@ pub fn bcc_sequential(graph: &EdgeList, csr: &Csr) -> BccResult {
     }
 }
 
-/// Articulation points derived from biconnected component labels: a vertex
-/// is a cut vertex iff it is incident to edges of at least two different
-/// non-self-loop components.
-pub fn articulation_points_from_bcc(graph: &EdgeList, csr: &Csr, bcc: &BccResult) -> BitSet {
-    let n = graph.num_nodes();
-    let edges = graph.edges();
-    let mut is_cut = BitSet::new(n);
-    for v in 0..n as u32 {
-        if vertex_is_cut(v, edges, csr, &bcc.component) {
-            is_cut.set(v as usize, true);
-        }
-    }
-    is_cut
-}
-
 /// Whether `v` touches two different non-self-loop components.
 #[inline]
 fn vertex_is_cut(v: u32, edges: &[(NodeId, NodeId)], csr: &Csr, component: &[u32]) -> bool {
@@ -352,9 +337,11 @@ fn vertex_is_cut(v: u32, edges: &[(NodeId, NodeId)], csr: &Csr, component: &[u32
     false
 }
 
-/// Device-parallel articulation points: one virtual thread per vertex
-/// scanning its incidence list (work O(m), depth O(max degree) — the same
-/// per-thread shape as the TV bridge predicate kernel).
+/// Articulation points derived from biconnected component labels: a vertex
+/// is a cut vertex iff it is incident to edges of at least two different
+/// non-self-loop components. One virtual thread per vertex scans its
+/// incidence list (work O(m), depth O(max degree) — the same per-thread
+/// shape as the TV bridge predicate kernel).
 pub fn articulation_points_device(
     device: &Device,
     graph: &EdgeList,
@@ -394,7 +381,7 @@ mod tests {
         assert_eq!(par.num_components, seq.num_components);
 
         // Cross-check articulation points against the low-link oracle.
-        let from_bcc = articulation_points_from_bcc(&graph, &csr, &par);
+        let from_bcc = articulation_points_device(&device, &graph, &csr, &par);
         let oracle = articulation_points_dfs(&graph, &csr);
         for v in 0..n {
             assert_eq!(from_bcc.get(v), oracle.get(v), "cut vertex {v}");
@@ -571,7 +558,7 @@ mod tests {
             let graph = EdgeList::new(n, edges);
             let csr = Csr::from_edge_list(&graph);
             let bcc = bcc_tv(&device, &graph, &csr).unwrap();
-            let seq = articulation_points_from_bcc(&graph, &csr, &bcc);
+            let seq = articulation_points_dfs(&graph, &csr);
             let dev = articulation_points_device(&device, &graph, &csr, &bcc);
             for v in 0..n {
                 assert_eq!(seq.get(v), dev.get(v), "vertex {v}");

@@ -56,9 +56,7 @@ pub mod segment_tree;
 pub mod tv;
 
 pub use articulation::articulation_points_dfs;
-pub use bcc::{
-    articulation_points_device, articulation_points_from_bcc, bcc_sequential, bcc_tv, BccResult,
-};
+pub use bcc::{articulation_points_device, bcc_sequential, bcc_tv, BccResult};
 pub use bfs::{bfs_device, bfs_rayon, bfs_sequential, BfsTree};
 pub use ck::{bridges_ck_device, bridges_ck_rayon};
 pub use dfs::bridges_dfs;

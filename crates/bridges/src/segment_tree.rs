@@ -31,8 +31,23 @@ impl SegmentTree {
     /// Builds the tree over `len` leaves on the device: `fill_leaves`
     /// writes the leaf half, one launch of the caller's, then one kernel
     /// per level computes the internal nodes.
+    ///
+    /// The `2 * len` pairs are allocated zeroed, with no host fill: the
+    /// caller must write every leaf, the level kernels write every
+    /// internal node `1..len`, and slot 0 is never read, so no query
+    /// reads a slot the build did not write.
     pub fn build(device: &Device, len: usize, fill_leaves: impl FnOnce(&mut [(u32, u32)])) -> Self {
-        let mut data = vec![EMPTY; 2 * len];
+        Self::build_over(device, vec![(0, 0); 2 * len], fill_leaves)
+    }
+
+    /// [`SegmentTree::build`] over caller-allocated storage of `2 * len`
+    /// pairs, whatever they hold.
+    fn build_over(
+        device: &Device,
+        mut data: Vec<(u32, u32)>,
+        fill_leaves: impl FnOnce(&mut [(u32, u32)]),
+    ) -> Self {
+        let len = data.len() / 2;
         device.capture_fresh(&data[..]);
         device.capture_fresh(&data[len..]);
         // The filler's launch writes the leaf half, a region of its own;
@@ -110,9 +125,16 @@ impl SegmentTree {
 mod tests {
     use super::*;
 
-    /// The tree over `values`, its leaves filled by one launch.
+    /// A pair no build writes: any query that reads an unwritten slot
+    /// folds in a minimum of 0 or a maximum of `u32::MAX`.
+    const UNWRITTEN: (u32, u32) = (0, u32::MAX);
+
+    /// The tree over `values`, its leaves filled by one launch, on storage
+    /// that starts as [`UNWRITTEN`] so the naive folds catch any read of a
+    /// slot the build skipped.
     fn tree_of(device: &Device, values: &[(u32, u32)]) -> SegmentTree {
-        SegmentTree::build(device, values.len(), |leaves| {
+        let storage = vec![UNWRITTEN; 2 * values.len()];
+        SegmentTree::build_over(device, storage, |leaves| {
             let _k = device.kernel_label("segtree_test_leaves");
             device.capture_read(values);
             device.map(leaves, |i| values[i]);

@@ -1,13 +1,13 @@
-//! `emg analyze` — capture a pipeline's launch graph on a capture-enabled
-//! device and run the static dataflow analyzer (hazards, dead writes,
-//! fusion candidates).
+//! `emg analyze` — capture a pipeline's launch graph and modeled traffic
+//! on a capture-enabled device and run the static dataflow analyzer
+//! (hazards, dead writes, fusion candidates).
 //!
-//! Every pipeline runs on deterministic generated inputs with the grid
-//! pinned to four workers (the same convention as the launch baseline in
-//! `ci/launch_baseline.json`), so the captured graph — and its stable JSON
-//! form — is bit-identical across hosts and across pool widths. CI keeps
-//! one golden JSON per pipeline under `ci/golden_graphs/` and
-//! `cargo run -p xtask -- analyze` diffs against them.
+//! Every pipeline runs on deterministic generated inputs, so the captured
+//! graph and its traffic — and their stable JSON form — are bit-identical
+//! across hosts and pool widths. `ci/golden_graphs/` keeps one golden JSON
+//! per pipeline; the `analyze_pipelines` test compares each capture at
+//! widths 1 and 4 against it (regenerate with
+//! `cargo run --release -p emg-cli -- analyze --all --write-golden ci/golden_graphs`).
 
 use crate::args::Args;
 use bridges::{bridges_hybrid, bridges_tv};
@@ -117,10 +117,13 @@ fn summary_line(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
     let a = graph.analyze();
     writeln!(
         out,
-        "{pipeline:>24}: {:>3} launches, {:>2} regions | deps raw/war/waw \
-         {}/{}/{} | hazards {}, dead bytes {}, fused {}, fusion candidates {}",
+        "{pipeline:>24}: {:>3} launches, {:>2} regions, {} B read, {} B written \
+         | deps raw/war/waw {}/{}/{} | hazards {}, dead bytes {}, fused {}, \
+         fusion candidates {}",
         graph.launch_count(),
         graph.regions.len(),
+        graph.bytes_read,
+        graph.bytes_written,
         a.deps.raw,
         a.deps.war,
         a.deps.waw,
@@ -142,6 +145,12 @@ fn full_report(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
         graph.launch_count(),
         a.fused_launches,
         graph.regions.len()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "traffic: {} bytes read, {} bytes written",
+        graph.bytes_read, graph.bytes_written
     )
     .unwrap();
     for (i, node) in graph.nodes.iter().enumerate() {

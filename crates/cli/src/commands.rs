@@ -3,7 +3,7 @@
 
 use crate::args::Args;
 use bridges::{
-    articulation_points_from_bcc, bcc_tv, bridges_ck_device, bridges_ck_rayon, bridges_dfs,
+    articulation_points_device, bcc_tv, bridges_ck_device, bridges_ck_rayon, bridges_dfs,
     bridges_hybrid, bridges_tv, BridgesResult, SpanningForest,
 };
 use emg_server::{BatchConfig, GraphInfo, QueryKind, RetryPolicy, RetryingClient, Server};
@@ -153,7 +153,7 @@ pub fn cmd_bcc(args: &Args) -> Result<String, String> {
     let csr = cached_csr.unwrap_or_else(|| Csr::from_edge_list_on(&device, &graph));
     let t = Instant::now();
     let bcc = bcc_tv(&device, &graph, &csr).map_err(|e| e.to_string())?;
-    let cuts = articulation_points_from_bcc(&graph, &csr, &bcc);
+    let cuts = articulation_points_device(&device, &graph, &csr, &bcc);
     let elapsed = t.elapsed();
     let mut sizes = vec![0usize; bcc.num_components];
     for &c in &bcc.component {

@@ -59,7 +59,13 @@ pub fn rank(device: &Device, list: &EulerList, ranker: Ranker) -> Option<Vec<u32
 pub fn rank_into(device: &Device, list: &EulerList, ranker: Ranker, out: &mut [u32]) -> bool {
     assert_eq!(out.len(), list.len(), "rank: output length mismatch");
     match ranker {
-        Ranker::Sequential => rank_sequential_into(list, out),
+        Ranker::Sequential => {
+            // The walk runs on the host: a host node that reads `succ`
+            // and writes the ranks.
+            device.capture_host_read(&list.succ);
+            device.capture_host_write(out);
+            rank_sequential_into(list, out)
+        }
         Ranker::Wyllie => rank_wyllie_into(device, list, out),
         Ranker::WeiJaJa => rank_wei_jaja_into(device, list, out),
     }

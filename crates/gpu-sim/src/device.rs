@@ -238,11 +238,13 @@ impl Device {
         self.cfg.capture
     }
 
-    /// The launch graph captured so far (`None` with capture off). A
-    /// snapshot: the device keeps recording, so call this after the
-    /// pipeline of interest ran on a fresh device.
+    /// The launch graph captured so far (`None` with capture off), with
+    /// the device's modeled traffic. A snapshot: the device keeps
+    /// recording and counting, so call this after the pipeline of
+    /// interest ran on a fresh device.
     pub fn launch_graph(&self) -> Option<LaunchGraph> {
-        self.rec.as_deref().map(Recorder::graph)
+        let metrics = self.metrics.snapshot();
+        self.rec.as_deref().map(|rec| rec.graph(&metrics))
     }
 
     /// Annotates a read the capture cannot see (a closure-captured input
@@ -269,6 +271,15 @@ impl Device {
     pub fn capture_host_read<T>(&self, slice: &[T]) {
         if let Some(rec) = &self.rec {
             rec.note(rec.region_for(slice), ACC_READ);
+        }
+    }
+
+    /// Records a host-side write of `slice` happening **now** (a host
+    /// loop filling a result between launches), the write half of
+    /// [`Device::capture_host_read`]. No-op with capture off.
+    pub fn capture_host_write<T>(&self, slice: &[T]) {
+        if let Some(rec) = &self.rec {
+            rec.note(rec.region_for(slice), ACC_WRITE);
         }
     }
 

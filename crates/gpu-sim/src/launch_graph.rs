@@ -69,6 +69,7 @@
 //!   one launch; launches already produced by the fused primitives
 //!   (`map_scan_*`, `map_segmented_reduce_into`) are reported as fused.
 
+use crate::metrics::MetricsSnapshot;
 use crate::sanitize::AccessKind;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -548,8 +549,9 @@ impl Recorder {
 
     /// Builds the captured [`LaunchGraph`]: merges the per-element note
     /// shards into their nodes, flushes dangling annotations into a host
-    /// node, and drops regions nothing ever accessed.
-    pub(crate) fn graph(&self) -> LaunchGraph {
+    /// node, and drops regions nothing ever accessed. The modeled traffic
+    /// comes from the device's `metrics`.
+    pub(crate) fn graph(&self, metrics: &MetricsSnapshot) -> LaunchGraph {
         let mut st = self.state.lock();
         // Dangling capture_read/_write annotations (no launch followed).
         let pending = std::mem::take(&mut st.pending_next);
@@ -607,7 +609,12 @@ impl Recorder {
                 released: r.released,
             })
             .collect();
-        let mut graph = LaunchGraph { nodes, regions };
+        let mut graph = LaunchGraph {
+            nodes,
+            regions,
+            bytes_read: metrics.bytes_read,
+            bytes_written: metrics.bytes_written,
+        };
         graph.prune_untouched();
         graph
     }
@@ -668,6 +675,11 @@ pub struct LaunchGraph {
     /// Regions at least one node accessed (ids may have gaps: regions
     /// nothing touched are dropped).
     pub regions: Vec<Region>,
+    /// Modeled bytes the device's primitives read (the traffic plane,
+    /// [`crate::Metrics::bytes_read`]), pool-width independent.
+    pub bytes_read: u64,
+    /// Modeled bytes the device's primitives wrote.
+    pub bytes_written: u64,
 }
 
 /// Hazard classification.
@@ -931,15 +943,17 @@ impl LaunchGraph {
         out
     }
 
-    /// Serializes the graph plus its [`Analysis`] to the stable JSON form
-    /// the golden files and CI gate use: 2-space indent, fixed key order,
-    /// sorted collections, trailing newline.
+    /// Serializes the graph, its modeled traffic and its [`Analysis`] to
+    /// the stable JSON form the golden files use: 2-space indent, fixed
+    /// key order, sorted collections, trailing newline.
     pub fn to_json(&self, pipeline: &str) -> String {
         let analysis = self.analyze();
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"pipeline\": {},\n", json_str(pipeline)));
         s.push_str(&format!("  \"launches\": {},\n", self.launch_count()));
+        s.push_str(&format!("  \"bytes_read\": {},\n", self.bytes_read));
+        s.push_str(&format!("  \"bytes_written\": {},\n", self.bytes_written));
 
         s.push_str("  \"regions\": [\n");
         for (i, r) in self.regions.iter().enumerate() {
@@ -1116,6 +1130,15 @@ mod tests {
         }
     }
 
+    fn graph(nodes: Vec<Node>, regions: Vec<Region>) -> LaunchGraph {
+        LaunchGraph {
+            nodes,
+            regions,
+            bytes_read: 0,
+            bytes_written: 0,
+        }
+    }
+
     fn region(id: u32, arena: bool) -> Region {
         Region {
             id,
@@ -1140,13 +1163,13 @@ mod tests {
 
     #[test]
     fn barriered_conflicts_are_deps_not_hazards() {
-        let g = LaunchGraph {
-            nodes: vec![
+        let g = graph(
+            vec![
                 node("produce", 100, &[(0, ACC_WRITE)]),
                 node("consume", 100, &[(0, ACC_READ)]),
             ],
-            regions: vec![region(0, false)],
-        };
+            vec![region(0, false)],
+        );
         let a = g.analyze();
         assert_eq!(a.deps.raw, 1);
         assert!(a.hazards.is_empty());
@@ -1154,13 +1177,13 @@ mod tests {
 
     #[test]
     fn unbarriered_raw_is_a_hazard() {
-        let mut g = LaunchGraph {
-            nodes: vec![
+        let mut g = graph(
+            vec![
                 node("produce", 100, &[(0, ACC_WRITE)]),
                 node("consume", 100, &[(0, ACC_READ)]),
             ],
-            regions: vec![region(0, false)],
-        };
+            vec![region(0, false)],
+        );
         g.nodes[0].barrier = false;
         let a = g.analyze();
         assert_eq!(a.hazards.len(), 1);
@@ -1170,13 +1193,13 @@ mod tests {
 
     #[test]
     fn benign_rmw_conflicts_are_whitelisted() {
-        let mut g = LaunchGraph {
-            nodes: vec![
+        let mut g = graph(
+            vec![
                 node("hook_a", 100, &[(0, ACC_BENIGN_RMW)]),
                 node("hook_b", 100, &[(0, ACC_BENIGN_RMW)]),
             ],
-            regions: vec![region(0, false)],
-        };
+            vec![region(0, false)],
+        );
         g.nodes[0].barrier = false;
         let a = g.analyze();
         assert!(a.hazards.is_empty());
@@ -1186,10 +1209,10 @@ mod tests {
 
     #[test]
     fn dead_write_only_on_arena_regions() {
-        let g = LaunchGraph {
-            nodes: vec![node("w", 100, &[(0, ACC_WRITE), (1, ACC_WRITE)])],
-            regions: vec![region(0, true), region(1, false)],
-        };
+        let g = graph(
+            vec![node("w", 100, &[(0, ACC_WRITE), (1, ACC_WRITE)])],
+            vec![region(0, true), region(1, false)],
+        );
         let a = g.analyze();
         assert_eq!(a.dead_writes.len(), 1);
         assert_eq!(a.dead_writes[0].region, 0);
@@ -1198,25 +1221,25 @@ mod tests {
 
     #[test]
     fn read_after_write_clears_dead_write() {
-        let g = LaunchGraph {
-            nodes: vec![
+        let g = graph(
+            vec![
                 node("w", 100, &[(0, ACC_WRITE)]),
                 node("r", 100, &[(0, ACC_READ)]),
             ],
-            regions: vec![region(0, true)],
-        };
+            vec![region(0, true)],
+        );
         assert!(g.analyze().dead_writes.is_empty());
     }
 
     #[test]
     fn fusion_candidate_on_adjacent_unique_pair() {
-        let g = LaunchGraph {
-            nodes: vec![
+        let g = graph(
+            vec![
                 node("produce", 100, &[(0, ACC_WRITE)]),
                 node("consume", 100, &[(0, ACC_READ), (1, ACC_WRITE)]),
             ],
-            regions: vec![region(0, true), region(1, false)],
-        };
+            vec![region(0, true), region(1, false)],
+        );
         let a = g.analyze();
         assert_eq!(a.fusion_candidates.len(), 1);
         assert_eq!(a.fusion_candidates[0].producer_label, "produce");
@@ -1225,13 +1248,13 @@ mod tests {
 
     #[test]
     fn no_fusion_candidate_when_geometry_differs_or_fused() {
-        let mut g = LaunchGraph {
-            nodes: vec![
+        let mut g = graph(
+            vec![
                 node("produce", 100, &[(0, ACC_WRITE)]),
                 node("consume", 50, &[(0, ACC_READ)]),
             ],
-            regions: vec![region(0, true)],
-        };
+            vec![region(0, true)],
+        );
         assert!(g.analyze().fusion_candidates.is_empty());
         g.nodes[1].work = 100;
         g.nodes[1].fused = true;
@@ -1242,15 +1265,16 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_escaped() {
-        let g = LaunchGraph {
-            nodes: vec![node("a\"b", 10, &[(0, ACC_READ)])],
-            regions: vec![region(0, false)],
-        };
+        let g = graph(
+            vec![node("a\"b", 10, &[(0, ACC_READ)])],
+            vec![region(0, false)],
+        );
         let j1 = g.to_json("p");
         let j2 = g.to_json("p");
         assert_eq!(j1, j2);
         assert!(j1.contains("\"a\\\"b\""));
         assert!(j1.ends_with("}\n"));
         assert!(j1.contains("\"0:r\""));
+        assert!(j1.contains("\"bytes_read\": 0,\n  \"bytes_written\": 0,"));
     }
 }

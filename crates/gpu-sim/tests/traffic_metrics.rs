@@ -47,15 +47,24 @@ fn scan_seq_path_matches_parallel_taxonomy() {
 
 #[test]
 fn two_pass_scan_reads_twice_and_launches_twice() {
+    // The plain scan and the exclusive scan with its total share the core.
     let device = dev(4);
     let n = 2000usize;
     let input: Vec<u64> = (0..n as u64).collect();
-    let d = measure(&device, |d| {
+    let inclusive = measure(&device, |d| {
         let _ = d.scan_inclusive(&input, 0u64, |a, b| a + b);
     });
-    assert_eq!(d.kernel_launches, 2);
-    assert_eq!(d.bytes_read, 16 * n as u64);
-    assert_eq!(d.bytes_written, 8 * n as u64);
+    let with_total = measure(&device, |d| {
+        let _ = d.scan_exclusive_with_total(&input, 0u64, |a, b| a + b);
+    });
+    for (name, d) in [
+        ("scan_inclusive", inclusive),
+        ("scan_exclusive_with_total", with_total),
+    ] {
+        assert_eq!(d.kernel_launches, 2, "{name}");
+        assert_eq!(d.bytes_read, 16 * n as u64, "{name}");
+        assert_eq!(d.bytes_written, 8 * n as u64, "{name}");
+    }
 }
 
 #[test]

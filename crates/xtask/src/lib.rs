@@ -55,11 +55,6 @@
 //! `fixtures` are exempt. The `xtask` crate itself is exempt from the
 //! content rules (its source must name the patterns it hunts) but not from
 //! rule 1 — the compiler still enforces `#![deny(unsafe_code)]` here.
-//!
-//! `cargo run -p xtask -- analyze` runs the **launch-graph golden gate**:
-//! every shipped pipeline is captured at pool widths 1 and 4 and both
-//! serializations must match `ci/golden_graphs/<pipeline>.json` byte for
-//! byte (see [`check_golden_graphs`]).
 
 #![deny(unsafe_code)]
 
@@ -642,61 +637,4 @@ fn lint_file(
             }
         }
     }
-}
-
-/// Runs the launch-graph golden gate: captures every shipped pipeline at
-/// pool widths 1 and 4, checks the analyzer is clean (no unwhitelisted
-/// hazards, no dead-write bytes), and compares both serializations byte
-/// for byte against `ci/golden_graphs/<pipeline>.json`. Returns one error
-/// string per failure (empty = gate passed).
-pub fn check_golden_graphs(root: &Path) -> Vec<String> {
-    use emg_cli::analyze::{capture_pipeline, PIPELINES};
-    let dir = root.join("ci/golden_graphs");
-    let mut errors = Vec::new();
-    for &pipeline in PIPELINES {
-        let golden_path = dir.join(format!("{pipeline}.json"));
-        let golden = match fs::read_to_string(&golden_path) {
-            Ok(s) => s,
-            Err(e) => {
-                errors.push(format!(
-                    "{}: {e} (regenerate with ci/update_golden_graphs.py)",
-                    golden_path.display()
-                ));
-                continue;
-            }
-        };
-        for threads in [1usize, 4] {
-            let graph = match capture_pipeline(pipeline, threads) {
-                Ok(g) => g,
-                Err(e) => {
-                    errors.push(format!(
-                        "{pipeline} (pool width {threads}): capture failed: {e}"
-                    ));
-                    continue;
-                }
-            };
-            let analysis = graph.analyze();
-            if !analysis.hazards.is_empty() {
-                errors.push(format!(
-                    "{pipeline} (pool width {threads}): {} unwhitelisted hazard(s), first: {:?}",
-                    analysis.hazards.len(),
-                    analysis.hazards[0]
-                ));
-            }
-            if analysis.dead_bytes != 0 {
-                errors.push(format!(
-                    "{pipeline} (pool width {threads}): {} dead-write byte(s), first: {:?}",
-                    analysis.dead_bytes, analysis.dead_writes[0]
-                ));
-            }
-            if graph.to_json(pipeline) != golden {
-                errors.push(format!(
-                    "{pipeline} (pool width {threads}): captured launch graph differs from {} \
-                     (regenerate with ci/update_golden_graphs.py if the change is intentional)",
-                    golden_path.display()
-                ));
-            }
-        }
-    }
-    errors
 }

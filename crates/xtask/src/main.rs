@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo run -p xtask -- lint | analyze`.
+//! CLI entry point: `cargo run -p xtask -- lint`.
 
 #![deny(unsafe_code)]
 
@@ -9,10 +9,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
-        Some("analyze") => analyze(),
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint|analyze\n       (got: {:?})",
+                "usage: cargo run -p xtask -- lint\n       (got: {:?})",
                 other
             );
             ExitCode::from(2)
@@ -39,22 +38,6 @@ fn lint() -> ExitCode {
             eprintln!("{f}");
         }
         eprintln!("xtask lint: {} violation(s)", findings.len());
-        ExitCode::FAILURE
-    }
-}
-
-fn analyze() -> ExitCode {
-    let errors = xtask::check_golden_graphs(&workspace_root());
-    if errors.is_empty() {
-        println!(
-            "xtask analyze: all pipeline launch graphs match ci/golden_graphs (widths 1 and 4)"
-        );
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("{e}");
-        }
-        eprintln!("xtask analyze: {} failure(s)", errors.len());
         ExitCode::FAILURE
     }
 }

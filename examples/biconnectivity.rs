@@ -10,7 +10,7 @@
 //! cargo run --release --example biconnectivity
 //! ```
 
-use euler_meets_gpu::bridges::{articulation_points_from_bcc, bcc_sequential, bcc_tv};
+use euler_meets_gpu::bridges::{articulation_points_device, bcc_sequential, bcc_tv};
 use euler_meets_gpu::prelude::*;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
 
     // Full Tarjan–Vishkin biconnectivity on the simulated device.
     let bcc = bcc_tv(&device, &lcc, &csr).expect("connected");
-    let cuts = articulation_points_from_bcc(&lcc, &csr, &bcc);
+    let cuts = articulation_points_device(&device, &lcc, &csr, &bcc);
     println!("\nbiconnected components: {}", bcc.num_components);
     println!(
         "articulation points (single points of failure): {} of {} intersections",

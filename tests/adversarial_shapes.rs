@@ -6,7 +6,7 @@
 // Parent arrays are built by index on purpose: the index *is* the node id.
 #![allow(clippy::needless_range_loop)]
 
-use euler_meets_gpu::bridges::{articulation_points_from_bcc, bcc_sequential, bcc_tv};
+use euler_meets_gpu::bridges::{articulation_points_device, bcc_sequential, bcc_tv};
 use euler_meets_gpu::prelude::*;
 use graph_core::ids::INVALID_NODE;
 
@@ -137,7 +137,7 @@ fn check_bridges_all_algorithms(graph: &EdgeList, label: &str) {
         seq.canonical_partition(),
         "{label}: bcc partitions disagree"
     );
-    let cuts = articulation_points_from_bcc(graph, &csr, &bcc);
+    let cuts = articulation_points_device(&device, graph, &csr, &bcc);
     let oracle = euler_meets_gpu::bridges::articulation_points_dfs(graph, &csr);
     for v in 0..graph.num_nodes() {
         assert_eq!(cuts.get(v), oracle.get(v), "{label}: cut vertex {v}");

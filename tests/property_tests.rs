@@ -171,11 +171,11 @@ proptest! {
 
     #[test]
     fn articulation_points_from_bcc_match_lowlink(graph in arb_connected_graph(120)) {
-        use euler_meets_gpu::bridges::{articulation_points_dfs, articulation_points_from_bcc, bcc_tv};
+        use euler_meets_gpu::bridges::{articulation_points_device, articulation_points_dfs, bcc_tv};
         let device = Device::new();
         let csr = Csr::from_edge_list(&graph);
         let bcc = bcc_tv(&device, &graph, &csr).unwrap();
-        let from_bcc = articulation_points_from_bcc(&graph, &csr, &bcc);
+        let from_bcc = articulation_points_device(&device, &graph, &csr, &bcc);
         let oracle = articulation_points_dfs(&graph, &csr);
         for v in 0..graph.num_nodes() {
             prop_assert_eq!(from_bcc.get(v), oracle.get(v), "vertex {}", v);
