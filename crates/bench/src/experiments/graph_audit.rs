@@ -2,16 +2,17 @@
 //!
 //! The same pipeline entry point the golden gate uses
 //! (`emg_cli::analyze::run_pipeline`) raced on a capture-off vs a
-//! capture-on device. Capture's per-launch work is a mutex-guarded
-//! region/label bookkeeping pass, so the gap prices the plane for anyone
-//! tempted to leave `EMG_CAPTURE=1` on in production runs. What capture
-//! sees — each pipeline's launch graph and modeled traffic — is pinned by
-//! the `analyze_pipelines` test against `ci/golden_graphs/`.
+//! capture-on device. Capture pays per launch (a mutex-guarded
+//! region/label bookkeeping pass) and per tracked access inside a launch
+//! (a shard lock and a map update for every read or write through a
+//! tracked view), so the gap prices the plane. What capture sees — each
+//! pipeline's launch graph and modeled traffic — is pinned by the
+//! `analyze_pipelines` test against `ci/golden_graphs/`.
 
 use crate::config::Config;
 use crate::harness::{emit_bench_json_fields, fmt_secs, mean_std, time, Table};
 use emg_cli::analyze::run_pipeline;
-use gpu_sim::{CaptureMode, Device, DeviceConfig};
+use gpu_sim::{Device, DeviceConfig};
 use std::time::Duration;
 
 /// The pipeline the audit races. The TV bridge pipeline is the longest
@@ -20,7 +21,7 @@ use std::time::Duration;
 const OVERHEAD_PIPELINE: &str = "tv_bridges_uf";
 
 /// A pinned 4-worker device with capture on or off.
-fn dev(capture: CaptureMode) -> Device {
+fn dev(capture: bool) -> Device {
     Device::with_config(DeviceConfig {
         threads: Some(4),
         capture,
@@ -46,11 +47,8 @@ pub fn run(cfg: &Config) {
     let mut table = Table::new("Graph audit: capture-plane overhead", &["pipeline", "mean"]);
 
     let mut means = [0.0f64; 2];
-    for (slot, (mode, mode_name)) in [(CaptureMode::Off, "off"), (CaptureMode::On, "on")]
-        .into_iter()
-        .enumerate()
-    {
-        let samples = drive(&dev(mode), repeats);
+    for (slot, (capture, mode_name)) in [(false, "off"), (true, "on")].into_iter().enumerate() {
+        let samples = drive(&dev(capture), repeats);
         let (mean, std) = mean_std(&samples);
         means[slot] = mean;
         table.row(vec![
@@ -78,8 +76,8 @@ pub fn run(cfg: &Config) {
     println!(
         "capture-on / capture-off ratio on {OVERHEAD_PIPELINE}: {overhead:.2}x\n\
          expected shape: capture pays per launch (region/label bookkeeping\n\
-         behind a mutex), not per element, so the ratio is a few x at this\n\
-         tiny audit workload and amortizes toward 1 as inputs grow — which\n\
-         is why capture is opt-in, not default.\n"
+         behind a mutex) and per tracked access (a shard lock and a map\n\
+         update), so the ratio stays above 1 — which is why capture is\n\
+         opt-in, not default.\n"
     );
 }

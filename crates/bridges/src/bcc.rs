@@ -581,10 +581,10 @@ mod tests {
 
     #[test]
     fn captured_launches_are_labeled() {
-        use gpu_sim::{CaptureMode, DeviceConfig};
+        use gpu_sim::DeviceConfig;
         let device = Device::with_config(DeviceConfig {
             threads: Some(4),
-            capture: CaptureMode::On,
+            capture: true,
             ..Default::default()
         });
         let graph = graphgen::ba_graph(4000, 8, 0x5CA7);

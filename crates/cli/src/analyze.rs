@@ -1,6 +1,6 @@
 //! `emg analyze` — capture a pipeline's launch graph and modeled traffic
 //! on a capture-enabled device and run the static dataflow analyzer
-//! (hazards, dead writes, fusion candidates).
+//! (dependence edges, dead writes, fusion candidates).
 //!
 //! Every pipeline runs on deterministic generated inputs, so the captured
 //! graph and its traffic — and their stable JSON form — are bit-identical
@@ -12,7 +12,7 @@
 use crate::args::Args;
 use bridges::{bridges_hybrid, bridges_tv};
 use euler_tour::{EulerTour, Ranker, TreeStats};
-use gpu_sim::{CaptureMode, Device, DeviceConfig, LaunchGraph};
+use gpu_sim::{Device, DeviceConfig, LaunchGraph};
 use graph_core::Csr;
 use graphgen::{ba_graph, random_queries, random_tree};
 use lca::{GpuInlabelLca, LcaAlgorithm};
@@ -39,11 +39,15 @@ const GRAPH_NODES: usize = 4_000;
 /// clear the sequential threshold).
 const TREE_NODES: usize = 6_000;
 
+/// Pool width `emg analyze` captures at. Any width captures the same
+/// graph and traffic; the golden gate checks widths 1 and 4.
+const ANALYZE_THREADS: usize = 4;
+
 /// A capture-enabled device with the grid pinned to `threads` workers.
 fn capture_device(threads: usize) -> Device {
     Device::with_config(DeviceConfig {
         threads: Some(threads),
-        capture: CaptureMode::On,
+        capture: true,
         ..Default::default()
     })
 }
@@ -118,8 +122,7 @@ fn summary_line(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
     writeln!(
         out,
         "{pipeline:>24}: {:>3} launches, {:>2} regions, {} B read, {} B written \
-         | deps raw/war/waw {}/{}/{} | hazards {}, dead bytes {}, fused {}, \
-         fusion candidates {}",
+         | deps raw/war/waw {}/{}/{} | dead bytes {}, fused {}, fusion candidates {}",
         graph.launch_count(),
         graph.regions.len(),
         graph.bytes_read,
@@ -127,7 +130,6 @@ fn summary_line(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
         a.deps.raw,
         a.deps.war,
         a.deps.waw,
-        a.hazards.len(),
         a.dead_bytes,
         a.fused_launches,
         a.fusion_candidates.len(),
@@ -171,9 +173,6 @@ fn full_report(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
         if node.host {
             flags.push_str(" [host]");
         }
-        if !node.barrier {
-            flags.push_str(" [no barrier]");
-        }
         if node.fused {
             flags.push_str(" [fused]");
         }
@@ -187,23 +186,10 @@ fn full_report(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
     }
     writeln!(
         out,
-        "deps: {} raw, {} war, {} waw ({} whitelisted conflicts)",
-        a.deps.raw, a.deps.war, a.deps.waw, a.whitelisted
+        "deps: {} raw, {} war, {} waw",
+        a.deps.raw, a.deps.war, a.deps.waw
     )
     .unwrap();
-    for h in &a.hazards {
-        writeln!(
-            out,
-            "HAZARD {}: {} (#{}) -> {} (#{}) on {}",
-            h.kind.name(),
-            h.from_label,
-            h.from,
-            h.to_label,
-            h.to,
-            h.region_name
-        )
-        .unwrap();
-    }
     for d in &a.dead_writes {
         writeln!(
             out,
@@ -220,19 +206,19 @@ fn full_report(out: &mut String, pipeline: &str, graph: &LaunchGraph) {
         )
         .unwrap();
     }
-    if a.hazards.is_empty() && a.dead_writes.is_empty() {
-        writeln!(out, "clean: no unwhitelisted hazards, no dead writes").unwrap();
+    if a.dead_writes.is_empty() {
+        writeln!(out, "clean: no dead writes").unwrap();
     }
 }
 
-/// `emg analyze <pipeline>|--all [--threads N] [--json] [--write-golden <dir>]`
+/// `emg analyze <pipeline>|--all [--json] [--write-golden <dir>]`
 ///
-/// Captures the launch graph of one pipeline (or all of them), runs the
-/// hazard / dead-write / fusion passes, and prints the report. `--json`
-/// prints the stable golden-file JSON instead; `--write-golden <dir>`
-/// writes `<dir>/<pipeline>.json` for each selected pipeline.
+/// Captures the launch graph of one pipeline (or all of them), counts its
+/// dependence edges, runs the dead-write and fusion passes, and prints
+/// the report. `--json` prints the stable golden-file JSON instead;
+/// `--write-golden <dir>` writes `<dir>/<pipeline>.json` for each
+/// selected pipeline.
 pub fn cmd_analyze(args: &Args) -> Result<String, String> {
-    let threads: usize = args.opt_parse("threads", 4usize)?;
     let golden_dir = args.opt("write-golden");
     let selected: Vec<&str> = if args.flag("all") || golden_dir.is_some() {
         PIPELINES.to_vec()
@@ -245,7 +231,7 @@ pub fn cmd_analyze(args: &Args) -> Result<String, String> {
 
     let mut out = String::new();
     for pipeline in &selected {
-        let graph = capture_pipeline(pipeline, threads)?;
+        let graph = capture_pipeline(pipeline, ANALYZE_THREADS)?;
         if let Some(dir) = golden_dir {
             let path = std::path::Path::new(dir).join(format!("{pipeline}.json"));
             std::fs::write(&path, graph.to_json(pipeline))

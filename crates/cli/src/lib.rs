@@ -15,7 +15,7 @@
 //!                                     [--seed S] [--csr] [params]
 //! emg convert <in> <out> [--to snap|dimacs|metis|emgbin] [--csr]
 //! emg detect  <file>
-//! emg analyze <pipeline>|--all [--threads N] [--json] [--write-golden <dir>]
+//! emg analyze <pipeline>|--all [--json] [--write-golden <dir>]
 //! emg serve   <catalog-dir> [--addr host:port|unix:/path] [--batch N]
 //! emg client  <list|info|stats|reload|shutdown|query> [--addr host:port|unix:/path]
 //!             [--graph G] [--kind lca|conn|bridge|subtree] [--epoch E]
@@ -60,7 +60,7 @@ USAGE:
                       tree [--nodes N] [--grasp G]
   emg convert <in> <out> [--to snap|dimacs|metis|emgbin] [--csr]
   emg detect  <file>
-  emg analyze <pipeline>|--all [--threads N] [--json] [--write-golden <dir>]
+  emg analyze <pipeline>|--all [--json] [--write-golden <dir>]
   emg serve   <catalog-dir> [--addr host:port|unix:/path] [--batch N]
   emg client  <list|info|stats|reload|shutdown|query> [--addr host:port|unix:/path]
               [--graph G] [--kind lca|conn|bridge|subtree] [--epoch E]
@@ -110,10 +110,7 @@ pub const SUBCOMMANDS: &[(&str, &[&str])] = &[
     ),
     ("convert", &["--to", "--csr"]),
     ("detect", &["--input"]),
-    (
-        "analyze",
-        &["--all", "--threads", "--json", "--write-golden"],
-    ),
+    ("analyze", &["--all", "--json", "--write-golden"]),
     ("serve", &["--catalog", "--addr", "--batch"]),
     (
         "client",

@@ -2,13 +2,12 @@
 //! 4, each pipeline's captured launch graph and modeled traffic must equal
 //! `ci/golden_graphs/<pipeline>.json` byte for byte (capture records
 //! logical dataflow, not scheduling, and traffic is a per-primitive
-//! contract), and the analyzer must report zero unwhitelisted hazards,
-//! zero dead-write bytes and no anonymous launches. An intentional change
-//! regenerates the goldens with
+//! contract), and the analyzer must report zero dead-write bytes and no
+//! anonymous launches. An intentional change regenerates the goldens with
 //! `cargo run --release -p emg-cli -- analyze --all --write-golden ci/golden_graphs`.
 
 use emg_cli::analyze::{capture_pipeline, run_pipeline, PIPELINES};
-use gpu_sim::{CaptureMode, Device, DeviceConfig};
+use gpu_sim::{Device, DeviceConfig};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -55,11 +54,6 @@ fn all_pipelines_clean_and_width_invariant() {
             }
 
             let analysis = graph.analyze();
-            assert!(
-                analysis.hazards.is_empty(),
-                "{pipeline}: unwhitelisted hazards: {:?}",
-                analysis.hazards
-            );
             assert_eq!(
                 analysis.dead_bytes, 0,
                 "{pipeline}: dead writes: {:?}",
@@ -96,7 +90,7 @@ fn uncaptured_runs_count_the_golden_traffic() {
     for &pipeline in PIPELINES {
         let device = Device::with_config(DeviceConfig {
             threads: Some(4),
-            capture: CaptureMode::Off,
+            capture: false,
             ..Default::default()
         });
         run_pipeline(&device, pipeline).unwrap_or_else(|e| panic!("{pipeline}: {e}"));

@@ -29,7 +29,7 @@ USAGE:
                       tree [--nodes N] [--grasp G]
   emg convert <in> <out> [--to snap|dimacs|metis|emgbin] [--csr]
   emg detect  <file>
-  emg analyze <pipeline>|--all [--threads N] [--json] [--write-golden <dir>]
+  emg analyze <pipeline>|--all [--json] [--write-golden <dir>]
   emg serve   <catalog-dir> [--addr host:port|unix:/path] [--batch N]
   emg client  <list|info|stats|reload|shutdown|query> [--addr host:port|unix:/path]
               [--graph G] [--kind lca|conn|bridge|subtree] [--epoch E]

@@ -6,7 +6,7 @@
 
 use emg_server::Snapshot;
 use euler_tour::{EulerTour, TreeStats};
-use gpu_sim::{CaptureMode, Device, DeviceConfig};
+use gpu_sim::{Device, DeviceConfig};
 use graph_core::{EdgeList, Tree};
 use graph_io::ParsedGraph;
 use lca::InlabelTables;
@@ -36,7 +36,7 @@ fn tree_graph(nodes: usize) -> EdgeList {
 fn a_load_builds_one_forest_and_one_tour() {
     let (road, _) = graphgen::largest_connected_component(&graphgen::road_grid(30, 30, 0.8, 5));
     let cfg = DeviceConfig {
-        capture: CaptureMode::On,
+        capture: true,
         ..DeviceConfig::default()
     };
     let dir = temp_dir("load-once");

@@ -90,6 +90,7 @@ impl EulerList {
         }
 
         device.capture_host_read(&words[..]);
+        device.capture_host_write(&succ[..]);
         let root = root as usize;
         let run = &words[offsets[root] as usize..offsets[root + 1] as usize];
         let head = run[0] as u32;
@@ -366,6 +367,37 @@ mod tests {
                  {word_per_half_edge}"
             );
         }
+    }
+
+    #[test]
+    fn captured_build_declares_the_tail_write() {
+        // The host writes the tail's NIL after `tour_link`, so the host
+        // node that follows the link writes the region the link wrote.
+        use gpu_sim::launch_graph::mask_writes;
+        let device = Device::with_config(gpu_sim::DeviceConfig {
+            capture: true,
+            ..Default::default()
+        });
+        paper_list(&device, 0);
+        let graph = device.launch_graph().expect("capture is on");
+        let link = graph
+            .nodes
+            .iter()
+            .position(|node| node.label.starts_with("tour_link"))
+            .expect("a tour_link launch");
+        let succ: Vec<u32> = graph.nodes[link]
+            .accesses
+            .iter()
+            .filter(|&(_, &mask)| mask_writes(mask))
+            .map(|(&region, _)| region)
+            .collect();
+        assert_eq!(succ.len(), 1, "tour_link writes succ alone: {succ:?}");
+        let host = &graph.nodes[link + 1];
+        assert!(host.host, "{host:?}");
+        assert!(
+            host.accesses.get(&succ[0]).is_some_and(|&m| mask_writes(m)),
+            "the host's NIL write to succ is undeclared: {host:?}"
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::arena::{ArenaPod, DeviceArena};
 use crate::fault::{FaultConfig, FaultPause, FaultPlane};
-use crate::launch_graph::{Cap, CaptureMode, LaunchGraph, Recorder, ACC_READ, ACC_WRITE};
+use crate::launch_graph::{Cap, LaunchGraph, Recorder, ACC_READ, ACC_WRITE};
 use crate::metrics::Metrics;
 use crate::sanitize::{AccessKind, Finding, SanitizeMode, Sanitizer, Track};
 use std::marker::PhantomData;
@@ -65,10 +65,9 @@ pub struct DeviceConfig {
     /// recorded for [`Device::take_findings`] — the latter is what the
     /// seeded-violation tests use to assert detection.
     pub sanitize_fatal: bool,
-    /// Whether the device records its launch graph (defaults to the
-    /// `EMG_CAPTURE` environment variable, [`CaptureMode::Off`] when
-    /// unset). See [`crate::launch_graph`].
-    pub capture: CaptureMode,
+    /// Whether the device records its launch graph (default `false`).
+    /// See [`crate::launch_graph`].
+    pub capture: bool,
     /// Deterministic fault-injection spec (defaults to the `EMG_FAULT`
     /// environment variable, no faults when unset). See [`crate::fault`].
     pub faults: FaultConfig,
@@ -83,7 +82,7 @@ impl Default for DeviceConfig {
             pooling: true,
             sanitize: SanitizeMode::from_env(),
             sanitize_fatal: true,
-            capture: CaptureMode::from_env(),
+            capture: false,
             faults: FaultConfig::from_env(),
         }
     }
@@ -167,7 +166,7 @@ impl Device {
         let arena = DeviceArena::new(cfg.pooling);
         let san = (cfg.sanitize != SanitizeMode::Off)
             .then(|| Box::new(Sanitizer::new(cfg.sanitize, cfg.sanitize_fatal)));
-        let rec = (cfg.capture == CaptureMode::On).then(|| Box::new(Recorder::new()));
+        let rec = cfg.capture.then(|| Box::new(Recorder::new()));
         let flt = (!cfg.faults.is_empty()).then(|| Box::new(FaultPlane::new(cfg.faults.clone())));
         Self {
             pool,
@@ -219,11 +218,6 @@ impl Device {
         &self.metrics
     }
 
-    /// The active sanitize mode ([`SanitizeMode::Off`] unless configured).
-    pub fn sanitize_mode(&self) -> SanitizeMode {
-        self.cfg.sanitize
-    }
-
     /// Drains the findings a non-fatal sanitizer retained (empty when the
     /// sanitizer is off, fatal, or found nothing).
     pub fn take_findings(&self) -> Vec<Finding> {
@@ -231,11 +225,6 @@ impl Device {
             .as_deref()
             .map(Sanitizer::take_findings)
             .unwrap_or_default()
-    }
-
-    /// The active capture mode ([`CaptureMode::Off`] unless configured).
-    pub fn capture_mode(&self) -> CaptureMode {
-        self.cfg.capture
     }
 
     /// The launch graph captured so far (`None` with capture off), with
@@ -316,33 +305,6 @@ impl Device {
                 std::any::type_name::<T>(),
             );
         }
-    }
-
-    /// Names the region backing `slice` so captured graphs read
-    /// `tour_next` instead of `r7:u32[4998]`. No-op with capture off.
-    pub fn capture_name<T>(&self, slice: &[T], name: &str) {
-        if let Some(rec) = &self.rec {
-            rec.name_region(
-                slice.as_ptr() as usize,
-                slice.len(),
-                size_of::<T>(),
-                std::any::type_name::<T>(),
-                name,
-            );
-        }
-    }
-
-    /// Opens a scope whose launches are recorded **without** their launch
-    /// barrier — modeling stream-ordered (async) launches. The simulated
-    /// device still synchronizes; only the captured graph changes, which
-    /// is how the seeded-violation tests make the hazard pass fire. Ends
-    /// when the guard drops.
-    pub fn capture_unordered(&self) -> CaptureScope<'_> {
-        let scope = self.cap_scope("");
-        if let Some(rec) = &self.rec {
-            rec.scope_no_barrier();
-        }
-        scope
     }
 
     /// Opens a primitive capture scope: launches issued while it is open
@@ -484,14 +446,6 @@ impl Device {
         } else {
             FaultPause { plane: None }
         }
-    }
-
-    /// The active fault config (the default empty config unless set).
-    pub fn fault_config(&self) -> FaultConfig {
-        self.flt
-            .as_deref()
-            .map(|flt| flt.config().clone())
-            .unwrap_or_default()
     }
 
     /// Runs `op` with the device's worker pool pinned as the current pool
@@ -755,10 +709,9 @@ impl Device {
 }
 
 /// RAII guard over a capture scope: launches issued while it is open
-/// inherit its label and declared accesses. Public only as the return
-/// type of [`Device::capture_unordered`]; the declaration builders are
-/// crate-internal (primitives declare their own I/O).
-pub struct CaptureScope<'a> {
+/// inherit its label and declared accesses (primitives declare their own
+/// I/O).
+pub(crate) struct CaptureScope<'a> {
     rec: Option<&'a Recorder>,
 }
 

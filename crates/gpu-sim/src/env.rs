@@ -19,7 +19,6 @@
 //! [`parse_knob`]) — the `knob_registry_is_closed` unit test enumerates
 //! the registry so a knob added elsewhere fails the build's test run.
 
-use crate::launch_graph::CaptureMode;
 use crate::sanitize::SanitizeMode;
 use std::str::FromStr;
 
@@ -28,8 +27,6 @@ pub const EMG_SANITIZE: &str = "EMG_SANITIZE";
 /// JSONL sink path for the experiment binaries' perf records (a
 /// free-form path, so any non-empty value "parses").
 pub const EMG_BENCH_JSON: &str = "EMG_BENCH_JSON";
-/// Launch-graph capture plane selector; see [`crate::launch_graph`].
-pub const EMG_CAPTURE: &str = "EMG_CAPTURE";
 /// Query-server batch-size cap: one flush of the batching queue takes
 /// queued queries until it holds this many pairs (a positive integer;
 /// read by the `emg-server` crate, registered here so every `EMG_*` knob
@@ -64,7 +61,6 @@ pub const KNOBS: &[(&str, &str)] = &[
         "sanitizer checks: off|memcheck|initcheck|racecheck|full",
     ),
     (EMG_BENCH_JSON, "path receiving benchmark JSONL records"),
-    (EMG_CAPTURE, "launch-graph capture: off|on"),
     (
         EMG_SERVE_BATCH,
         "emg serve: cap one flush of queued queries at this many pairs",
@@ -110,7 +106,6 @@ where
 pub fn parse_knob(var: &str, value: &str) -> Result<String, String> {
     match var {
         EMG_SANITIZE => SanitizeMode::from_str(value).map(|m| format!("{m:?}")),
-        EMG_CAPTURE => CaptureMode::from_str(value).map(|m| format!("{m:?}")),
         EMG_BENCH_JSON => {
             if value.is_empty() {
                 Err("empty path".to_string())
@@ -164,7 +159,7 @@ mod tests {
     /// [`parse_knob`], accepts its documented defaults, and rejects typos.
     #[test]
     fn knob_registry_is_closed() {
-        assert_eq!(KNOBS.len(), 8, "new knob? register it in env.rs");
+        assert_eq!(KNOBS.len(), 7, "new knob? register it in env.rs");
         for (var, _help) in KNOBS {
             // A typo must be a hard error for every enum knob; the one
             // free-form knob (a path) instead rejects the empty string.
@@ -195,9 +190,6 @@ mod tests {
         ] {
             parse_knob(EMG_SANITIZE, v).unwrap();
         }
-        for v in ["off", "on", "capture", "0", "1", ""] {
-            parse_knob(EMG_CAPTURE, v).unwrap();
-        }
         parse_knob(EMG_BENCH_JSON, "/tmp/bench.jsonl").unwrap();
         assert!(parse_knob(EMG_BENCH_JSON, "").is_err());
         for v in ["1", "64", "4096"] {
@@ -223,6 +215,5 @@ mod tests {
     #[test]
     fn case_and_whitespace_insensitive_enums() {
         parse_knob(EMG_SANITIZE, " Full ").unwrap();
-        parse_knob(EMG_CAPTURE, "ON").unwrap();
     }
 }

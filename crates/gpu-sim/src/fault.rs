@@ -260,7 +260,7 @@ fn mix(seed: u64, index: u64) -> u64 {
 /// decisions hash. Owned by [`crate::Device`] when
 /// [`crate::DeviceConfig::faults`] is non-empty.
 #[derive(Debug)]
-pub struct FaultPlane {
+pub(crate) struct FaultPlane {
     cfg: FaultConfig,
     launches: AtomicU64,
     allocs: AtomicU64,
@@ -275,11 +275,6 @@ impl FaultPlane {
             allocs: AtomicU64::new(0),
             paused: AtomicU32::new(0),
         }
-    }
-
-    /// The configured spec.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     fn active(&self) -> bool {

@@ -2,18 +2,18 @@
 //!
 //! The paper's pipelines are fixed DAGs of kernel launches over shared
 //! device arrays — the *shape* of that DAG (how many launches, which
-//! regions each touches, where the barriers sit) is the performance model
-//! on memory-bound hardware. The [sanitizer](crate::sanitize) and the
-//! traffic counters in [`crate::metrics`] validate individual launches
-//! dynamically; this module reasons about the pipeline as a whole.
+//! regions each touches) is the performance model on memory-bound
+//! hardware. The [sanitizer](crate::sanitize) and the traffic counters in
+//! [`crate::metrics`] validate individual launches dynamically; this
+//! module reasons about the pipeline as a whole.
 //!
 //! ## Capture
 //!
-//! With [`crate::DeviceConfig::capture`] on (`EMG_CAPTURE=on`), the device
-//! records one node per kernel launch: its label (the
-//! [`crate::Device::kernel_label`] stack joined with the primitive scope
-//! labels), its work-item count, and the set of *(region, access kind)*
-//! pairs it touched. Accesses flow in from two sources:
+//! With [`crate::DeviceConfig::capture`] on, the device records one node
+//! per kernel launch: its label (the [`crate::Device::kernel_label`]
+//! stack joined with the primitive scope labels), its work-item count,
+//! and the set of *(region, access kind)* pairs it touched. Accesses flow
+//! in from two sources:
 //!
 //! * **tracked views** — every [`crate::SharedSlice::read`]/`write` and
 //!   atomic-view operation obtained via [`crate::Device::shared`] /
@@ -35,7 +35,7 @@
 //! two launches (the two-pass scan, the parallel compaction) moves them
 //! onto its scope, so both launches declare the reads. Host-side accesses
 //! through tracked views outside any launch accumulate into explicit
-//! `host` nodes, which also act as ordering points.
+//! `host` nodes.
 //!
 //! ## Region identity under pooling
 //!
@@ -49,17 +49,11 @@
 //!
 //! ## Analyses
 //!
-//! [`LaunchGraph::analyze`] runs three passes (DESIGN.md §11):
+//! Every launch is followed by a device-wide barrier (DESIGN.md §1), so
+//! two nodes touching the same region are always ordered. Beside counting
+//! those RAW/WAR/WAW dependence edges, [`LaunchGraph::analyze`] runs two
+//! passes (DESIGN.md §11):
 //!
-//! * **hazard** — RAW/WAR/WAW dependence edges between nodes touching the
-//!   same region, checked against the barrier structure. Every ordinary
-//!   launch is followed by a device-wide barrier, so real pipelines have
-//!   dependence edges but no *unsynchronized* hazards; launches issued
-//!   under [`crate::Device::capture_unordered`] (modeling stream-ordered
-//!   launches) drop the barrier and surface them. Conflicts whose write
-//!   sides all came through `benign`-annotated views are whitelisted —
-//!   the same call-site contract racecheck uses for the paper's
-//!   commuting updates.
 //! * **dead-write** — a launch's write to an arena-backed region that no
 //!   later node reads before the region's release is wasted traffic.
 //!   Caller-owned (non-arena) regions are live-out and exempt.
@@ -74,43 +68,6 @@ use crate::sanitize::AccessKind;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Whether a [`crate::Device`] records its launch graph (defaults to the
-/// `EMG_CAPTURE` environment variable, [`CaptureMode::Off`] when unset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaptureMode {
-    /// No recording; capture hooks are a branch per access and nothing
-    /// else.
-    #[default]
-    Off,
-    /// Record every launch's label and access set for
-    /// [`crate::Device::launch_graph`].
-    On,
-}
-
-impl CaptureMode {
-    /// Reads `EMG_CAPTURE` (`off`/`0` or unset → [`CaptureMode::Off`];
-    /// `on`/`1`/`capture` → [`CaptureMode::On`]).
-    ///
-    /// # Panics
-    /// Panics on an unrecognized value (the shared [`crate::env`]
-    /// contract: a typo must not silently disable capture).
-    pub fn from_env() -> Self {
-        crate::env::parse_env(crate::env::EMG_CAPTURE)
-    }
-}
-
-impl std::str::FromStr for CaptureMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "off" | "0" => Ok(Self::Off),
-            "on" | "1" | "capture" => Ok(Self::On),
-            other => Err(format!("unknown capture mode {other:?}")),
-        }
-    }
-}
 
 // ---- access masks ------------------------------------------------------
 
@@ -147,12 +104,6 @@ pub fn mask_reads(mask: u8) -> bool {
     mask & (ACC_READ | ACC_RMW | ACC_BENIGN_RMW) != 0
 }
 
-/// Whether every write-side access in the mask is whitelisted (came
-/// through a `benign`-annotated view).
-pub fn mask_writes_benign(mask: u8) -> bool {
-    mask_writes(mask) && mask & (ACC_WRITE | ACC_RMW) == 0
-}
-
 /// Stable string form of an access mask (`r`, `w`, `rmw`, benign forms
 /// suffixed `~`), bits joined with `+` in fixed order.
 pub fn mask_name(mask: u8) -> String {
@@ -185,8 +136,6 @@ const NO_LAUNCH: usize = usize::MAX;
 const NOTE_SHARDS: usize = 16;
 
 struct RegionSlot {
-    /// Custom name from [`crate::Device::capture_name`], else derived.
-    name: Option<String>,
     ty: &'static str,
     len: usize,
     elem_bytes: usize,
@@ -198,7 +147,6 @@ struct NodeSlot {
     label: String,
     work: u64,
     host: bool,
-    barrier: bool,
     fused: bool,
     /// Declared + host-attributed accesses (per-element notes are merged
     /// in from the shards when the graph is built).
@@ -208,7 +156,6 @@ struct NodeSlot {
 struct ScopeFrame {
     label: Option<String>,
     fused: bool,
-    no_barrier: bool,
     accesses: Vec<(u32, u8)>,
 }
 
@@ -228,7 +175,7 @@ struct RecState {
 }
 
 /// The capture recorder attached to a [`crate::Device`] when
-/// [`crate::DeviceConfig::capture`] is [`CaptureMode::On`].
+/// [`crate::DeviceConfig::capture`] is on.
 pub(crate) struct Recorder {
     state: Mutex<RecState>,
     /// Node index of the launch currently executing ([`NO_LAUNCH`] when
@@ -261,7 +208,6 @@ impl Recorder {
         self.state.lock().scopes.push(ScopeFrame {
             label: (!label.is_empty()).then(|| label.to_string()),
             fused: false,
-            no_barrier: false,
             accesses: Vec::new(),
         });
     }
@@ -285,12 +231,6 @@ impl Recorder {
     pub(crate) fn scope_fused(&self) {
         if let Some(top) = self.state.lock().scopes.last_mut() {
             top.fused = true;
-        }
-    }
-
-    pub(crate) fn scope_no_barrier(&self) {
-        if let Some(top) = self.state.lock().scopes.last_mut() {
-            top.no_barrier = true;
         }
     }
 
@@ -357,21 +297,6 @@ impl Recorder {
         }
     }
 
-    /// Names a region for readable graphs (applies to the live region at
-    /// this base, registering it if needed).
-    pub(crate) fn name_region(
-        &self,
-        base: usize,
-        len: usize,
-        elem_bytes: usize,
-        ty: &'static str,
-        name: &str,
-    ) {
-        let mut st = self.state.lock();
-        let region = Self::region_for_locked(&mut st, base, len, elem_bytes, ty);
-        st.regions[region as usize].name = Some(name.to_string());
-    }
-
     // ---- regions -------------------------------------------------------
 
     /// Live region id for the buffer at `base`, creating one on first
@@ -398,7 +323,6 @@ impl Recorder {
             .is_some_and(|(&b, &cap)| base + len * elem_bytes <= b + cap);
         let id = st.regions.len() as u32;
         st.regions.push(RegionSlot {
-            name: None,
             ty,
             len,
             elem_bytes,
@@ -481,7 +405,6 @@ impl Recorder {
             parts.join("/")
         };
         let fused = st.scopes.iter().any(|s| s.fused);
-        let barrier = !st.scopes.iter().any(|s| s.no_barrier);
         let mut accesses: BTreeMap<u32, u8> = BTreeMap::new();
         for (region, mask) in st
             .scopes
@@ -497,7 +420,6 @@ impl Recorder {
             label,
             work,
             host: false,
-            barrier,
             fused,
             accesses,
         });
@@ -537,7 +459,6 @@ impl Recorder {
                     label: "host".to_string(),
                     work: 0,
                     host: true,
-                    barrier: true,
                     fused: false,
                     accesses,
                 });
@@ -569,7 +490,6 @@ impl Recorder {
                         label: "host".to_string(),
                         work: 0,
                         host: true,
-                        barrier: true,
                         fused: false,
                         accesses,
                     });
@@ -583,7 +503,6 @@ impl Recorder {
                 label: n.label.clone(),
                 work: n.work,
                 host: n.host,
-                barrier: n.barrier,
                 fused: n.fused,
                 accesses: n.accesses.clone(),
             })
@@ -599,10 +518,7 @@ impl Recorder {
             .enumerate()
             .map(|(id, r)| Region {
                 id: id as u32,
-                name: r
-                    .name
-                    .clone()
-                    .unwrap_or_else(|| format!("r{id}:{}[{}]", short_type(r.ty), r.len)),
+                name: format!("r{id}:{}[{}]", short_type(r.ty), r.len),
                 len: r.len,
                 elem_bytes: r.elem_bytes,
                 arena: r.arena,
@@ -632,8 +548,7 @@ fn short_type(ty: &str) -> &str {
 pub struct Region {
     /// Stable id (first-registration order).
     pub id: u32,
-    /// Readable name: custom ([`crate::Device::capture_name`]) or
-    /// `r<id>:<type>[<len>]`.
+    /// Readable name, `r<id>:<type>[<len>]`.
     pub name: String,
     /// Element count.
     pub len: usize,
@@ -658,9 +573,6 @@ pub struct Node {
     pub work: u64,
     /// Whether this is a host node.
     pub host: bool,
-    /// Whether a device-wide barrier follows (false only under
-    /// [`crate::Device::capture_unordered`]).
-    pub barrier: bool,
     /// Whether the launch came from a fused primitive.
     pub fused: bool,
     /// Region id → access mask (see [`mask_name`]).
@@ -680,47 +592,6 @@ pub struct LaunchGraph {
     pub bytes_read: u64,
     /// Modeled bytes the device's primitives wrote.
     pub bytes_written: u64,
-}
-
-/// Hazard classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HazardKind {
-    /// Read after write.
-    Raw,
-    /// Write after read.
-    War,
-    /// Write after write.
-    Waw,
-}
-
-impl HazardKind {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Raw => "raw",
-            Self::War => "war",
-            Self::Waw => "waw",
-        }
-    }
-}
-
-/// An unsynchronized, unwhitelisted conflict between two nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hazard {
-    /// Kind of the conflict.
-    pub kind: HazardKind,
-    /// Index of the earlier node.
-    pub from: usize,
-    /// Index of the later node.
-    pub to: usize,
-    /// Label of the earlier node.
-    pub from_label: String,
-    /// Label of the later node.
-    pub to_label: String,
-    /// Region the conflict is on.
-    pub region: u32,
-    /// Region name.
-    pub region_name: String,
 }
 
 /// A write to an arena region that nothing read before its release.
@@ -755,7 +626,7 @@ pub struct FusionCandidate {
     pub region_name: String,
 }
 
-/// Counts of synchronized dependence edges by kind.
+/// Counts of dependence edges by kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DepCounts {
     /// Read-after-write edges.
@@ -771,11 +642,6 @@ pub struct DepCounts {
 pub struct Analysis {
     /// Dependence-edge counts (the dataflow shape; all barrier-ordered).
     pub deps: DepCounts,
-    /// Unsynchronized, unwhitelisted conflicts (must be empty for every
-    /// shipped pipeline).
-    pub hazards: Vec<Hazard>,
-    /// Conflicts suppressed by the benign-write whitelist.
-    pub whitelisted: u64,
     /// Dead writes (must be empty for every shipped pipeline).
     pub dead_writes: Vec<DeadWrite>,
     /// Total wasted bytes across [`Analysis::dead_writes`].
@@ -821,7 +687,8 @@ impl LaunchGraph {
         map
     }
 
-    /// Runs the hazard, dead-write, and fusion-candidate passes.
+    /// Counts the dependence edges and runs the dead-write and
+    /// fusion-candidate passes.
     pub fn analyze(&self) -> Analysis {
         let mut out = Analysis::default();
         let touches = self.touches();
@@ -832,52 +699,12 @@ impl LaunchGraph {
                 .map(|r| r.name.clone())
                 .unwrap_or_default();
 
-            // ---- hazard pass -------------------------------------------
-            for (a, &(i, mi)) in list.iter().enumerate() {
-                for &(j, mj) in &list[a + 1..] {
-                    let mut kinds: Vec<(HazardKind, bool)> = Vec::new();
-                    if mask_writes(mi) && mask_reads(mj) {
-                        kinds.push((HazardKind::Raw, mask_writes_benign(mi)));
-                    }
-                    if mask_reads(mi) && mask_writes(mj) {
-                        kinds.push((HazardKind::War, mask_writes_benign(mj)));
-                    }
-                    if mask_writes(mi) && mask_writes(mj) {
-                        kinds.push((
-                            HazardKind::Waw,
-                            mask_writes_benign(mi) && mask_writes_benign(mj),
-                        ));
-                    }
-                    if kinds.is_empty() {
-                        continue;
-                    }
-                    // Synchronized iff any node in [i, j) is followed by a
-                    // device-wide barrier (the barrier drains everything
-                    // issued before it, including node i).
-                    let synced = self.nodes[i..j].iter().any(|n| n.barrier);
-                    for (kind, benign) in kinds {
-                        match kind {
-                            HazardKind::Raw => out.deps.raw += 1,
-                            HazardKind::War => out.deps.war += 1,
-                            HazardKind::Waw => out.deps.waw += 1,
-                        }
-                        if synced {
-                            continue;
-                        }
-                        if benign {
-                            out.whitelisted += 1;
-                        } else {
-                            out.hazards.push(Hazard {
-                                kind,
-                                from: i,
-                                to: j,
-                                from_label: self.nodes[i].label.clone(),
-                                to_label: self.nodes[j].label.clone(),
-                                region,
-                                region_name: region_name.clone(),
-                            });
-                        }
-                    }
+            // ---- dependence counts ------------------------------------
+            for (a, &(_, mi)) in list.iter().enumerate() {
+                for &(_, mj) in &list[a + 1..] {
+                    out.deps.raw += u64::from(mask_writes(mi) && mask_reads(mj));
+                    out.deps.war += u64::from(mask_reads(mi) && mask_writes(mj));
+                    out.deps.waw += u64::from(mask_writes(mi) && mask_writes(mj));
                 }
             }
 
@@ -990,9 +817,6 @@ impl LaunchGraph {
             if n.host {
                 flags.push_str(", \"host\": true");
             }
-            if !n.barrier {
-                flags.push_str(", \"barrier\": false");
-            }
             if n.fused {
                 flags.push_str(", \"fused\": true");
             }
@@ -1013,25 +837,6 @@ impl LaunchGraph {
             "    \"deps\": {{\"raw\": {}, \"war\": {}, \"waw\": {}}},\n",
             analysis.deps.raw, analysis.deps.war, analysis.deps.waw
         ));
-        s.push_str(&format!(
-            "    \"whitelisted_conflicts\": {},\n",
-            analysis.whitelisted
-        ));
-        s.push_str("    \"hazards\": [\n");
-        for (i, h) in analysis.hazards.iter().enumerate() {
-            s.push_str(&format!(
-                "      {{\"kind\": \"{}\", \"from\": {}, \"to\": {}, \"from_label\": {}, \
-                 \"to_label\": {}, \"region\": {}}}{}\n",
-                h.kind.name(),
-                h.from,
-                h.to,
-                json_str(&h.from_label),
-                json_str(&h.to_label),
-                h.region,
-                comma(i, analysis.hazards.len()),
-            ));
-        }
-        s.push_str("    ],\n");
         s.push_str(&format!("    \"dead_bytes\": {},\n", analysis.dead_bytes));
         s.push_str("    \"dead_writes\": [\n");
         for (i, d) in analysis.dead_writes.iter().enumerate() {
@@ -1124,7 +929,6 @@ mod tests {
             label: label.to_string(),
             work,
             host: false,
-            barrier: true,
             fused: false,
             accesses: accesses.iter().copied().collect(),
         }
@@ -1162,7 +966,7 @@ mod tests {
     }
 
     #[test]
-    fn barriered_conflicts_are_deps_not_hazards() {
+    fn write_then_read_is_one_raw_dependence() {
         let g = graph(
             vec![
                 node("produce", 100, &[(0, ACC_WRITE)]),
@@ -1171,40 +975,35 @@ mod tests {
             vec![region(0, false)],
         );
         let a = g.analyze();
-        assert_eq!(a.deps.raw, 1);
-        assert!(a.hazards.is_empty());
-    }
-
-    #[test]
-    fn unbarriered_raw_is_a_hazard() {
-        let mut g = graph(
-            vec![
-                node("produce", 100, &[(0, ACC_WRITE)]),
-                node("consume", 100, &[(0, ACC_READ)]),
-            ],
-            vec![region(0, false)],
+        assert_eq!(
+            a.deps,
+            DepCounts {
+                raw: 1,
+                war: 0,
+                waw: 0
+            }
         );
-        g.nodes[0].barrier = false;
-        let a = g.analyze();
-        assert_eq!(a.hazards.len(), 1);
-        assert_eq!(a.hazards[0].kind, HazardKind::Raw);
-        assert_eq!(a.hazards[0].from_label, "produce");
     }
 
     #[test]
-    fn benign_rmw_conflicts_are_whitelisted() {
-        let mut g = graph(
+    fn rmw_pair_counts_raw_war_and_waw() {
+        let g = graph(
             vec![
                 node("hook_a", 100, &[(0, ACC_BENIGN_RMW)]),
                 node("hook_b", 100, &[(0, ACC_BENIGN_RMW)]),
             ],
             vec![region(0, false)],
         );
-        g.nodes[0].barrier = false;
+        // An RMW reads and writes, so the pair is all three kinds at once.
         let a = g.analyze();
-        assert!(a.hazards.is_empty());
-        // An RMW/RMW pair conflicts as RAW, WAR and WAW — all whitelisted.
-        assert_eq!(a.whitelisted, 3);
+        assert_eq!(
+            a.deps,
+            DepCounts {
+                raw: 1,
+                war: 1,
+                waw: 1
+            }
+        );
     }
 
     #[test]

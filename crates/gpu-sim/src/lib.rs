@@ -50,10 +50,10 @@
 //! [`SharedSlice::benign`] whitelist for the algorithms' deliberate
 //! commuting races.
 //!
-//! An opt-in launch-graph plane ([`launch_graph`], `EMG_CAPTURE` or
+//! An opt-in launch-graph plane ([`launch_graph`],
 //! [`DeviceConfig::capture`]) records every launch's kernel label and
 //! per-region access set through the same tracked views, and statically
-//! analyzes the captured pipeline for inter-launch hazards, dead writes,
+//! analyzes the captured pipeline for its dependence edges, dead writes
 //! and fusion candidates. An opt-in fault plane ([`mod@fault`],
 //! `EMG_FAULT` or [`DeviceConfig::faults`]) injects seeded,
 //! schedule-independent failures — launch panics, refused allocations,
@@ -92,11 +92,10 @@ pub mod segsort;
 pub use arena::ArenaError;
 pub use arena::{ArenaPod, ArenaVec, DeviceArena, ScratchGuard};
 pub use atomic::{as_atomic_u32, as_atomic_u64, AtomicViewU32, AtomicViewU64};
-pub use device::{CaptureScope, Device, DeviceConfig, DeviceHandle, KernelLabel, SharedSlice};
-pub use fault::{FaultConfig, FaultPause, FaultPlane};
+pub use device::{Device, DeviceConfig, DeviceHandle, KernelLabel, SharedSlice};
+pub use fault::{FaultConfig, FaultPause};
 pub use launch_graph::{
-    Analysis, CaptureMode, DeadWrite, DepCounts, FusionCandidate, Hazard, HazardKind, LaunchGraph,
-    Node, Region,
+    Analysis, DeadWrite, DepCounts, FusionCandidate, LaunchGraph, Node, Region,
 };
 pub use metrics::{Metrics, MetricsSnapshot, PhaseTimer};
 pub use sanitize::{AccessKind, Finding, FindingKind, SanitizeMode};

@@ -15,7 +15,7 @@ fn dev(mode: SanitizeMode) -> Device {
         pooling: true,
         sanitize: mode,
         sanitize_fatal: false,
-        capture: gpu_sim::CaptureMode::Off,
+        capture: false,
         faults: gpu_sim::FaultConfig::default(),
     })
 }
@@ -273,7 +273,7 @@ fn sanitize_off_has_zero_tracking() {
         pooling: true,
         sanitize: SanitizeMode::Off,
         sanitize_fatal: false,
-        capture: gpu_sim::CaptureMode::Off,
+        capture: false,
         faults: gpu_sim::FaultConfig::default(),
     });
     let mut buf = vec![0u32; 64];
@@ -297,7 +297,7 @@ fn fatal_sanitizer_panics_with_the_finding() {
         pooling: true,
         sanitize: SanitizeMode::Memcheck,
         sanitize_fatal: true,
-        capture: gpu_sim::CaptureMode::Off,
+        capture: false,
         faults: gpu_sim::FaultConfig::default(),
     });
     let mut buf = vec![0u32; 4];

@@ -224,7 +224,7 @@ mod tests {
         // ranks) and the one `tour_heads` writes, and write `first`.
         use gpu_sim::launch_graph::{mask_reads, mask_writes};
         let device = Device::with_config(gpu_sim::DeviceConfig {
-            capture: gpu_sim::CaptureMode::On,
+            capture: true,
             ..Default::default()
         });
         let n = 5000;
